@@ -1,6 +1,6 @@
 """Schedule-repair engine: absorb new-order arrivals into a batch schedule
-via learned local repair operators (tabular SARSA(lambda) over a relational
-state abstraction)."""
+via learned local repair operators (tabular SARSA(lambda) keyed by a
+quantized state signature)."""
 
 from .episode import EpisodeConfig, EpisodeResult, Outcome, StepRecord, run_episode, train
 from .errors import ReskitError
@@ -12,7 +12,7 @@ from .instances import (
     load_instance,
     save_instance,
 )
-from .operators import OperatorKind, RepairOperator, apply, kind_catalog, propose
+from .operators import OperatorKind, RepairOperator, apply, propose
 from .rl import Hyperparams, QKey, QStore, load_qstore, qkey, reward, save_qstore, select
 from .schedule import (
     Resource,
@@ -24,7 +24,7 @@ from .schedule import (
     task_tardiness,
     validate,
 )
-from .stategraph import StateSignature, Wme, signature, to_triples
+from .stategraph import StateSignature, signature
 
 __version__ = "0.1.0"
 
@@ -46,13 +46,11 @@ __all__ = [
     "StepRecord",
     "Task",
     "Violation",
-    "Wme",
     "apply",
     "elaborate",
     "generate_instance",
     "inject_disruption",
     "insert_order",
-    "kind_catalog",
     "load_instance",
     "load_qstore",
     "propose",
@@ -64,7 +62,6 @@ __all__ = [
     "select",
     "signature",
     "task_tardiness",
-    "to_triples",
     "train",
     "validate",
 ]

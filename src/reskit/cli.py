@@ -42,8 +42,8 @@ from .schedule import elaborate, validate
 
 @dataclass
 class CampaignReport:
-    """Training campaign summary; wall-clock stays out of the JSON artifact
-    so equal seeds yield byte-identical report files."""
+    """Training campaign summary. It holds no wall-clock figure, so equal
+    seeds yield byte-identical report files."""
 
     seed: int
     episodes: int
@@ -55,7 +55,6 @@ class CampaignReport:
     success_rate: float = 0.0
     greedy_evaluation: dict = field(default_factory=dict)
     q_entries: int = 0
-    wall_clock_s: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -155,7 +154,6 @@ def cmd_train(args) -> int:
             "final_tardiness": greedy.final_state.total_tardiness,
         },
         q_entries=len(store.entries),
-        wall_clock_s=wall,
     )
     save_qstore(store, args.qstore)
     if args.report:

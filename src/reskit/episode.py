@@ -27,21 +27,15 @@ class Outcome(str, Enum):
     NO_PROPOSALS = "no-proposals"
 
 
-GOAL_KINDS = ("tardiness-recovery",)
-
-
 @dataclass
 class EpisodeConfig:
     max_steps: int = 50
-    goal: str = "tardiness-recovery"
     seed: int = 0
     hyper: Hyperparams | None = None
 
     def check(self) -> None:
         if self.max_steps <= 0:
             raise InvalidConfig(f"max_steps must be positive, got {self.max_steps}")
-        if self.goal not in GOAL_KINDS:
-            raise InvalidConfig(f"unknown goal kind {self.goal!r}")
 
 
 @dataclass
@@ -105,28 +99,26 @@ def run_episode(
             )
         )
         if goal_reached(nxt):
-            if learning:
-                store.sarsa_update(key, r, None)
-                store.clear_traces()
-            return EpisodeResult(Outcome.GOAL_REACHED, steps, nxt)
+            outcome = Outcome.GOAL_REACHED
+            break
         if step_index == cfg.max_steps:
-            if learning:
-                store.sarsa_update(key, r, None)
-                store.clear_traces()
-            return EpisodeResult(Outcome.STEP_LIMIT, steps, nxt)
+            outcome = Outcome.STEP_LIMIT
+            break
         next_proposals = propose(nxt)
         if not next_proposals:
-            if learning:
-                store.sarsa_update(key, r, None)
-                store.clear_traces()
-            return EpisodeResult(Outcome.NO_PROPOSALS, steps, nxt)
+            outcome = Outcome.NO_PROPOSALS
+            break
         next_op = select(store, nxt, next_proposals, rng, epsilon=eps_override)
         next_key = qkey(nxt, next_op)
         if learning:
             store.sarsa_update(key, r, next_key)
         state, op, key, proposals = nxt, next_op, next_key, next_proposals
 
-    raise AssertionError("unreachable: loop exits via outcome returns")
+    # Every outcome ends the episode the same way: bootstrap 0, drop traces.
+    if learning:
+        store.sarsa_update(key, r, None)
+        store.clear_traces()
+    return EpisodeResult(outcome, steps, nxt)
 
 
 DisruptedSource = Union[ScheduleState, Callable[[int], ScheduleState]]

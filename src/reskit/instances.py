@@ -10,6 +10,7 @@ give byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -182,9 +183,13 @@ def _require(obj: dict, allowed: set[str], where: str) -> None:
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InstanceFormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise InstanceFormatError(f"{where}: expected a finite number, got {value!r}")
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -239,6 +244,9 @@ def instance_from_dict(data: dict) -> Instance:
         if not isinstance(rd["rates"], dict):
             raise InstanceFormatError(f"{where}: rates must be an object")
         rates = {p: _number(v, f"{where}.rates.{p}") for p, v in rd["rates"].items()}
+        for p, rate in rates.items():
+            if rate <= 0:
+                raise InstanceFormatError(f"{where}.rates.{p}: must be positive, got {rate!r}")
         resources.append(
             Resource(
                 id=str(rd["id"]),
@@ -293,6 +301,14 @@ def instance_from_dict(data: dict) -> Instance:
         quantity=_number(od["quantity_kg"], "disruption.order.quantity_kg"),
         due_date=_number(od["due_h"], "disruption.order.due_h"),
     )
+    if order.id in tasks:
+        raise InstanceFormatError(f"disruption.order: id {order.id} is already a task id")
+    # Q keys name tasks, so two tasks with one name would share preferences.
+    names: set[str] = set()
+    for t in [*tasks.values(), order]:
+        if t.name in names:
+            raise InstanceFormatError(f"duplicate task name {t.name}")
+        names.add(t.name)
     arrival = _number(data["disruption"]["arrival_h"], "disruption.arrival_h")
 
     state = ScheduleState(resources=resources, tasks=tasks)

@@ -44,12 +44,6 @@ class OperatorKind(str, Enum):
         return self.value.split("-")[2]
 
 
-def kind_catalog() -> list[OperatorKind]:
-    """The fixed 10-kind catalog. Swaps are cross-resource only, so there is
-    no same-*-swap."""
-    return list(OperatorKind)
-
-
 @dataclass(frozen=True)
 class RepairOperator:
     kind: OperatorKind
@@ -184,5 +178,4 @@ def apply(state: ScheduleState, op: RepairOperator) -> ScheduleState:
         src.task_chain[i] = op.aux
         dst.task_chain[j] = op.focal
 
-    s.pending_general_calculations = 1
     return elaborate(s)

@@ -73,13 +73,12 @@ class QKey:
     op_aux: str
 
 
+def _key(sig: StateSignature, state: ScheduleState, op: RepairOperator) -> QKey:
+    return QKey(sig, op.kind.value, state.tasks[op.focal].name, state.tasks[op.aux].name)
+
+
 def qkey(state: ScheduleState, op: RepairOperator) -> QKey:
-    return QKey(
-        sig=signature(state),
-        op_name=op.kind.value,
-        op_focal=state.tasks[op.focal].name,
-        op_aux=state.tasks[op.aux].name,
-    )
+    return _key(signature(state), state, op)
 
 
 class QStore:
@@ -141,15 +140,11 @@ def select(
     eps = store.hyper.epsilon if epsilon is None else epsilon
     if rng.random() < eps:
         return proposals[rng.randrange(len(proposals))]
-    sig = signature(state)
+    sig = signature(state)  # once per call, shared by every proposal's key
     best = proposals[0]
-    best_q = store.q(
-        QKey(sig, best.kind.value, state.tasks[best.focal].name, state.tasks[best.aux].name)
-    )
+    best_q = store.q(_key(sig, state, best))
     for op in proposals[1:]:
-        q = store.q(
-            QKey(sig, op.kind.value, state.tasks[op.focal].name, state.tasks[op.aux].name)
-        )
+        q = store.q(_key(sig, state, op))
         if q > best_q:
             best, best_q = op, q
     return best

@@ -9,12 +9,12 @@ task fields. ``elaborate`` recomputes every derived field and is idempotent.
 
 States are values: every operation returns a new state and leaves its input
 untouched, so states can be archived for episode rollback and compared after
-the fact. ``Resource.task_chain`` is the authoritative ordering; the per-task
-``prev``/``next`` links are rewritten from it during elaboration.
+the fact. ``Resource.task_chain`` is the only record of task order.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from .errors import BrokenChain, PositionOutOfRange, UnprocessableProduct
@@ -27,8 +27,8 @@ AGG_TOL = 1e-9
 class Task:
     """An order operation: what to make, how much, and by when.
 
-    ``duration``, ``start``, ``finish``, ``prev`` and ``next`` are derived;
-    they are only meaningful after :func:`elaborate`.
+    ``duration``, ``start`` and ``finish`` are derived; they are only
+    meaningful after :func:`elaborate`.
     """
 
     id: str
@@ -39,8 +39,6 @@ class Task:
     duration: float = 0.0
     start: float = 0.0
     finish: float = 0.0
-    prev: str | None = None
-    next: str | None = None
     executing: bool = False
 
 
@@ -57,7 +55,6 @@ class Resource:
     kind: str = "extruder"
     rates: dict[str, float] = field(default_factory=dict)
     task_chain: list[str] = field(default_factory=list)
-    tardiness: float = 0.0
     release_time: float = 0.0
 
 
@@ -72,7 +69,6 @@ class ScheduleState:
     avg_tardiness: float = 0.0
     total_wip: float = 0.0
     task_number: int = 0
-    pending_general_calculations: int = 1
 
     def clone(self) -> "ScheduleState":
         """Deep copy; cheap enough to call once per repair step."""
@@ -89,7 +85,6 @@ class ScheduleState:
             avg_tardiness=self.avg_tardiness,
             total_wip=self.total_wip,
             task_number=self.task_number,
-            pending_general_calculations=self.pending_general_calculations,
         )
 
     def resource_by_id(self, resource_id: str) -> Resource:
@@ -129,22 +124,26 @@ def task_tardiness(task: Task) -> float:
     return max(0.0, task.finish - task.due_date)
 
 
-def _check_assignment(state: ScheduleState) -> dict[str, str]:
-    """Map task id -> resource id; raise BrokenChain on structural defects."""
-    assigned: dict[str, str] = {}
+def _structure_defects(state: ScheduleState) -> Iterator[Violation]:
+    """Tasks that are unknown, in two chain slots, or in none.
+
+    Every task must sit in exactly one chain slot. A well-formed state
+    yields nothing and builds no message.
+    """
+    chained: set[str] = set()
     for r in state.resources:
         for tid in r.task_chain:
             if tid not in state.tasks:
-                raise BrokenChain(f"chain of {r.id} references unknown task {tid}")
-            if tid in assigned:
-                raise BrokenChain(
-                    f"task {tid} appears in chains of {assigned[tid]} and {r.id}"
-                )
-            assigned[tid] = r.id
-    for tid in state.tasks:
-        if tid not in assigned:
-            raise BrokenChain(f"task {tid} is not in any resource chain")
-    return assigned
+                yield Violation("UnknownTask", tid, f"chain of {r.id} references it")
+            elif tid in chained:
+                first = state.resource_of(tid).id
+                yield Violation("DuplicateAssignment", tid, f"in chains of {first} and {r.id}")
+            else:
+                chained.add(tid)
+    if len(chained) != len(state.tasks):
+        for tid in state.tasks:
+            if tid not in chained:
+                yield Violation("UnassignedTask", tid, "not in any resource chain")
 
 
 def elaborate(state: ScheduleState) -> ScheduleState:
@@ -155,11 +154,11 @@ def elaborate(state: ScheduleState) -> ScheduleState:
     anchors its chain); each later task starts when its predecessor
     finishes. Durations are quantity / rate on the current resource.
     """
+    for defect in _structure_defects(state):
+        raise BrokenChain(str(defect))
     s = state.clone()
-    _check_assignment(s)
 
     for r in s.resources:
-        r_tard = 0.0
         prev_task: Task | None = None
         for tid in r.task_chain:
             t = s.tasks[tid]
@@ -172,16 +171,10 @@ def elaborate(state: ScheduleState) -> ScheduleState:
             if prev_task is None:
                 if not t.executing:
                     t.start = max(r.release_time, 0.0)
-                t.prev = None
             else:
                 t.start = prev_task.finish
-                t.prev = prev_task.id
-                prev_task.next = tid
             t.finish = t.start + t.duration
-            t.next = None
-            r_tard += task_tardiness(t)
             prev_task = t
-        r.tardiness = r_tard
 
     total = 0.0
     max_t = 0.0
@@ -197,7 +190,6 @@ def elaborate(state: ScheduleState) -> ScheduleState:
     s.task_number = len(s.tasks)
     s.avg_tardiness = total / s.task_number if s.task_number else 0.0
     s.total_wip = wip
-    s.pending_general_calculations = 0
     return s
 
 
@@ -225,7 +217,6 @@ def insert_order(
     s.tasks[order.id] = replace(order)
     s.resource_by_id(resource).task_chain.insert(position, order.id)
     s.focal_task = order.id
-    s.pending_general_calculations = 1
     return elaborate(s)
 
 
@@ -233,122 +224,54 @@ def validate(state: ScheduleState) -> list[Violation]:
     """Check every state/task/resource invariant; return violations as data.
 
     Never raises: a broken state yields violations describing what is wrong.
-    An empty list means the state is well-formed and its derived fields are
-    fresh.
+    Structure and domain rules come first; a state that passes both must
+    equal its own elaboration. An empty list means the state is well-formed
+    and its derived fields are fresh.
     """
-    out: list[Violation] = []
-
-    assigned: dict[str, str] = {}
-    structural_ok = True
-    for r in state.resources:
-        for tid in r.task_chain:
-            if tid not in state.tasks:
-                out.append(Violation("UnknownTask", tid, f"chain of {r.id} references it"))
-                structural_ok = False
-            elif tid in assigned:
-                out.append(
-                    Violation(
-                        "DuplicateAssignment",
-                        tid,
-                        f"in chains of {assigned[tid]} and {r.id}",
-                    )
-                )
-                structural_ok = False
-            else:
-                assigned[tid] = r.id
-    for tid in state.tasks:
-        if tid not in assigned:
-            out.append(Violation("UnassignedTask", tid, "not in any resource chain"))
-            structural_ok = False
+    out = list(_structure_defects(state))
 
     if state.focal_task is not None and state.focal_task not in state.tasks:
         out.append(Violation("UnknownFocal", state.focal_task, "focal id has no task"))
-
     for r in state.resources:
         if r.release_time < 0:
             out.append(Violation("NegativeRelease", r.id, f"release_time {r.release_time}"))
         for p, rate in r.rates.items():
-            if rate <= 0:
+            if not rate > 0:
                 out.append(Violation("NonPositiveRate", r.id, f"rate for {p} is {rate}"))
-    for t in state.tasks.values():
-        if t.quantity <= 0:
-            out.append(Violation("NonPositiveQuantity", t.id, f"quantity {t.quantity}"))
-        if t.due_date < 0:
-            out.append(Violation("NegativeDueDate", t.id, f"due {t.due_date}"))
-
-    if not structural_ok:
-        return out
-
-    # Timing and link checks per chain. Chain continuity is exact: elaborate
-    # assigns start(k+1) = finish(k) rather than recomputing it.
-    for r in state.resources:
-        r_tard = 0.0
-        prev_task: Task | None = None
         for i, tid in enumerate(r.task_chain):
-            t = state.tasks[tid]
-            rate = r.rates.get(t.product)
-            if rate is None:
+            t = state.tasks.get(tid)
+            if t is None:
+                continue
+            if t.product not in r.rates:
                 out.append(
                     Violation("UnprocessableProduct", tid, f"no rate on {r.id} for {t.product}")
                 )
-                prev_task = t
-                continue
-            if abs(t.duration - t.quantity / rate) > AGG_TOL:
-                out.append(
-                    Violation(
-                        "StaleDuration", tid, f"duration {t.duration} != {t.quantity / rate}"
-                    )
-                )
             if t.executing and i > 0:
                 out.append(Violation("ExecutingNotHead", tid, f"position {i} on {r.id}"))
-            if prev_task is None:
-                if not t.executing and t.start != max(r.release_time, 0.0):
-                    out.append(
-                        Violation(
-                            "BadChainHead",
-                            tid,
-                            f"start {t.start} != release {max(r.release_time, 0.0)}",
-                        )
-                    )
-                if t.prev is not None:
-                    out.append(Violation("LinkMismatch", tid, f"prev {t.prev} at chain head"))
-            else:
-                if t.start != prev_task.finish:
-                    out.append(
-                        Violation("ChainGap", tid, f"start {t.start} != finish({prev_task.id})")
-                    )
-                if t.prev != prev_task.id:
-                    out.append(Violation("LinkMismatch", tid, f"prev {t.prev} != {prev_task.id}"))
-                if prev_task.next != tid:
-                    out.append(
-                        Violation("LinkMismatch", prev_task.id, f"next {prev_task.next} != {tid}")
-                    )
-            if abs(t.finish - (t.start + t.duration)) > AGG_TOL:
-                out.append(
-                    Violation("TimingDrift", tid, f"finish {t.finish} != start + duration")
-                )
-            r_tard += task_tardiness(t)
-            prev_task = t
-        if prev_task is not None and prev_task.next is not None:
-            out.append(Violation("LinkMismatch", prev_task.id, "next set at chain tail"))
-        if abs(r.tardiness - r_tard) > AGG_TOL:
-            out.append(
-                Violation("StaleResourceTardiness", r.id, f"{r.tardiness} != {r_tard}")
-            )
+    for t in state.tasks.values():
+        if not t.quantity > 0:
+            out.append(Violation("NonPositiveQuantity", t.id, f"quantity {t.quantity}"))
+        if not t.due_date >= 0:
+            out.append(Violation("NegativeDueDate", t.id, f"due {t.due_date}"))
+    if out:
+        return out
 
-    total = sum(task_tardiness(t) for t in state.tasks.values())
-    max_t = max((task_tardiness(t) for t in state.tasks.values()), default=0.0)
-    wip = sum(t.duration for t in state.tasks.values())
-    n = len(state.tasks)
-    avg = total / n if n else 0.0
-    for attr, stored, fresh in [
-        ("totTard", state.total_tardiness, total),
-        ("maxTard", state.max_tardiness, max_t),
-        ("avgTard", state.avg_tardiness, avg),
-        ("totalWIP", state.total_wip, wip),
+    # Starts are compared exactly: elaborate assigns start(k+1) = finish(k)
+    # rather than recomputing it. ``not <=`` counts a NaN as a difference.
+    fresh = elaborate(state)
+    for tid, t in state.tasks.items():
+        for attr, tol in (("start", 0.0), ("duration", AGG_TOL), ("finish", AGG_TOL)):
+            stored, derived = getattr(t, attr), getattr(fresh.tasks[tid], attr)
+            if not abs(stored - derived) <= tol:
+                out.append(Violation("StaleTiming", tid, f"{attr} {stored} != {derived}"))
+    for subject, attr in [
+        ("totTard", "total_tardiness"),
+        ("maxTard", "max_tardiness"),
+        ("avgTard", "avg_tardiness"),
+        ("totalWIP", "total_wip"),
+        ("taskNumber", "task_number"),
     ]:
-        if abs(stored - fresh) > AGG_TOL:
-            out.append(Violation("StaleAggregate", attr, f"{stored} != {fresh}"))
-    if state.task_number != n:
-        out.append(Violation("StaleAggregate", "taskNumber", f"{state.task_number} != {n}"))
+        stored, derived = getattr(state, attr), getattr(fresh, attr)
+        if not abs(stored - derived) <= AGG_TOL:
+            out.append(Violation("StaleAggregate", subject, f"{stored} != {derived}"))
     return out

@@ -1,35 +1,20 @@
-"""Relational view of a schedule state: triples and the learned-key signature.
+"""The learned-key signature: a quantized feature tuple of a schedule state.
 
-The schedule is exposed as a connected id-attribute-value graph rooted at the
-state symbol ``<s>``, plus a quantized feature tuple (the signature) that
-keys learned preferences. Quantization is decimal round-half-even at two
-places, applied to the float's shortest round-trip decimal form.
+The signature is what learning sees of a state: the aggregate figures, the
+pre-disruption tardiness and the focal task's name. Quantization is decimal
+round-half-even at two places, applied to the float's shortest round-trip
+decimal form.
 
 Everything here is a pure function of the state.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
 
 from .errors import NoFocalTask
 from .schedule import ScheduleState
-
-STATE_SYMBOL = "<s>"
-
-_TRIPLE_RE = re.compile(r"^\((\S+) \^(\S+) (.+)\)$")
-_INT_RE = re.compile(r"^-?\d+$")
-
-
-@dataclass(frozen=True)
-class Wme:
-    """One id-attribute-value triple."""
-
-    id: str
-    attribute: str
-    value: str | int | float
 
 
 @dataclass(frozen=True)
@@ -68,99 +53,3 @@ def signature(state: ScheduleState) -> StateSignature:
         focal_task=focal.name,
     )
 
-
-def _sym(object_id: str) -> str:
-    return f"<{object_id}>"
-
-
-def to_triples(state: ScheduleState) -> list[Wme]:
-    """Emit the full graph: one triple per scalar attribute and per link.
-
-    Deterministic order: state scalars, focal link, then resources in list
-    order (scalars, rates by product code, task links in chain order), then
-    tasks in chain order (scalars, prev/next links).
-    """
-    triples: list[Wme] = [
-        Wme(STATE_SYMBOL, "totalWIP", state.total_wip),
-        Wme(STATE_SYMBOL, "taskNumber", state.task_number),
-        Wme(STATE_SYMBOL, "maxTard", state.max_tardiness),
-        Wme(STATE_SYMBOL, "avgTard", state.avg_tardiness),
-        Wme(STATE_SYMBOL, "totTard", state.total_tardiness),
-        Wme(STATE_SYMBOL, "initTardiness", state.init_tardiness),
-    ]
-    if state.focal_task is not None:
-        triples.append(Wme(STATE_SYMBOL, "focalTask", _sym(state.focal_task)))
-    for r in state.resources:
-        rid = _sym(r.id)
-        triples.append(Wme(STATE_SYMBOL, "resource", rid))
-        triples.append(Wme(rid, "type", r.kind))
-        triples.append(Wme(rid, "tardiness", r.tardiness))
-        triples.append(Wme(rid, "releaseTime", r.release_time))
-        for product in sorted(r.rates):
-            triples.append(Wme(rid, f"rate-{product}", r.rates[product]))
-        for tid in r.task_chain:
-            triples.append(Wme(rid, "task", _sym(tid)))
-    for r in state.resources:
-        for tid in r.task_chain:
-            t = state.tasks[tid]
-            sym = _sym(tid)
-            triples.append(Wme(sym, "name", t.name))
-            triples.append(Wme(sym, "productType", t.product))
-            triples.append(Wme(sym, "quantity", t.quantity))
-            triples.append(Wme(sym, "duration", t.duration))
-            triples.append(Wme(sym, "start", t.start))
-            triples.append(Wme(sym, "finish", t.finish))
-            triples.append(Wme(sym, "dueDate", t.due_date))
-            triples.append(Wme(sym, "executing", "true" if t.executing else "false"))
-            if t.prev is not None:
-                triples.append(Wme(sym, "previousTask", _sym(t.prev)))
-            if t.next is not None:
-                triples.append(Wme(sym, "nextTask", _sym(t.next)))
-    return triples
-
-
-def _format_value(value: str | int | float) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, int):
-        return str(value)
-    # Bar-quote symbols containing whitespace so the dump stays parseable.
-    if any(c.isspace() for c in value):
-        return f"|{value}|"
-    return value
-
-
-def dump_triples(triples: list[Wme]) -> str:
-    """One ``(id ^attribute value)`` line per triple."""
-    return "\n".join(f"({w.id} ^{w.attribute} {_format_value(w.value)})" for w in triples)
-
-
-def parse_triple_dump(text: str) -> list[Wme]:
-    """Inverse of :func:`dump_triples`.
-
-    Numeric-looking values come back as int/float, bar-quoted and plain
-    symbols as str. Lossless for every value :func:`to_triples` emits.
-    """
-    triples: list[Wme] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        m = _TRIPLE_RE.match(line)
-        if m is None:
-            raise ValueError(f"not a triple line: {line!r}")
-        raw = m.group(3)
-        value: str | int | float
-        if raw.startswith("|") and raw.endswith("|") and len(raw) >= 2:
-            value = raw[1:-1]
-        elif _INT_RE.match(raw):
-            value = int(raw)
-        else:
-            try:
-                value = float(raw)
-            except ValueError:
-                value = raw
-        triples.append(Wme(m.group(1), m.group(2), value))
-    return triples

@@ -1,9 +1,16 @@
+import hashlib
 import json
 
 import pytest
 
 from reskit.cli import main
-from reskit.instances import InstanceSpec, dumps_instance, generate_instance, save_instance
+from reskit.instances import (
+    InstanceSpec,
+    dumps_instance,
+    generate_instance,
+    instance_to_dict,
+    save_instance,
+)
 
 
 @pytest.fixture
@@ -179,3 +186,92 @@ def test_qstore_error_exit_codes(tmp_path, instance_path, capsys):
     bad.write_text("v9 alpha=0.1 gamma=0.9 lambda=0.1 epsilon=0.1\n", encoding="utf-8")
     assert main(["repair", "--instance", instance_path, "--qstore", str(bad)]) == 2
     capsys.readouterr()
+
+
+def _nan_quantity(data):
+    data["tasks"][0]["quantity_kg"] = float("nan")
+
+
+def _rate(value):
+    def mutate(data):
+        rates = data["resources"][0]["rates"]
+        rates[sorted(rates)[0]] = value
+
+    return mutate
+
+
+def _order_id_is_task_id(data):
+    data["disruption"]["order"]["id"] = data["tasks"][0]["id"]
+
+
+def _duplicate_task_name(data):
+    data["tasks"][1]["name"] = data["tasks"][0]["name"]
+
+
+def _order_name_is_task_name(data):
+    data["disruption"]["order"]["name"] = data["tasks"][0]["name"]
+
+
+@pytest.mark.parametrize("command", ["validate", "repair", "train", "evaluate"])
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _nan_quantity,
+        _rate(0.0),
+        _rate(-3.0),
+        _order_id_is_task_id,
+        _duplicate_task_name,
+        _order_name_is_task_name,
+    ],
+    ids=[
+        "nan-quantity",
+        "zero-rate",
+        "negative-rate",
+        "order-id-is-task-id",
+        "duplicate-task-name",
+        "order-name-is-task-name",
+    ],
+)
+def test_malformed_instance_exits_2(tmp_path, capsys, mutate, command):
+    data = instance_to_dict(generate_instance(InstanceSpec(seed=3)))
+    mutate(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    args = {
+        "validate": ["validate", "--instance", str(path)],
+        "repair": ["repair", "--instance", str(path)],
+        "train": ["train", "--instance", str(path), "--qstore", str(tmp_path / "q.txt")],
+        "evaluate": ["evaluate", "--instance", str(path), "--runs", "2"],
+    }[command]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# sha256 of the seed-7 artifacts as the engine wrote them before the
+# triples graph and the unread state fields were deleted. Any byte drift in
+# generation, training, repair or evaluation shows here.
+GOLDEN_SHA256 = {
+    "inst.json": "160299399c900695b1d5304bd550e1e898e81f5516f568a62b0deca8605b5d7c",
+    "q.txt": "9627163c0b8d7a266ede56183d63aae246b3f76dbf098d2d26fc3bcef1012a9c",
+    "report.json": "e065ec43f89ea363f9b210dba48e4fcb87a04dbae3e2cd8c42e3eaaadc0438f5",
+    "trace.json": "b0f9a2717d7d8572e556c6f7fb11238bab2591a2d65954d7d310ac24a92b69ec",
+    "eval.json": "9083b1a43b5258e96d93eb7b3b8f6847b9909e7722add69fe8bec0407ca70d13",
+}
+
+
+def test_seed7_artifacts_match_golden_bytes(tmp_path, capsys):
+    inst, q = str(tmp_path / "inst.json"), str(tmp_path / "q.txt")
+    seed = ["--seed", "7"]
+    assert main(["generate", "--out", inst, *seed]) == 0
+    report = str(tmp_path / "report.json")
+    assert main(["train", "--instance", inst, "--qstore", q, "--report", report, *seed]) == 0
+    trace = str(tmp_path / "trace.json")
+    assert main(["repair", "--instance", inst, "--qstore", q, "--trace", trace, *seed]) == 0
+    evaluation = str(tmp_path / "eval.json")
+    evaluate = ["evaluate", "--instance", inst, "--qstore", q, "--runs", "30"]
+    assert main([*evaluate, "--report", evaluation, *seed]) == 0
+    capsys.readouterr()
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
+    }
+    assert digests == GOLDEN_SHA256

@@ -121,8 +121,6 @@ def test_invalid_configs():
     with pytest.raises(InvalidConfig):
         run_episode(s, QStore(), EpisodeConfig(max_steps=0))
     with pytest.raises(InvalidConfig):
-        run_episode(s, QStore(), EpisodeConfig(goal="makespan"))
-    with pytest.raises(InvalidConfig):
         train(s, QStore(), 0, EpisodeConfig())
 
 

@@ -5,15 +5,7 @@ import pytest
 
 from reskit.errors import NoFocalTask
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
-from reskit.stategraph import (
-    StateSignature,
-    Wme,
-    dump_triples,
-    parse_triple_dump,
-    quantize,
-    signature,
-    to_triples,
-)
+from reskit.stategraph import StateSignature, quantize, signature
 
 from helpers import random_state, two_task_state
 
@@ -110,65 +102,3 @@ def test_quantize_stable_within_bucket():
         y = bucket + rng.uniform(-0.004, 0.004)
         assert quantize(x) == quantize(y) == quantize(bucket)
 
-
-def test_to_triples_scalars_and_links():
-    s = elaborate(two_task_state())
-    s.avg_tardiness = 2.5  # display value under test, aggregates otherwise stale
-    triples = to_triples(s)
-    assert Wme("<s>", "avgTard", 2.5) in triples
-    assert Wme("<s>", "resource", "<r1>") in triples
-    assert Wme("<r1>", "task", "<t1>") in triples
-    assert Wme("<r1>", "task", "<t2>") in triples
-    assert Wme("<t2>", "previousTask", "<t1>") in triples
-    assert Wme("<t1>", "nextTask", "<t2>") in triples
-    assert Wme("<t1>", "productType", "A") in triples
-    assert Wme("<r1>", "rate-A", 10.0) in triples
-
-
-def test_to_triples_empty_schedule():
-    s = elaborate(ScheduleState(resources=[], tasks={}))
-    triples = to_triples(s)
-    assert {w.id for w in triples} == {"<s>"}
-    assert {w.attribute for w in triples} == {
-        "totalWIP",
-        "taskNumber",
-        "maxTard",
-        "avgTard",
-        "totTard",
-        "initTardiness",
-    }
-
-
-def test_triples_unique_and_rooted():
-    rng = Random(37)
-    for _ in range(30):
-        s = elaborate(random_state(rng))
-        triples = to_triples(s)
-        assert len(triples) == len(set(triples))
-        ids = {w.id for w in triples}
-        linked = {"<s>"} | {
-            w.value for w in triples if isinstance(w.value, str) and w.value.startswith("<")
-        }
-        assert ids <= linked  # every object hangs off the root via some link
-
-
-def test_dump_parse_round_trip():
-    rng = Random(41)
-    for _ in range(30):
-        s = elaborate(random_state(rng))
-        if s.tasks:
-            s.focal_task = sorted(s.tasks)[0]
-        triples = to_triples(s)
-        assert parse_triple_dump(dump_triples(triples)) == triples
-
-
-def test_dump_format_line_shape():
-    s = elaborate(two_task_state())
-    text = dump_triples(to_triples(s))
-    assert "(<s> ^taskNumber 2)" in text.splitlines()
-    assert "(<r1> ^task <t1>)" in text.splitlines()
-
-
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_triple_dump("not a triple")
