@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from random import Random
 
@@ -38,42 +37,6 @@ from .instances import (
 )
 from .rl import Hyperparams, QStore, load_qstore, save_qstore, top_preferences
 from .schedule import elaborate, validate
-
-
-@dataclass
-class CampaignReport:
-    """Training campaign summary. It holds no wall-clock figure, so equal
-    seeds yield byte-identical report files."""
-
-    seed: int
-    episodes: int
-    hyper: Hyperparams
-    max_steps: int
-    init_tardiness: float
-    post_insertion_tardiness: float
-    episode_outcomes: list[dict] = field(default_factory=list)
-    success_rate: float = 0.0
-    greedy_evaluation: dict = field(default_factory=dict)
-    q_entries: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "episodes": self.episodes,
-            "hyper": {
-                "alpha": self.hyper.alpha,
-                "gamma": self.hyper.gamma,
-                "lambda": self.hyper.lam,
-                "epsilon": self.hyper.epsilon,
-            },
-            "max_steps": self.max_steps,
-            "init_tardiness": self.init_tardiness,
-            "post_insertion_tardiness": self.post_insertion_tardiness,
-            "episode_outcomes": self.episode_outcomes,
-            "success_rate": self.success_rate,
-            "greedy_evaluation": self.greedy_evaluation,
-            "q_entries": self.q_entries,
-        }
 
 
 def _episode_summary(index: int, result: EpisodeResult) -> dict:
@@ -139,28 +102,34 @@ def cmd_train(args) -> int:
 
     greedy = run_episode(disrupted.clone(), store, cfg, learning=False)
     goal_count = sum(1 for r in results if r.outcome is Outcome.GOAL_REACHED)
-    report = CampaignReport(
-        seed=seed,
-        episodes=args.episodes,
-        hyper=hyper,
-        max_steps=args.max_steps,
-        init_tardiness=disrupted.init_tardiness,
-        post_insertion_tardiness=disrupted.total_tardiness,
-        episode_outcomes=[_episode_summary(i + 1, r) for i, r in enumerate(results)],
-        success_rate=goal_count / len(results),
-        greedy_evaluation={
+    # The report holds no wall-clock figure, so equal seeds yield equal bytes.
+    report = {
+        "seed": seed,
+        "episodes": args.episodes,
+        "hyper": {
+            "alpha": hyper.alpha,
+            "gamma": hyper.gamma,
+            "lambda": hyper.lam,
+            "epsilon": hyper.epsilon,
+        },
+        "max_steps": args.max_steps,
+        "init_tardiness": disrupted.init_tardiness,
+        "post_insertion_tardiness": disrupted.total_tardiness,
+        "episode_outcomes": [_episode_summary(i + 1, r) for i, r in enumerate(results)],
+        "success_rate": goal_count / len(results),
+        "greedy_evaluation": {
             "outcome": greedy.outcome.value,
             "steps": len(greedy.steps),
             "final_tardiness": greedy.final_state.total_tardiness,
         },
-        q_entries=len(store.entries),
-    )
+        "q_entries": len(store.entries),
+    }
     save_qstore(store, args.qstore)
     if args.report:
-        _write_json(args.report, report.to_dict())
+        _write_json(args.report, report)
     print(
         f"trained {args.episodes} episodes in {wall:.2f}s: success rate "
-        f"{report.success_rate:.2f}, {report.q_entries} q-entries, greedy final "
+        f"{report['success_rate']:.2f}, {report['q_entries']} q-entries, greedy final "
         f"{greedy.final_state.total_tardiness:g} h (init {disrupted.init_tardiness:g} h)",
         file=sys.stderr,
     )

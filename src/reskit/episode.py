@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from random import Random
-from typing import Callable, Union
 
 from .errors import InvalidConfig
 from .operators import RepairOperator, apply, propose
-from .rl import Hyperparams, QStore, goal_reached, qkey, reward, select
+from .rl import QStore, goal_reached, qkey, reward, select
 from .schedule import ScheduleState, elaborate
 
 
@@ -31,7 +30,6 @@ class Outcome(str, Enum):
 class EpisodeConfig:
     max_steps: int = 50
     seed: int = 0
-    hyper: Hyperparams | None = None
 
     def check(self) -> None:
         if self.max_steps <= 0:
@@ -67,8 +65,6 @@ def run_episode(
     cfg.check()
     if rng is None:
         rng = Random(cfg.seed)
-    if learning and cfg.hyper is not None:
-        store.hyper = cfg.hyper
     eps_override = None if learning else 0.0
 
     state = elaborate(state)
@@ -121,29 +117,24 @@ def run_episode(
     return EpisodeResult(outcome, steps, nxt)
 
 
-DisruptedSource = Union[ScheduleState, Callable[[int], ScheduleState]]
-
-
 def train(
-    disrupted: DisruptedSource,
+    disrupted: ScheduleState,
     store: QStore,
     episodes: int,
     cfg: EpisodeConfig,
 ) -> list[EpisodeResult]:
-    """Run learning episodes from fresh copies of the disrupted instance.
+    """Run learning episodes from fresh copies of the disrupted state.
 
-    ``disrupted`` is either the disrupted state itself (copied per episode)
-    or a callable episode_index -> state. Fully deterministic under
-    ``cfg.seed``: one generator drives all episodes in order.
+    Fully deterministic under ``cfg.seed``: one generator drives all
+    episodes in order.
     """
     if episodes <= 0:
         raise InvalidConfig(f"episodes must be positive, got {episodes}")
     cfg.check()
     rng = Random(cfg.seed)
     results: list[EpisodeResult] = []
-    for i in range(episodes):
-        start = disrupted(i) if callable(disrupted) else disrupted.clone()
-        results.append(run_episode(start, store, cfg, learning=True, rng=rng))
+    for _ in range(episodes):
+        results.append(run_episode(disrupted.clone(), store, cfg, learning=True, rng=rng))
     return results
 
 

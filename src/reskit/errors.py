@@ -29,7 +29,7 @@ class EmptyProposalSet(ReskitError):
     """Selection was asked to choose from zero proposals."""
 
 
-class InvalidConfig(ReskitError):
+class InvalidConfig(ReskitError, ValueError):
     """Episode or hyperparameter configuration is out of range."""
 
 

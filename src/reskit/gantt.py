@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import InvalidConfig
 from .schedule import ScheduleState, Task
 
 PALETTE = [
@@ -27,6 +28,8 @@ EXECUTING_FILL = "#e8821e"
 
 _LEFT, _TOP, _RIGHT, _BOTTOM = 70, 42, 24, 34
 _ROW_H, _BAR_H, _WIDTH = 34, 24, 900
+# Longest text row; render_text refuses a longer one before building any.
+MAX_TEXT_CELLS = 10_000
 
 
 def _horizon(state: ScheduleState) -> float:
@@ -130,9 +133,11 @@ def render_text(state: ScheduleState, quantum: float = 0.5) -> str:
     Upper-case product letter for a scheduled task, lower-case when the task
     is executing, ``*`` for the focal task, ``.`` when idle.
     """
-    if quantum <= 0:
-        raise ValueError("quantum must be positive")
     horizon = _horizon(state)
+    if not (quantum > 0 and 0 < horizon / quantum <= MAX_TEXT_CELLS):
+        raise InvalidConfig(
+            f"{horizon:g} h at {quantum:g} h/char is not 1 to {MAX_TEXT_CELLS} chars per row"
+        )
     cells = max(1, math.ceil(horizon / quantum - 1e-9))
     label_w = max([len(r.id) for r in state.resources] + [2]) + 1
 

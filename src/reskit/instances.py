@@ -19,6 +19,9 @@ from .errors import InfeasibleSpec, InstanceFormatError, UnprocessableProduct
 from .schedule import Resource, ScheduleState, Task, elaborate, insert_order
 
 _CAPABILITY_REDRAWS = 32
+# Order ready times scatter over this fraction of the expected makespan;
+# dues are ready + slack * ideal duration.
+_READY_SPREAD = 0.95
 
 
 @dataclass
@@ -29,9 +32,6 @@ class InstanceSpec:
     rate_range: tuple[float, float] = (6.0, 24.0)
     quantity_range: tuple[float, float] = (20.0, 60.0)
     slack_range: tuple[float, float] = (1.0, 2.5)
-    # Order ready times scatter over this fraction of the expected makespan;
-    # dues are ready + slack * ideal duration. 0 puts every ready at time 0.
-    ready_spread: float = 0.95
     capability_density: float = 0.75
     seed: int = 0
 
@@ -39,7 +39,7 @@ class InstanceSpec:
         mid_qty = (self.quantity_range[0] + self.quantity_range[1]) / 2
         mid_rate = (self.rate_range[0] + self.rate_range[1]) / 2
         makespan = self.task_count * mid_qty / (mid_rate * self.resource_count)
-        return self.ready_spread * makespan
+        return _READY_SPREAD * makespan
 
 
 @dataclass
@@ -120,7 +120,8 @@ def inject_disruption(
 
     Chain heads already started at the arrival time are flagged executing.
     Unless told where, the order lands at the end of the capable resource
-    whose chain finishes earliest (ties to the earlier resource).
+    whose chain finishes earliest (ties to the earlier resource, as ``min``
+    keeps the first of equal keys).
     """
     base = elaborate(instance.state)
     for r in base.resources:
@@ -136,8 +137,7 @@ def inject_disruption(
         def chain_end(r: Resource) -> float:
             return base.tasks[r.task_chain[-1]].finish if r.task_chain else r.release_time
 
-        target = min(capable, key=lambda r: (chain_end(r), base.resource_index(r.id)))
-        resource = target.id
+        resource = min(capable, key=chain_end).id
     if position is None:
         position = len(base.resource_by_id(resource).task_chain)
     return insert_order(base, instance.order, resource, position)
@@ -192,6 +192,20 @@ def _number(value, where: str) -> float:
     raise InstanceFormatError(f"{where}: expected a finite number, got {value!r}")
 
 
+def _positive(value, where: str) -> float:
+    number = _number(value, where)
+    if not number > 0:
+        raise InstanceFormatError(f"{where}: must be positive, got {number!r}")
+    return number
+
+
+def _non_negative(value, where: str) -> float:
+    number = _number(value, where)
+    if number < 0:
+        raise InstanceFormatError(f"{where}: must not be negative, got {number!r}")
+    return number
+
+
 def instance_to_dict(instance: Instance) -> dict:
     placement: dict[str, tuple[str, int]] = {}
     for r in instance.state.resources:
@@ -243,16 +257,13 @@ def instance_from_dict(data: dict) -> Instance:
         _require(rd, _RESOURCE_FIELDS, where)
         if not isinstance(rd["rates"], dict):
             raise InstanceFormatError(f"{where}: rates must be an object")
-        rates = {p: _number(v, f"{where}.rates.{p}") for p, v in rd["rates"].items()}
-        for p, rate in rates.items():
-            if rate <= 0:
-                raise InstanceFormatError(f"{where}.rates.{p}: must be positive, got {rate!r}")
+        rates = {p: _positive(v, f"{where}.rates.{p}") for p, v in rd["rates"].items()}
         resources.append(
             Resource(
                 id=str(rd["id"]),
                 kind=str(rd["kind"]),
                 rates=rates,
-                release_time=_number(rd["release_time"], f"{where}.release_time"),
+                release_time=_non_negative(rd["release_time"], f"{where}.release_time"),
             )
         )
     ids = [r.id for r in resources]
@@ -268,8 +279,8 @@ def instance_from_dict(data: dict) -> Instance:
             id=str(td["id"]),
             name=str(td["name"]),
             product=str(td["product"]),
-            quantity=_number(td["quantity_kg"], f"{where}.quantity_kg"),
-            due_date=_number(td["due_h"], f"{where}.due_h"),
+            quantity=_positive(td["quantity_kg"], f"{where}.quantity_kg"),
+            due_date=_non_negative(td["due_h"], f"{where}.due_h"),
         )
         if t.id in tasks:
             raise InstanceFormatError(f"{where}: duplicate task id {t.id}")
@@ -298,8 +309,8 @@ def instance_from_dict(data: dict) -> Instance:
         id=str(od["id"]),
         name=str(od["name"]),
         product=str(od["product"]),
-        quantity=_number(od["quantity_kg"], "disruption.order.quantity_kg"),
-        due_date=_number(od["due_h"], "disruption.order.due_h"),
+        quantity=_positive(od["quantity_kg"], "disruption.order.quantity_kg"),
+        due_date=_non_negative(od["due_h"], "disruption.order.due_h"),
     )
     if order.id in tasks:
         raise InstanceFormatError(f"disruption.order: id {order.id} is already a task id")

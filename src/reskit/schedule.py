@@ -100,12 +100,6 @@ class ScheduleState:
                 return r
         raise KeyError(task_id)
 
-    def resource_index(self, resource_id: str) -> int:
-        for i, r in enumerate(self.resources):
-            if r.id == resource_id:
-                return i
-        raise KeyError(resource_id)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -257,12 +251,13 @@ def validate(state: ScheduleState) -> list[Violation]:
         return out
 
     # Starts are compared exactly: elaborate assigns start(k+1) = finish(k)
-    # rather than recomputing it. ``not <=`` counts a NaN as a difference.
+    # rather than recomputing it. ``not <=`` counts a NaN as a difference;
+    # equal values, an infinite sum of finite inputs included, are fresh.
     fresh = elaborate(state)
     for tid, t in state.tasks.items():
         for attr, tol in (("start", 0.0), ("duration", AGG_TOL), ("finish", AGG_TOL)):
             stored, derived = getattr(t, attr), getattr(fresh.tasks[tid], attr)
-            if not abs(stored - derived) <= tol:
+            if stored != derived and not abs(stored - derived) <= tol:
                 out.append(Violation("StaleTiming", tid, f"{attr} {stored} != {derived}"))
     for subject, attr in [
         ("totTard", "total_tardiness"),
@@ -272,6 +267,6 @@ def validate(state: ScheduleState) -> list[Violation]:
         ("taskNumber", "task_number"),
     ]:
         stored, derived = getattr(state, attr), getattr(fresh, attr)
-        if not abs(stored - derived) <= AGG_TOL:
+        if stored != derived and not abs(stored - derived) <= AGG_TOL:
             out.append(Violation("StaleAggregate", subject, f"{stored} != {derived}"))
     return out

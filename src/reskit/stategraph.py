@@ -36,6 +36,10 @@ class StateSignature:
 
 def quantize(value: float) -> float:
     """Round to 2 decimals, half-even, on the shortest decimal form."""
+    # From 2**52 up floats are whole, and the 28-digit context cannot hold the
+    # largest of them; these, infinities and NaN are returned as they are.
+    if not abs(value) < 2**52:
+        return float(value)
     return float(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN))
 
 

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -212,6 +214,16 @@ def _order_name_is_task_name(data):
     data["disruption"]["order"]["name"] = data["tasks"][0]["name"]
 
 
+def _set(*path, value):
+    def mutate(data):
+        *parents, leaf = path
+        for key in parents:
+            data = data[key]
+        data[leaf] = value
+
+    return mutate
+
+
 @pytest.mark.parametrize("command", ["validate", "repair", "train", "evaluate"])
 @pytest.mark.parametrize(
     "mutate",
@@ -222,6 +234,12 @@ def _order_name_is_task_name(data):
         _order_id_is_task_id,
         _duplicate_task_name,
         _order_name_is_task_name,
+        _set("tasks", 0, "quantity_kg", value=-5.0),
+        _set("tasks", 0, "quantity_kg", value=0),
+        _set("disruption", "order", "quantity_kg", value=-5.0),
+        _set("tasks", 0, "due_h", value=-5.0),
+        _set("disruption", "order", "due_h", value=-5.0),
+        _set("resources", 0, "release_time", value=-1.0),
     ],
     ids=[
         "nan-quantity",
@@ -230,6 +248,12 @@ def _order_name_is_task_name(data):
         "order-id-is-task-id",
         "duplicate-task-name",
         "order-name-is-task-name",
+        "negative-task-quantity",
+        "zero-task-quantity",
+        "negative-order-quantity",
+        "negative-task-due",
+        "negative-order-due",
+        "negative-release-time",
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, mutate, command):
@@ -275,3 +299,57 @@ def test_seed7_artifacts_match_golden_bytes(tmp_path, capsys):
         name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN_SHA256
     }
     assert digests == GOLDEN_SHA256
+
+
+FUZZ_VALUES = [-1, 0, 1e300, 1e-300, 1e308, 10**400, True, None, "x", [], {}]
+
+
+def _nodes(node, path=()):
+    """Every (path, value) below ``node``, containers included."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield (*path, key), child
+        yield from _nodes(child, (*path, key))
+
+
+def test_loader_fuzz_every_command_exits_0_1_or_2(tmp_path, capsys):
+    # 100 seeded mutations of a valid file, each one leaf replaced or one key
+    # deleted: every command must exit 0, 1 or 2, and never raise or hang.
+    base = instance_to_dict(generate_instance(InstanceSpec(seed=5, task_count=6)))
+    nodes = list(_nodes(base))
+    leaves = [where for where, value in nodes if not isinstance(value, (dict, list))]
+    keys = [where for where, _ in nodes if isinstance(where[-1], str)]
+    rng = random.Random(2024)
+    path = tmp_path / "fuzz.json"
+    q = str(tmp_path / "q.txt")
+    commands = [
+        ["validate"],
+        ["repair", "--max-steps", "5"],
+        ["train", "--qstore", q, "--episodes", "1", "--max-steps", "5"],
+        ["evaluate", "--runs", "1", "--max-steps", "5"],
+        ["render"],
+    ]
+    for _ in range(100):
+        data = copy.deepcopy(base)
+        delete = rng.random() < 0.2
+        *parents, last = rng.choice(keys if delete else leaves)
+        node = data
+        for key in parents:
+            node = node[key]
+        if delete:
+            del node[last]
+            mutation = f"delete {(*parents, last)}"
+        else:
+            value = rng.choice(FUZZ_VALUES)
+            node[last] = value
+            mutation = f"{(*parents, last)} = {value!r:.20}"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        for command in commands:
+            code = main([command[0], "--instance", str(path), *command[1:]])
+            assert code in (0, 1, 2), f"{mutation}: {command[0]} returned {code}"
+        capsys.readouterr()

@@ -124,14 +124,6 @@ def test_invalid_configs():
         train(s, QStore(), 0, EpisodeConfig())
 
 
-def test_hyper_override_applies_during_learning():
-    s = disrupted_instance(seed=7)
-    store = QStore(Hyperparams(alpha=0.1))
-    override = Hyperparams(alpha=0.5, gamma=0.8, lam=0.0, epsilon=0.0)
-    run_episode(s, store, EpisodeConfig(seed=1, hyper=override), learning=True)
-    assert store.hyper == override
-
-
 def test_train_runs_twenty_episodes():
     disrupted = disrupted_instance(seed=7)
     store = QStore()
@@ -164,20 +156,6 @@ def test_train_deterministic_under_seed():
         traces.append([(len(r.steps), r.outcome) for r in results])
     assert stores[0].entries == stores[1].entries
     assert traces[0] == traces[1]
-
-
-def test_train_accepts_generator_callable():
-    disrupted = disrupted_instance(seed=7)
-    calls = []
-
-    def fresh(i):
-        calls.append(i)
-        return disrupted.clone()
-
-    store = QStore()
-    results = train(fresh, store, 3, EpisodeConfig(seed=1))
-    assert calls == [0, 1, 2]
-    assert len(results) == 3
 
 
 def test_trace_line_format():

@@ -92,3 +92,6 @@ def test_text_quantum_validation():
     state = elaborate(two_task_state())
     with pytest.raises(ValueError):
         render_text(state, quantum=0.0)
+    # 5 h at 1e-7 h/char would be 5e7 chars per row: refused before drawing
+    with pytest.raises(ValueError):
+        render_text(state, quantum=1e-7)

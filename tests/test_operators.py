@@ -252,6 +252,27 @@ def test_apply_rejects_stale_operator():
         apply(s, RepairOperator(OperatorKind.DOWN_RIGHT_JUMP, "q", "a", "r2"))
 
 
+def test_apply_accepts_exactly_the_oracle_operators():
+    # every kind x aux (each task plus an unknown id) x target resource
+    tried = accepted = 0
+    for seed in range(15):
+        s = inject_disruption(generate_instance(InstanceSpec(seed=seed, task_count=8)))
+        valid = oracle_enumerate(s)
+        for kind in OperatorKind:
+            for aux in [*s.tasks, "no-such-task"]:
+                for r in s.resources:
+                    op = RepairOperator(kind, s.focal_task, aux, r.id)
+                    tried += 1
+                    if op in valid:
+                        apply(s, op)
+                        accepted += 1
+                    else:
+                        with pytest.raises(OperatorNotApplicable):
+                            apply(s, op)
+    assert tried == 4500
+    assert accepted == 137
+
+
 def multiset(state):
     return sorted((t.id, t.quantity, t.product, t.due_date) for t in state.tasks.values())
 

@@ -1,3 +1,4 @@
+import math
 from random import Random
 
 import pytest
@@ -204,6 +205,15 @@ def test_validate_flags_each_stale_derived_field():
         stale = s.clone()
         setattr(stale, attr, getattr(stale, attr) + 1)
         assert [(v.code, v.subject) for v in validate(stale)] == [("StaleAggregate", subject)]
+
+
+def test_validate_accepts_an_overflowed_total():
+    # both tasks finish near 1e308 h, so the tardiness sum overflows to inf
+    s = two_task_state()
+    s.resources[0].release_time = 1e308
+    s = elaborate(s)
+    assert s.total_tardiness == math.inf
+    assert validate(s) == []
 
 
 def test_aggregates_match_bruteforce_oracle():

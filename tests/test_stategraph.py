@@ -1,3 +1,4 @@
+import math
 from decimal import ROUND_HALF_EVEN, Decimal
 from random import Random
 
@@ -84,6 +85,13 @@ def test_quantize_round_half_even():
     assert quantize(2.675) == 2.68
     assert quantize(2.5) == 2.5
     assert quantize(-0.125) == -0.12
+
+
+def test_quantize_keeps_huge_values():
+    # whole floats beyond the 28-digit decimal context come back unchanged
+    for value in (2.0**52, 1e30, -1e300, math.inf):
+        assert quantize(value) == value
+    assert math.isnan(quantize(math.nan))
 
 
 def test_quantize_agrees_with_decimal_oracle():
