@@ -100,7 +100,7 @@ def cmd_train(args) -> int:
     results = train(disrupted, store, args.episodes, cfg)
     wall = time.perf_counter() - t0
 
-    greedy = run_episode(disrupted.clone(), store, cfg, learning=False)
+    greedy = run_episode(disrupted, store, cfg, learning=False)
     goal_count = sum(1 for r in results if r.outcome is Outcome.GOAL_REACHED)
     # The report holds no wall-clock figure, so equal seeds yield equal bytes.
     report = {
@@ -142,7 +142,7 @@ def cmd_repair(args) -> int:
     store = load_qstore(args.qstore) if args.qstore else QStore()
     disrupted = inject_disruption(instance)
     cfg = EpisodeConfig(max_steps=args.max_steps, seed=seed)
-    result = run_episode(disrupted.clone(), store, cfg, learning=False)
+    result = run_episode(disrupted, store, cfg, learning=False)
 
     trace = format_trace(result)
     if trace:
@@ -201,11 +201,13 @@ def cmd_evaluate(args) -> int:
 def cmd_render(args) -> int:
     instance = load_instance(args.instance)
     state = inject_disruption(instance) if args.disrupted else elaborate(instance.state)
+    # The text is drawn first: a row bound it fails leaves no file behind.
+    text = render_text(state, quantum=args.quantum) if args.text or not args.svg else None
     if args.svg:
         Path(args.svg).write_text(render_svg(state), encoding="utf-8")
         print(f"wrote {args.svg}", file=sys.stderr)
-    if args.text or not args.svg:
-        print(render_text(state, quantum=args.quantum))
+    if text is not None:
+        print(text)
     return 0
 
 

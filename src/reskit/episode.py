@@ -16,7 +16,7 @@ from random import Random
 
 from .errors import InvalidConfig
 from .operators import RepairOperator, apply, propose
-from .rl import QStore, goal_reached, qkey, reward, select
+from .rl import QStore, goal_reached, reward, select
 from .schedule import ScheduleState, elaborate
 
 
@@ -61,7 +61,11 @@ def run_episode(
     learning: bool = True,
     rng: Random | None = None,
 ) -> EpisodeResult:
-    """Run one repair episode from ``state``; mutates ``store`` iff learning."""
+    """Run one repair episode from ``state``; mutates ``store`` iff learning.
+
+    ``state`` itself is left as it is: the episode starts from its
+    elaboration.
+    """
     cfg.check()
     if rng is None:
         rng = Random(cfg.seed)
@@ -74,8 +78,7 @@ def run_episode(
     proposals = propose(state)
     if not proposals:
         return EpisodeResult(Outcome.NO_PROPOSALS, steps, state)
-    op = select(store, state, proposals, rng, epsilon=eps_override)
-    key = qkey(state, op)
+    op, key = select(store, state, proposals, rng, epsilon=eps_override)
 
     for step_index in range(1, cfg.max_steps + 1):
         if learning:
@@ -104,8 +107,7 @@ def run_episode(
         if not next_proposals:
             outcome = Outcome.NO_PROPOSALS
             break
-        next_op = select(store, nxt, next_proposals, rng, epsilon=eps_override)
-        next_key = qkey(nxt, next_op)
+        next_op, next_key = select(store, nxt, next_proposals, rng, epsilon=eps_override)
         if learning:
             store.sarsa_update(key, r, next_key)
         state, op, key, proposals = nxt, next_op, next_key, next_proposals
@@ -123,7 +125,7 @@ def train(
     episodes: int,
     cfg: EpisodeConfig,
 ) -> list[EpisodeResult]:
-    """Run learning episodes from fresh copies of the disrupted state.
+    """Run learning episodes, each from the disrupted state.
 
     Fully deterministic under ``cfg.seed``: one generator drives all
     episodes in order.
@@ -134,7 +136,7 @@ def train(
     rng = Random(cfg.seed)
     results: list[EpisodeResult] = []
     for _ in range(episodes):
-        results.append(run_episode(disrupted.clone(), store, cfg, learning=True, rng=rng))
+        results.append(run_episode(disrupted, store, cfg, learning=True, rng=rng))
     return results
 
 

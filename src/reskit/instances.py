@@ -121,9 +121,14 @@ def inject_disruption(
     Chain heads already started at the arrival time are flagged executing.
     Unless told where, the order lands at the end of the capable resource
     whose chain finishes earliest (ties to the earlier resource, as ``min``
-    keeps the first of equal keys).
+    keeps the first of equal keys). A pre-disruption tardiness that is not
+    finite raises ``InstanceFormatError``: every state would reach it.
     """
     base = elaborate(instance.state)
+    if not math.isfinite(base.total_tardiness):
+        raise InstanceFormatError(
+            f"pre-disruption tardiness is {base.total_tardiness}, not a finite number"
+        )
     for r in base.resources:
         if r.task_chain and base.tasks[r.task_chain[0]].start < instance.arrival_h:
             base.tasks[r.task_chain[0]].executing = True
@@ -180,6 +185,12 @@ def _require(obj: dict, allowed: set[str], where: str) -> None:
     missing = allowed - set(obj)
     if missing:
         raise InstanceFormatError(f"{where}: missing fields {sorted(missing)}")
+
+
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise InstanceFormatError(f"{where}: expected a string, got {value!r}")
+    return value
 
 
 def _number(value, where: str) -> float:
@@ -260,8 +271,8 @@ def instance_from_dict(data: dict) -> Instance:
         rates = {p: _positive(v, f"{where}.rates.{p}") for p, v in rd["rates"].items()}
         resources.append(
             Resource(
-                id=str(rd["id"]),
-                kind=str(rd["kind"]),
+                id=_string(rd["id"], f"{where}.id"),
+                kind=_string(rd["kind"], f"{where}.kind"),
                 rates=rates,
                 release_time=_non_negative(rd["release_time"], f"{where}.release_time"),
             )
@@ -276,15 +287,15 @@ def instance_from_dict(data: dict) -> Instance:
         where = f"tasks[{i}]"
         _require(td, _TASK_FIELDS, where)
         t = Task(
-            id=str(td["id"]),
-            name=str(td["name"]),
-            product=str(td["product"]),
+            id=_string(td["id"], f"{where}.id"),
+            name=_string(td["name"], f"{where}.name"),
+            product=_string(td["product"], f"{where}.product"),
             quantity=_positive(td["quantity_kg"], f"{where}.quantity_kg"),
             due_date=_non_negative(td["due_h"], f"{where}.due_h"),
         )
         if t.id in tasks:
             raise InstanceFormatError(f"{where}: duplicate task id {t.id}")
-        rid = str(td["resource"])
+        rid = _string(td["resource"], f"{where}.resource")
         if rid not in by_resource:
             raise InstanceFormatError(f"{where}: unknown resource {rid}")
         pos = td["chain_position"]
@@ -306,9 +317,9 @@ def instance_from_dict(data: dict) -> Instance:
     od = data["disruption"]["order"]
     _require(od, _ORDER_FIELDS, "disruption.order")
     order = Task(
-        id=str(od["id"]),
-        name=str(od["name"]),
-        product=str(od["product"]),
+        id=_string(od["id"], "disruption.order.id"),
+        name=_string(od["name"], "disruption.order.name"),
+        product=_string(od["product"], "disruption.order.product"),
         quantity=_positive(od["quantity_kg"], "disruption.order.quantity_kg"),
         due_date=_non_negative(od["due_h"], "disruption.order.due_h"),
     )

@@ -13,11 +13,12 @@ its result for every chained task, and ``apply`` accepts only what it yields.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import heapq
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import NoFocalTask, OperatorNotApplicable
-from .schedule import ScheduleState, Task, elaborate
+from .schedule import ScheduleState, Task, _retime
 
 PROPOSAL_CAP = 10
 
@@ -66,7 +67,7 @@ def _pairings(
 
     Executing tasks are frozen, and an aux starting with the focal has no side.
     Across resources the target must process the focal's product; a swap, also
-    the reverse.
+    the reverse. A jump comes before its swap, as their kind labels sort.
     """
     if focal.executing or aux.executing or aux.start == focal.start:
         return []
@@ -89,31 +90,42 @@ def propose(state: ScheduleState, cap: int = PROPOSAL_CAP) -> list[RepairOperato
     Returns at most ``cap`` operators in a deterministic order: ascending
     distance between the auxiliary's and the focal's start times, ties broken
     by auxiliary task id, then kind label. When more instantiations match
-    than the cap allows, the closest-start ones survive.
+    than the cap allows, the closest-start ones survive. Auxiliaries are
+    paired in that order until the cap is met, so no more operators are
+    built than are returned, give or take one swap.
     """
     if state.focal_task is None:
         raise NoFocalTask("propose requires a focal task")
-    focal = state.tasks[state.focal_task]
+    tasks = state.tasks
+    focal = tasks[state.focal_task]
     fi = _holder_index(state, focal.id)
 
+    # A heap yields the sorted order lazily; task ids are unique, so the
+    # resource index never breaks a tie.
+    ranked = [
+        (abs(tasks[tid].start - focal.start), tid, ai)
+        for ai, r in enumerate(state.resources)
+        for tid in r.task_chain
+    ]
+    heapq.heapify(ranked)
     found: list[RepairOperator] = []
-    for ai, r in enumerate(state.resources):
-        for tid in r.task_chain:
-            found += _pairings(state, focal, fi, state.tasks[tid], ai)
-    found.sort(
-        key=lambda op: (abs(state.tasks[op.aux].start - focal.start), op.aux, op.kind.value)
-    )
+    while ranked and len(found) < cap:
+        _, tid, ai = heapq.heappop(ranked)
+        found += _pairings(state, focal, fi, tasks[tid], ai)
     return found[:cap]
 
 
 def apply(state: ScheduleState, op: RepairOperator) -> ScheduleState:
-    """Apply an operator ``propose`` would offer; return the re-elaborated state.
+    """Apply an operator ``propose`` would offer; return the re-timed state.
 
     Jump: the focal leaves its slot (its neighbours link up) and re-enters
     next to the auxiliary, after it for right kinds, before it for left.
     Swap: focal and auxiliary exchange chain slots across their resources.
-    Durations follow from the new resources on re-elaboration; the task
-    multiset is unchanged.
+    Durations follow from the new resources; the task multiset is unchanged.
+
+    ``state`` must be elaborated. Only the one or two spliced chains are
+    copied and re-timed; the new state shares every other ``Task`` and
+    ``Resource`` with ``state`` and equals ``elaborate`` of itself.
     """
     if op.focal != state.focal_task:
         raise OperatorNotApplicable(f"{op.focal} is not the focal task")
@@ -124,7 +136,12 @@ def apply(state: ScheduleState, op: RepairOperator) -> ScheduleState:
     if op not in _pairings(state, state.tasks[op.focal], fi, state.tasks[op.aux], ai):
         raise OperatorNotApplicable(f"{op.kind.value}({op.focal}, {op.aux}, {op.target_resource})")
 
-    s = state.clone()
+    s = replace(state, resources=list(state.resources), tasks=dict(state.tasks))
+    for i in {fi, ai}:
+        r = state.resources[i]
+        s.resources[i] = replace(r, task_chain=list(r.task_chain))
+        for tid in r.task_chain:
+            s.tasks[tid] = Task(**vars(state.tasks[tid]))
     src, dst = s.resources[fi], s.resources[ai]
     if op.kind.action == "jump":
         src.task_chain.remove(op.focal)
@@ -138,4 +155,5 @@ def apply(state: ScheduleState, op: RepairOperator) -> ScheduleState:
         src.task_chain[i] = op.aux
         dst.task_chain[j] = op.focal
 
-    return elaborate(s)
+    _retime(s, {fi, ai})
+    return s

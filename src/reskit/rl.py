@@ -128,8 +128,8 @@ def select(
     proposals: list[RepairOperator],
     rng: Random,
     epsilon: float | None = None,
-) -> RepairOperator:
-    """Epsilon-greedy pick over the proposal list.
+) -> tuple[RepairOperator, QKey]:
+    """Epsilon-greedy pick over the proposal list; returns it with its key.
 
     Greedy ties resolve to the earliest proposal in the list's deterministic
     order; unseen keys read as 0. ``epsilon`` overrides the store's value
@@ -139,15 +139,18 @@ def select(
         raise EmptyProposalSet("no proposals to select from")
     eps = store.hyper.epsilon if epsilon is None else epsilon
     if rng.random() < eps:
-        return proposals[rng.randrange(len(proposals))]
+        op = proposals[rng.randrange(len(proposals))]
+        return op, qkey(state, op)
     sig = signature(state)  # once per call, shared by every proposal's key
     best = proposals[0]
-    best_q = store.q(_key(sig, state, best))
+    best_key = _key(sig, state, best)
+    best_q = store.q(best_key)
     for op in proposals[1:]:
-        q = store.q(_key(sig, state, op))
+        key = _key(sig, state, op)
+        q = store.q(key)
         if q > best_q:
-            best, best_q = op, q
-    return best
+            best, best_key, best_q = op, key, q
+    return best, best_key
 
 
 def _sig_to_fields(sig: StateSignature) -> list[str]:

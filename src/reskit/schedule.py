@@ -9,12 +9,16 @@ task fields. ``elaborate`` recomputes every derived field and is idempotent.
 
 States are values: every operation returns a new state and leaves its input
 untouched, so states can be archived for episode rollback and compared after
-the fact. ``Resource.task_chain`` is the only record of task order.
+the fact. A returned state never changes, but successive states share the
+``Task`` and ``Resource`` objects an operation did not touch, so ``clone()``
+a state before mutating it. ``elaborate`` returns a state that shares
+nothing with its input. ``Resource.task_chain`` is the only record of task
+order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 from .errors import BrokenChain, PositionOutOfRange, UnprocessableProduct
@@ -71,20 +75,14 @@ class ScheduleState:
     task_number: int = 0
 
     def clone(self) -> "ScheduleState":
-        """Deep copy; cheap enough to call once per repair step."""
-        return ScheduleState(
+        """Deep copy: the result shares no object with this state."""
+        return replace(
+            self,
             resources=[
                 replace(r, rates=dict(r.rates), task_chain=list(r.task_chain))
                 for r in self.resources
             ],
-            tasks={tid: replace(t) for tid, t in self.tasks.items()},
-            focal_task=self.focal_task,
-            init_tardiness=self.init_tardiness,
-            total_tardiness=self.total_tardiness,
-            max_tardiness=self.max_tardiness,
-            avg_tardiness=self.avg_tardiness,
-            total_wip=self.total_wip,
-            task_number=self.task_number,
+            tasks={tid: Task(**vars(t)) for tid, t in self.tasks.items()},
         )
 
     def resource_by_id(self, resource_id: str) -> Resource:
@@ -151,11 +149,24 @@ def elaborate(state: ScheduleState) -> ScheduleState:
     for defect in _structure_defects(state):
         raise BrokenChain(str(defect))
     s = state.clone()
+    _retime(s, range(len(s.resources)))
+    return s
 
-    for r in s.resources:
+
+def _retime(s: ScheduleState, chains: Iterable[int]) -> None:
+    """Re-time the chains at ``chains`` in place, then every aggregate.
+
+    The tasks on those chains must be ``s``'s own copies; tasks elsewhere
+    keep their timing. The aggregates are summed over all tasks in
+    ``s.tasks`` order, so a state re-timed in part carries the same floats
+    as one elaborated in full.
+    """
+    tasks = s.tasks
+    for i in chains:
+        r = s.resources[i]
         prev_task: Task | None = None
         for tid in r.task_chain:
-            t = s.tasks[tid]
+            t = tasks[tid]
             rate = r.rates.get(t.product)
             if rate is None:
                 raise UnprocessableProduct(
@@ -173,18 +184,19 @@ def elaborate(state: ScheduleState) -> ScheduleState:
     total = 0.0
     max_t = 0.0
     wip = 0.0
-    for t in s.tasks.values():
-        lateness = task_tardiness(t)
-        total += lateness
-        if lateness > max_t:
-            max_t = lateness
+    for t in tasks.values():
+        # task_tardiness, inlined; adding a zero lateness would change nothing.
+        lateness = t.finish - t.due_date
+        if lateness > 0.0:
+            total += lateness
+            if lateness > max_t:
+                max_t = lateness
         wip += t.duration
     s.total_tardiness = total
     s.max_tardiness = max_t
-    s.task_number = len(s.tasks)
+    s.task_number = len(tasks)
     s.avg_tardiness = total / s.task_number if s.task_number else 0.0
     s.total_wip = wip
-    return s
 
 
 def insert_order(
@@ -207,11 +219,16 @@ def insert_order(
     if order.id in state.tasks:
         raise ValueError(f"task id {order.id} already present")
 
-    s = state.clone()
-    s.tasks[order.id] = replace(order)
-    s.resource_by_id(resource).task_chain.insert(position, order.id)
-    s.focal_task = order.id
-    return elaborate(s)
+    # elaborate's clone is the one copy of every task, the order's included.
+    chain = list(target.task_chain)
+    chain.insert(position, order.id)
+    spliced = replace(
+        state,
+        resources=[replace(r, task_chain=chain) if r is target else r for r in state.resources],
+        tasks={**state.tasks, order.id: order},
+        focal_task=order.id,
+    )
+    return elaborate(spliced)
 
 
 def validate(state: ScheduleState) -> list[Violation]:

@@ -214,6 +214,15 @@ def _order_name_is_task_name(data):
     data["disruption"]["order"]["name"] = data["tasks"][0]["name"]
 
 
+def _numeric_resource_id(data):
+    # str() would turn 1 into "1" on both sides, and the file would load
+    rid = data["resources"][0]["id"]
+    data["resources"][0]["id"] = 1
+    for td in data["tasks"]:
+        if td["resource"] == rid:
+            td["resource"] = 1
+
+
 def _set(*path, value):
     def mutate(data):
         *parents, leaf = path
@@ -240,6 +249,14 @@ def _set(*path, value):
         _set("tasks", 0, "due_h", value=-5.0),
         _set("disruption", "order", "due_h", value=-5.0),
         _set("resources", 0, "release_time", value=-1.0),
+        _set("tasks", 0, "id", value=None),
+        _set("tasks", 0, "name", value={}),
+        _set("tasks", 0, "product", value=1),
+        _set("resources", 0, "kind", value=5),
+        _numeric_resource_id,
+        _set("disruption", "order", "id", value=None),
+        _set("disruption", "order", "name", value=7),
+        _set("disruption", "order", "product", value=["A"]),
     ],
     ids=[
         "nan-quantity",
@@ -254,6 +271,14 @@ def _set(*path, value):
         "negative-task-due",
         "negative-order-due",
         "negative-release-time",
+        "null-task-id",
+        "object-task-name",
+        "number-task-product",
+        "number-resource-kind",
+        "number-resource-id",
+        "null-order-id",
+        "number-order-name",
+        "list-order-product",
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, mutate, command):
@@ -269,6 +294,39 @@ def test_malformed_instance_exits_2(tmp_path, capsys, mutate, command):
     }[command]
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_infinite_pre_disruption_tardiness_exits_2(tmp_path, capsys):
+    # a 1e308 h release makes the base tardiness inf, which every state "reaches"
+    data = instance_to_dict(generate_instance(InstanceSpec(seed=3)))
+    data["resources"][0]["release_time"] = 1e308
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", "--instance", str(path)]) == 0
+    capsys.readouterr()
+    for args in (
+        ["repair"],
+        ["train", "--qstore", str(tmp_path / "q.txt")],
+        ["evaluate", "--runs", "2"],
+        ["render", "--disrupted"],
+    ):
+        assert main([args[0], "--instance", str(path), *args[1:]]) == 2, args[0]
+        assert "pre-disruption tardiness is inf" in capsys.readouterr().err
+    assert not (tmp_path / "q.txt").exists()
+
+
+def test_render_row_bound_fails_before_any_file_is_written(tmp_path, capsys):
+    data = instance_to_dict(generate_instance(InstanceSpec(seed=3)))
+    data["tasks"][0]["quantity_kg"] = 1e9
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    svg = tmp_path / "x.svg"
+    assert main(["render", "--instance", str(path), "--svg", str(svg), "--text"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not svg.exists()
+    # without --text only the SVG is drawn, and it has no row bound
+    assert main(["render", "--instance", str(path), "--svg", str(svg)]) == 0
+    assert svg.read_text(encoding="utf-8").startswith("<svg")
 
 
 # sha256 of the seed-7 artifacts as the engine wrote them before the

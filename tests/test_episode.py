@@ -1,3 +1,4 @@
+import copy
 import re
 from random import Random
 
@@ -212,3 +213,15 @@ def test_learned_policy_repairs_connected_instance():
     res = run_episode(disrupted.clone(), store, EpisodeConfig(seed=7), learning=False)
     assert res.outcome is Outcome.GOAL_REACHED
     assert 1 <= len(res.steps) <= 10
+
+
+def test_run_episode_and_train_leave_their_input_alone():
+    s = disrupted_instance(seed=1)
+    snapshot = copy.deepcopy(s)
+    store = QStore()
+    for learning in (True, False):
+        res = run_episode(s, store, EpisodeConfig(seed=3), learning=learning)
+        assert res.steps
+        assert s == snapshot
+    train(s, store, 5, EpisodeConfig(seed=3))
+    assert s == snapshot

@@ -1,3 +1,4 @@
+import copy
 from random import Random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from reskit.errors import NoFocalTask, OperatorNotApplicable
 from reskit.instances import InstanceSpec, generate_instance, inject_disruption
 from reskit.operators import (
+    PROPOSAL_CAP,
     OperatorKind,
     RepairOperator,
     apply,
@@ -12,7 +14,7 @@ from reskit.operators import (
 )
 from reskit.schedule import Resource, ScheduleState, Task, elaborate, validate
 
-from helpers import naive_timing
+from helpers import naive_timing, random_state
 
 TOL = 1e-9
 
@@ -299,3 +301,78 @@ def test_apply_properties_on_random_instances():
                     assert t.start == s.tasks[t.id].start
             checked += 1
     assert checked > 100
+
+
+AGGREGATES = ("total_tardiness", "max_tardiness", "avg_tardiness", "total_wip", "task_number")
+
+
+def assert_fully_elaborated(state):
+    """Every derived float equals a full re-elaboration's, bit for bit."""
+    fresh = elaborate(state)
+    assert list(state.tasks) == list(fresh.tasks)
+    for tid, t in state.tasks.items():
+        f = fresh.tasks[tid]
+        assert (t.start, t.duration, t.finish) == (f.start, f.duration, f.finish), tid
+    for attr in AGGREGATES:
+        assert getattr(state, attr) == getattr(fresh, attr), attr
+
+
+def focal_states():
+    """Random small states with a focal task and some executing heads, then
+    disrupted generated plants up to 60 tasks x 5 resources."""
+    rng = Random(11)
+    for _ in range(120):
+        raw = random_state(rng, max_resources=4, max_tasks=12)
+        if not raw.tasks:
+            continue
+        for r in raw.resources:
+            if r.task_chain and rng.random() < 0.3:
+                head = raw.tasks[r.task_chain[0]]
+                head.executing = True
+                head.start = round(rng.uniform(0.0, 5.0), 1)
+        raw.focal_task = rng.choice(sorted(raw.tasks))
+        yield elaborate(raw)
+    for seed in range(12):
+        tasks, resources = [(15, 3), (30, 4), (60, 5)][seed % 3]
+        spec = InstanceSpec(seed=200 + seed, task_count=tasks, resource_count=resources)
+        yield inject_disruption(generate_instance(spec))
+
+
+def test_apply_equals_full_elaboration_and_leaves_input_alone():
+    checked = 0
+    for s in focal_states():
+        before = copy.deepcopy(s)
+        ops = propose(s)
+        assert ops == oracle_enumerate(s)[:PROPOSAL_CAP]
+        for op in ops:
+            out = apply(s, op)
+            assert_fully_elaborated(out)
+            # only the spliced chains get new objects
+            spliced = {out.resource_of(op.focal).id, s.resource_of(op.focal).id}
+            for old, new in zip(s.resources, out.resources):
+                if new.id not in spliced:
+                    assert new is old
+                    assert all(out.tasks[tid] is s.tasks[tid] for tid in new.task_chain)
+            checked += 1
+        assert s == before
+    assert checked > 500
+
+
+def test_successive_applies_leave_every_earlier_state_alone():
+    rng = Random(5)
+    steps = 0
+    for seed in range(6):
+        spec = InstanceSpec(seed=300 + seed, task_count=40, resource_count=4)
+        s = inject_disruption(generate_instance(spec))
+        history = [(s, copy.deepcopy(s))]
+        for _ in range(20):
+            ops = propose(s)
+            if not ops:
+                break
+            s = apply(s, ops[rng.randrange(len(ops))])
+            assert_fully_elaborated(s)
+            history.append((s, copy.deepcopy(s)))
+            steps += 1
+        for state, snapshot in history:
+            assert state == snapshot
+    assert steps > 60

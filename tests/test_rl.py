@@ -174,14 +174,14 @@ def test_select_pure_argmax():
     store.entries[qkey(s, proposals[0])] = -0.1
     rng = Random(1)
     for _ in range(100):
-        assert select(store, s, proposals, rng) == proposals[1]
+        assert select(store, s, proposals, rng) == (proposals[1], qkey(s, proposals[1]))
 
 
 def test_select_zero_ties_break_to_first():
     s = selection_state()
     proposals = propose(s)
     store = QStore(Hyperparams(epsilon=0.0))
-    assert select(store, s, proposals, Random(2)) == proposals[0]
+    assert select(store, s, proposals, Random(2)) == (proposals[0], qkey(s, proposals[0]))
 
 
 def test_select_uniform_when_fully_exploring():
@@ -193,7 +193,9 @@ def test_select_uniform_when_fully_exploring():
     counts = {i: 0 for i in range(n)}
     draws = 10_000
     for _ in range(draws):
-        counts[proposals.index(select(store, s, proposals, rng))] += 1
+        op, key = select(store, s, proposals, rng)
+        assert key == qkey(s, op)
+        counts[proposals.index(op)] += 1
     expected = draws / n
     sigma = math.sqrt(draws * (1 / n) * (1 - 1 / n))
     for c in counts.values():
@@ -206,7 +208,7 @@ def test_select_epsilon_override_and_empty():
     store = QStore(Hyperparams(epsilon=1.0))
     store.entries[qkey(s, proposals[2])] = 5.0
     # override forces greedy despite the stored epsilon
-    assert select(store, s, proposals, Random(4), epsilon=0.0) == proposals[2]
+    assert select(store, s, proposals, Random(4), epsilon=0.0)[0] == proposals[2]
     with pytest.raises(EmptyProposalSet):
         select(store, s, [], Random(5))
 

@@ -1,3 +1,4 @@
+import copy
 import math
 from random import Random
 
@@ -145,6 +146,23 @@ def test_insert_order_snapshot_then_rise():
     s = insert_order(base, order(due=0.0), "r1", 2)
     assert s.init_tardiness == 1.0
     assert s.total_tardiness > s.init_tardiness
+
+
+def test_elaborate_and_insert_order_share_nothing_with_their_input():
+    # inject_disruption flags tasks of elaborate's result as executing, and
+    # callers archive states, so a result may not alias any part of its input
+    base = elaborate(two_task_state())
+    snapshot = copy.deepcopy(base)
+    the_order = order()
+    for out in (elaborate(base), insert_order(base, the_order, "r1", 1)):
+        for t in out.tasks.values():
+            t.executing = True
+            t.start = -1.0
+        for r in out.resources:
+            r.rates["Z"] = 1.0
+            r.task_chain.reverse()
+    assert base == snapshot
+    assert the_order == order()
 
 
 def test_insert_order_errors():
