@@ -31,6 +31,8 @@ from .instances import (
     InstanceSpec,
     generate_instance,
     inject_disruption,
+    instance_from_dict,
+    instance_to_dict,
     load_instance,
     sample_disruption,
     save_instance,
@@ -78,6 +80,8 @@ def cmd_generate(args) -> int:
     )
     instance = generate_instance(spec)
     instance.arrival_h = args.arrival
+    # The loader defines a valid file: write only what it reads back.
+    instance = instance_from_dict(instance_to_dict(instance))
     save_instance(instance, args.out)
     print(
         f"wrote {args.out}: {len(instance.state.resources)} resources, "

@@ -1,6 +1,6 @@
-"""The repair loop: elaborate, check goal, propose, select, apply, learn.
+"""The repair loop: check goal, propose, select, apply, learn.
 
-An episode starts from a disrupted state (focal task set, pre-disruption
+An episode starts from an elaborated state (focal task set, pre-disruption
 tardiness snapshotted) and runs repair steps until the goal is reached, the
 step limit hits, or nothing is proposable. With learning on, each step bumps
 the visited key's trace and applies one SARSA update; traces are cleared
@@ -10,14 +10,14 @@ and the store is left untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 
 from .errors import InvalidConfig
 from .operators import RepairOperator, apply, propose
 from .rl import QStore, goal_reached, reward, select
-from .schedule import ScheduleState, elaborate
+from .schedule import ScheduleState
 
 
 class Outcome(str, Enum):
@@ -50,8 +50,8 @@ class StepRecord:
 @dataclass
 class EpisodeResult:
     outcome: Outcome
-    steps: list[StepRecord] = field(default_factory=list)
-    final_state: ScheduleState | None = None
+    steps: list[StepRecord]
+    final_state: ScheduleState
 
 
 def run_episode(
@@ -63,15 +63,14 @@ def run_episode(
 ) -> EpisodeResult:
     """Run one repair episode from ``state``; mutates ``store`` iff learning.
 
-    ``state`` itself is left as it is: the episode starts from its
-    elaboration.
+    ``state`` must be elaborated and is left as it is; with no step taken,
+    it is the result's ``final_state``.
     """
     cfg.check()
     if rng is None:
         rng = Random(cfg.seed)
     eps_override = None if learning else 0.0
 
-    state = elaborate(state)
     steps: list[StepRecord] = []
     if goal_reached(state):
         return EpisodeResult(Outcome.GOAL_REACHED, steps, state)
@@ -142,34 +141,27 @@ def train(
 
 def format_trace(result: EpisodeResult) -> str:
     """Line-oriented operator trace, one ``step k: ...`` line per step."""
-    if result.final_state is None:
-        return ""
-    tasks = result.final_state.tasks
-    lines = []
-    for s in result.steps:
-        lines.append(
-            f"step {s.index}: {s.operator.kind.value}"
-            f"({tasks[s.operator.focal].name}, {tasks[s.operator.aux].name})"
-            f" resource {s.source_resource}->{s.operator.target_resource}"
-            f" totTard {s.tardiness_before:g}->{s.tardiness_after:g}"
-        )
-    return "\n".join(lines)
+    return "\n".join(
+        f"step {step['step']}: {step['kind']}({step['focal']}, {step['aux']})"
+        f" resource {step['source_resource']}->{step['target_resource']}"
+        f" totTard {step['tardiness_before']:g}->{step['tardiness_after']:g}"
+        for step in trace_dict(result)["steps"]
+    )
 
 
 def trace_dict(result: EpisodeResult) -> dict:
     """Structured episode trace for JSON output and the renderer."""
     final = result.final_state
-    tasks = final.tasks if final is not None else {}
     return {
         "outcome": result.outcome.value,
-        "init_tardiness": final.init_tardiness if final is not None else None,
-        "final_tardiness": final.total_tardiness if final is not None else None,
+        "init_tardiness": final.init_tardiness,
+        "final_tardiness": final.total_tardiness,
         "steps": [
             {
                 "step": s.index,
                 "kind": s.operator.kind.value,
-                "focal": tasks[s.operator.focal].name,
-                "aux": tasks[s.operator.aux].name,
+                "focal": final.tasks[s.operator.focal].name,
+                "aux": final.tasks[s.operator.aux].name,
                 "source_resource": s.source_resource,
                 "target_resource": s.operator.target_resource,
                 "tardiness_before": s.tardiness_before,

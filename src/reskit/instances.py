@@ -85,6 +85,13 @@ def generate_instance(spec: InstanceSpec) -> Instance:
         raise InfeasibleSpec("need at least one resource and a non-negative task count")
     if len(set(spec.products)) != len(spec.products) or not spec.products:
         raise InfeasibleSpec("product codes must be unique and non-empty")
+    # Drawn rates and quantities are rounded to 0.1, and the loader takes
+    # only finite positive ones.
+    for what, (lo, hi) in (("rate", spec.rate_range), ("quantity", spec.quantity_range)):
+        if not (math.isfinite(lo) and math.isfinite(hi)) or round(min(lo, hi), 1) <= 0:
+            raise InfeasibleSpec(
+                f"{what} range {lo:g}..{hi:g}: draws must be finite and round above 0"
+            )
     rng = Random(spec.seed)
 
     caps = _draw_capabilities(spec, rng)
@@ -325,11 +332,14 @@ def instance_from_dict(data: dict) -> Instance:
     )
     if order.id in tasks:
         raise InstanceFormatError(f"disruption.order: id {order.id} is already a task id")
-    # Q keys name tasks, so two tasks with one name would share preferences.
+    # Q keys name tasks, so two tasks with one name would share preferences,
+    # and a tab or a line break in a name would split a Q-store record.
     names: set[str] = set()
     for t in [*tasks.values(), order]:
         if t.name in names:
             raise InstanceFormatError(f"duplicate task name {t.name}")
+        if "\t" in t.name or "".join(t.name.splitlines()) != t.name:
+            raise InstanceFormatError(f"task name {t.name!r} holds a tab or a line break")
         names.add(t.name)
     arrival = _number(data["disruption"]["arrival_h"], "disruption.arrival_h")
 

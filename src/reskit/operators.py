@@ -14,11 +14,12 @@ its result for every chained task, and ``apply`` accepts only what it yields.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
+from . import schedule
 from .errors import NoFocalTask, OperatorNotApplicable
-from .schedule import ScheduleState, Task, _retime
+from .schedule import ScheduleState, Task
 
 PROPOSAL_CAP = 10
 
@@ -136,24 +137,15 @@ def apply(state: ScheduleState, op: RepairOperator) -> ScheduleState:
     if op not in _pairings(state, state.tasks[op.focal], fi, state.tasks[op.aux], ai):
         raise OperatorNotApplicable(f"{op.kind.value}({op.focal}, {op.aux}, {op.target_resource})")
 
-    s = replace(state, resources=list(state.resources), tasks=dict(state.tasks))
-    for i in {fi, ai}:
-        r = state.resources[i]
-        s.resources[i] = replace(r, task_chain=list(r.task_chain))
-        for tid in r.task_chain:
-            s.tasks[tid] = Task(**vars(state.tasks[tid]))
-    src, dst = s.resources[fi], s.resources[ai]
+    chains = {i: list(state.resources[i].task_chain) for i in (fi, ai)}
+    src, dst = chains[fi], chains[ai]
     if op.kind.action == "jump":
-        src.task_chain.remove(op.focal)
-        at = dst.task_chain.index(op.aux)
+        src.remove(op.focal)
+        at = dst.index(op.aux)
         if op.kind.horizontal == "right":
             at += 1
-        dst.task_chain.insert(at, op.focal)
+        dst.insert(at, op.focal)
     else:
-        i = src.task_chain.index(op.focal)
-        j = dst.task_chain.index(op.aux)
-        src.task_chain[i] = op.aux
-        dst.task_chain[j] = op.focal
-
-    _retime(s, {fi, ai})
-    return s
+        src[src.index(op.focal)] = op.aux
+        dst[dst.index(op.aux)] = op.focal
+    return schedule._splice(state, chains)

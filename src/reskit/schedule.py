@@ -9,11 +9,11 @@ task fields. ``elaborate`` recomputes every derived field and is idempotent.
 
 States are values: every operation returns a new state and leaves its input
 untouched, so states can be archived for episode rollback and compared after
-the fact. A returned state never changes, but successive states share the
-``Task`` and ``Resource`` objects an operation did not touch, so ``clone()``
-a state before mutating it. ``elaborate`` returns a state that shares
-nothing with its input. ``Resource.task_chain`` is the only record of task
-order.
+the fact. A returned state never changes, but ``insert_order`` and
+``operators.apply`` copy only the chains they splice and share every other
+``Task`` and ``Resource``, so ``clone()`` a state before mutating it.
+``elaborate`` returns a state that shares nothing with its input.
+``Resource.task_chain`` is the only record of task order.
 """
 
 from __future__ import annotations
@@ -199,13 +199,27 @@ def _retime(s: ScheduleState, chains: Iterable[int]) -> None:
     s.total_wip = wip
 
 
+def _splice(state: ScheduleState, chains: dict[int, list[str]]) -> ScheduleState:
+    """``state`` with the chains at those resource indices replaced and re-timed.
+
+    Only they and their tasks are copied. ``state`` must be elaborated.
+    """
+    s = replace(state, resources=list(state.resources), tasks=dict(state.tasks))
+    for i, chain in chains.items():
+        s.resources[i] = replace(s.resources[i], task_chain=chain)
+        for tid in chain:
+            s.tasks[tid] = Task(**vars(s.tasks[tid]))
+    _retime(s, chains)
+    return s
+
+
 def insert_order(
     state: ScheduleState, order: Task, resource: str, position: int
 ) -> ScheduleState:
     """Insert an arriving order into a chain and mark it as the focal task.
 
-    ``init_tardiness`` must have been snapshotted by the caller before this;
-    the insertion does not touch it. Returns the re-elaborated state.
+    ``state`` must be elaborated, and its ``init_tardiness`` snapshotted;
+    the insertion does not touch it. Only the target chain is copied.
     """
     target = state.resource_by_id(resource)
     if order.product not in target.rates:
@@ -219,16 +233,10 @@ def insert_order(
     if order.id in state.tasks:
         raise ValueError(f"task id {order.id} already present")
 
-    # elaborate's clone is the one copy of every task, the order's included.
     chain = list(target.task_chain)
     chain.insert(position, order.id)
-    spliced = replace(
-        state,
-        resources=[replace(r, task_chain=chain) if r is target else r for r in state.resources],
-        tasks={**state.tasks, order.id: order},
-        focal_task=order.id,
-    )
-    return elaborate(spliced)
+    with_order = replace(state, tasks={**state.tasks, order.id: order}, focal_task=order.id)
+    return _splice(with_order, {state.resources.index(target): chain})
 
 
 def validate(state: ScheduleState) -> list[Violation]:

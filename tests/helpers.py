@@ -3,13 +3,15 @@
 The oracles here re-derive schedule figures from first principles (plain
 forward sweeps over chains) and stay independent of the package's
 elaboration path; property tests compare the two.
+``assert_fully_elaborated`` instead checks a state re-timed in part against
+the package's own full elaboration.
 """
 
 from __future__ import annotations
 
 from random import Random
 
-from reskit.schedule import Resource, ScheduleState, Task
+from reskit.schedule import Resource, ScheduleState, Task, elaborate
 
 PRODUCTS = ["A", "B", "C", "D"]
 
@@ -49,6 +51,20 @@ def naive_aggregates(state: ScheduleState) -> dict[str, float]:
         "total_wip": sum(v["duration"] for v in timing.values()),
         "task_number": n,
     }
+
+
+AGGREGATES = ("total_tardiness", "max_tardiness", "avg_tardiness", "total_wip", "task_number")
+
+
+def assert_fully_elaborated(state: ScheduleState) -> None:
+    """Every derived float equals a full re-elaboration's, bit for bit."""
+    fresh = elaborate(state)
+    assert list(state.tasks) == list(fresh.tasks)
+    for tid, t in state.tasks.items():
+        f = fresh.tasks[tid]
+        assert (t.start, t.duration, t.finish) == (f.start, f.duration, f.finish), tid
+    for attr in AGGREGATES:
+        assert getattr(state, attr) == getattr(fresh, attr), attr
 
 
 def random_state(rng: Random, max_resources: int = 3, max_tasks: int = 8) -> ScheduleState:

@@ -47,6 +47,38 @@ def test_seed_env_default(tmp_path, monkeypatch):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--rate-min", "0", "--rate-max", "0"],
+        ["--rate-min", "0.01", "--rate-max", "0.04"],
+        ["--rate-min", "-5", "--rate-max", "-1"],
+        ["--rate-min", "nan"],
+        ["--qty-min", "0.01", "--qty-max", "0.04"],
+        ["--qty-max", "inf"],
+        ["--slack-min", "-5", "--slack-max", "-4"],
+        ["--arrival", "nan"],
+        ["--arrival", "inf"],
+    ],
+    ids=[
+        "zero-rates",
+        "rates-round-to-zero",
+        "negative-rates",
+        "nan-rate",
+        "quantities-round-to-zero",
+        "infinite-quantity",
+        "negative-slack",
+        "nan-arrival",
+        "infinite-arrival",
+    ],
+)
+def test_generate_writes_only_files_the_loader_reads(tmp_path, capsys, flags):
+    out = tmp_path / "inst.json"
+    assert main(["generate", "--out", str(out), "--seed", "3", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_validate_ok_and_violation_exit_codes(tmp_path, instance_path, capsys):
     assert main(["validate", "--instance", instance_path]) == 0
     # a well-formed file whose chain references a product the resource lacks
@@ -223,6 +255,14 @@ def _numeric_resource_id(data):
             td["resource"] = 1
 
 
+def _names_end_with(suffix):
+    def mutate(data):
+        for td in data["tasks"]:
+            td["name"] += suffix
+
+    return mutate
+
+
 def _set(*path, value):
     def mutate(data):
         *parents, leaf = path
@@ -257,6 +297,12 @@ def _set(*path, value):
         _set("disruption", "order", "id", value=None),
         _set("disruption", "order", "name", value=7),
         _set("disruption", "order", "product", value=["A"]),
+        _names_end_with("\tx"),
+        _names_end_with("\n"),
+        _names_end_with("\r\nx"),
+        _names_end_with("\u2028x"),
+        _set("disruption", "order", "name", value="Order\tx"),
+        _set("disruption", "order", "name", value="Order\x0bx"),
     ],
     ids=[
         "nan-quantity",
@@ -279,6 +325,12 @@ def _set(*path, value):
         "null-order-id",
         "number-order-name",
         "list-order-product",
+        "tab-in-task-names",
+        "newline-ending-task-names",
+        "crlf-in-task-names",
+        "line-separator-in-task-names",
+        "tab-in-order-name",
+        "vertical-tab-in-order-name",
     ],
 )
 def test_malformed_instance_exits_2(tmp_path, capsys, mutate, command):

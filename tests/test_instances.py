@@ -1,3 +1,4 @@
+import copy
 import json
 from random import Random
 
@@ -135,6 +136,20 @@ def test_inject_flags_executing_heads():
             assert head.executing
         for tid in chain[1:]:
             assert not s.tasks[tid].executing
+
+
+def test_inject_disruption_shares_nothing_with_the_instance():
+    inst = generate_instance(InstanceSpec(seed=8))
+    inst.arrival_h = 2.0
+    snapshot = copy.deepcopy(inst)
+    s = inject_disruption(inst)
+    for t in s.tasks.values():
+        t.executing = True
+        t.start = -1.0
+    for r in s.resources:
+        r.rates["Z"] = 1.0
+        r.task_chain.reverse()
+    assert inst == snapshot
 
 
 def test_inject_explicit_placement():

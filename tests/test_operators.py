@@ -14,7 +14,7 @@ from reskit.operators import (
 )
 from reskit.schedule import Resource, ScheduleState, Task, elaborate, validate
 
-from helpers import naive_timing, random_state
+from helpers import assert_fully_elaborated, naive_timing, random_state
 
 TOL = 1e-9
 
@@ -301,20 +301,6 @@ def test_apply_properties_on_random_instances():
                     assert t.start == s.tasks[t.id].start
             checked += 1
     assert checked > 100
-
-
-AGGREGATES = ("total_tardiness", "max_tardiness", "avg_tardiness", "total_wip", "task_number")
-
-
-def assert_fully_elaborated(state):
-    """Every derived float equals a full re-elaboration's, bit for bit."""
-    fresh = elaborate(state)
-    assert list(state.tasks) == list(fresh.tasks)
-    for tid, t in state.tasks.items():
-        f = fresh.tasks[tid]
-        assert (t.start, t.duration, t.finish) == (f.start, f.duration, f.finish), tid
-    for attr in AGGREGATES:
-        assert getattr(state, attr) == getattr(fresh, attr), attr
 
 
 def focal_states():

@@ -15,7 +15,14 @@ from reskit.schedule import (
     validate,
 )
 
-from helpers import naive_aggregates, naive_timing, random_state, two_task_state
+from helpers import (
+    PRODUCTS,
+    assert_fully_elaborated,
+    naive_aggregates,
+    naive_timing,
+    random_state,
+    two_task_state,
+)
 
 TOL = 1e-9
 
@@ -148,21 +155,60 @@ def test_insert_order_snapshot_then_rise():
     assert s.total_tardiness > s.init_tardiness
 
 
-def test_elaborate_and_insert_order_share_nothing_with_their_input():
+def test_elaborate_shares_nothing_with_its_input():
     # inject_disruption flags tasks of elaborate's result as executing, and
     # callers archive states, so a result may not alias any part of its input
     base = elaborate(two_task_state())
     snapshot = copy.deepcopy(base)
-    the_order = order()
-    for out in (elaborate(base), insert_order(base, the_order, "r1", 1)):
-        for t in out.tasks.values():
-            t.executing = True
-            t.start = -1.0
-        for r in out.resources:
-            r.rates["Z"] = 1.0
-            r.task_chain.reverse()
+    out = elaborate(base)
+    for t in out.tasks.values():
+        t.executing = True
+        t.start = -1.0
+    for r in out.resources:
+        r.rates["Z"] = 1.0
+        r.task_chain.reverse()
     assert base == snapshot
-    assert the_order == order()
+
+
+def test_insert_order_equals_full_elaboration_and_leaves_input_alone():
+    # every capable resource x position of random states, some with an
+    # executing head that anchors its chain
+    rng = Random(13)
+    checked = 0
+    for _ in range(100):
+        raw = random_state(rng)
+        for r in raw.resources:
+            if r.task_chain and rng.random() < 0.3:
+                head = raw.tasks[r.task_chain[0]]
+                head.executing, head.start = True, round(rng.uniform(0.0, 5.0), 1)
+        base = elaborate(raw)
+        base.init_tardiness = base.total_tardiness
+        the_order = order(
+            product=rng.choice(PRODUCTS),
+            quantity=round(rng.uniform(1.0, 60.0), 1),
+            due=round(rng.uniform(0.0, 30.0), 2),
+        )
+        snapshot, order_snapshot = copy.deepcopy(base), copy.deepcopy(the_order)
+        for i, target in enumerate(base.resources):
+            if the_order.product not in target.rates:
+                continue
+            for position in range(len(target.task_chain) + 1):
+                out = insert_order(base, the_order, target.id, position)
+                assert_fully_elaborated(out)
+                chain = list(target.task_chain)
+                chain.insert(position, the_order.id)
+                assert out.resources[i].task_chain == chain
+                assert (out.focal_task, out.init_tardiness) == (the_order.id, base.init_tardiness)
+                assert out.tasks[the_order.id] is not the_order
+                # only the target chain gets new objects
+                for j, (old, new) in enumerate(zip(base.resources, out.resources)):
+                    if j != i:
+                        assert new is old
+                        assert all(out.tasks[tid] is base.tasks[tid] for tid in new.task_chain)
+                checked += 1
+        assert base == snapshot
+        assert the_order == order_snapshot
+    assert checked > 400
 
 
 def test_insert_order_errors():
