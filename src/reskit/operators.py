@@ -9,11 +9,15 @@ auxiliary, swap = exchange chain slots with it across resources).
 
 The applicability rule is written once, in ``_pairings``: ``propose`` offers
 its result for every chained task, and ``apply`` accepts only what it yields.
+The one exception is a shortcut: ``propose`` does not visit a chain, other
+than the focal's own, whose resource lacks the focal's product, because
+``_pairings`` returns nothing for any task on it.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -76,7 +80,7 @@ def _pairings(
     target = state.resources[ai]
     if ai == fi:
         return [RepairOperator(_KIND["same", horizontal, "jump"], focal.id, aux.id, target.id)]
-    if focal.product not in target.rates:
+    if focal.product not in target.rates:  # ``propose`` skips such chains
         return []
     vertical = "up" if ai < fi else "down"
     ops = [RepairOperator(_KIND[vertical, horizontal, "jump"], focal.id, aux.id, target.id)]
@@ -91,28 +95,59 @@ def propose(state: ScheduleState, cap: int = PROPOSAL_CAP) -> list[RepairOperato
     Returns at most ``cap`` operators in a deterministic order: ascending
     distance between the auxiliary's and the focal's start times, ties broken
     by auxiliary task id, then kind label. When more instantiations match
-    than the cap allows, the closest-start ones survive. Auxiliaries are
-    paired in that order until the cap is met, so no more operators are
-    built than are returned, give or take one swap.
+    than the cap allows, the closest-start ones survive.
+
+    ``state`` must be elaborated, so starts never decrease along a chain.
+    Each chain is bisected at the focal's start into a left and a right
+    run, each ordered by distance, and a heap merges those cursors; a chain
+    other than the focal's own whose resource lacks the focal's product
+    pairs with nothing and is skipped. Auxiliaries are paired in merged
+    order until the cap is met, so no more operators are built than are
+    returned, give or take one swap. The cost is O(R log n + visited x
+    log R) for R resources, chains of length n and the tasks visited.
     """
     if state.focal_task is None:
         raise NoFocalTask("propose requires a focal task")
     tasks = state.tasks
     focal = tasks[state.focal_task]
     fi = _holder_index(state, focal.id)
+    at = focal.start
 
-    # A heap yields the sorted order lazily; task ids are unique, so the
-    # resource index never breaks a tie.
-    ranked = [
-        (abs(tasks[tid].start - focal.start), tid, ai)
-        for ai, r in enumerate(state.resources)
-        for tid in r.task_chain
-    ]
-    heapq.heapify(ranked)
+    # Cursors walk outward from each chain's split point. A heap entry is
+    # (distance, task id, resource index, next slot, its distance, step,
+    # chain); task ids are unique, so the fields after the id never break a
+    # tie, and the merge yields the global ranking order.
+    pending = []
+    for ai, r in enumerate(state.resources):
+        if ai != fi and focal.product not in r.rates:
+            continue
+        chain = r.task_chain
+        k = bisect_left(chain, at, key=lambda tid: tasks[tid].start)
+        if k:
+            pending.append((k - 1, at - tasks[chain[k - 1]].start, ai, -1, chain))
+        if k < len(chain):
+            pending.append((k, tasks[chain[k]].start - at, ai, 1, chain))
+
+    heap: list = []
     found: list[RepairOperator] = []
-    while ranked and len(found) < cap:
-        _, tid, ai = heapq.heappop(ranked)
+    while True:
+        # Push each pending cursor's next task. Tasks at an equal distance
+        # further along (starts a float sum left unchanged) are pushed with
+        # it, so that ids order them; the first carries the cursor on.
+        for i, d, ai, step, chain in pending:
+            j, dj = i + step, 0.0
+            while 0 <= j < len(chain):
+                dj = abs(tasks[chain[j]].start - at)
+                if dj != d:
+                    break
+                heapq.heappush(heap, (d, chain[j], ai, -1, 0.0, step, chain))
+                j += step
+            heapq.heappush(heap, (d, chain[i], ai, j, dj, step, chain))
+        if not heap or len(found) >= cap:
+            break
+        _, tid, ai, j, dj, step, chain = heapq.heappop(heap)
         found += _pairings(state, focal, fi, tasks[tid], ai)
+        pending = [(j, dj, ai, step, chain)] if 0 <= j < len(chain) else []
     return found[:cap]
 
 
@@ -125,7 +160,8 @@ def apply(state: ScheduleState, op: RepairOperator) -> ScheduleState:
     Durations follow from the new resources; the task multiset is unchanged.
 
     ``state`` must be elaborated. Only the one or two spliced chains are
-    copied and re-timed; the new state shares every other ``Task`` and
+    copied, and only from their first changed slot on, which is also where
+    re-timing starts; the new state shares every other ``Task`` and
     ``Resource`` with ``state`` and equals ``elaborate`` of itself.
     """
     if op.focal != state.focal_task:

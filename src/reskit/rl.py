@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
+from typing import NamedTuple
 
 from .errors import (
     CorruptQStoreError,
@@ -65,8 +66,9 @@ class Hyperparams:
                 raise InvalidConfig(f"{name} must be in [0, 1], got {v}")
 
 
-@dataclass(frozen=True)
-class QKey:
+class QKey(NamedTuple):
+    """A preference-table key; a tuple, so it hashes and compares in C."""
+
     sig: StateSignature
     op_name: str
     op_focal: str

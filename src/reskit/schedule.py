@@ -10,15 +10,17 @@ task fields. ``elaborate`` recomputes every derived field and is idempotent.
 States are values: every operation returns a new state and leaves its input
 untouched, so states can be archived for episode rollback and compared after
 the fact. A returned state never changes, but ``insert_order`` and
-``operators.apply`` copy only the chains they splice and share every other
-``Task`` and ``Resource``, so ``clone()`` a state before mutating it.
+``operators.apply`` copy only the chains they splice, and of those only the
+tasks from the first changed slot on: unchanged chain prefixes and every
+other ``Task`` and ``Resource`` are shared, so ``clone()`` a state before
+mutating it.
 ``elaborate`` returns a state that shares nothing with its input.
 ``Resource.task_chain`` is the only record of task order.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from .errors import BrokenChain, PositionOutOfRange, UnprocessableProduct
@@ -149,23 +151,26 @@ def elaborate(state: ScheduleState) -> ScheduleState:
     for defect in _structure_defects(state):
         raise BrokenChain(str(defect))
     s = state.clone()
-    _retime(s, range(len(s.resources)))
+    _retime(s, dict.fromkeys(range(len(s.resources)), 0))
     return s
 
 
-def _retime(s: ScheduleState, chains: Iterable[int]) -> None:
-    """Re-time the chains at ``chains`` in place, then every aggregate.
+def _retime(s: ScheduleState, chains: dict[int, int]) -> None:
+    """Re-time each chain at ``chains``' resource indices from its slot on.
 
-    The tasks on those chains must be ``s``'s own copies; tasks elsewhere
-    keep their timing. The aggregates are summed over all tasks in
-    ``s.tasks`` order, so a state re-timed in part carries the same floats
-    as one elaborated in full.
+    ``chains`` maps a resource index to the first slot to re-time; the task
+    before that slot must already carry its final timing. The re-timed
+    tasks must be ``s``'s own copies; every other task keeps its timing.
+    The aggregates are then summed over all tasks in ``s.tasks`` order, so
+    a state re-timed in part carries the same floats as one elaborated in
+    full.
     """
     tasks = s.tasks
-    for i in chains:
+    for i, first in chains.items():
         r = s.resources[i]
-        prev_task: Task | None = None
-        for tid in r.task_chain:
+        chain = r.task_chain
+        prev_task: Task | None = tasks[chain[first - 1]] if first else None
+        for tid in chain[first:]:
             t = tasks[tid]
             rate = r.rates.get(t.product)
             if rate is None:
@@ -202,14 +207,24 @@ def _retime(s: ScheduleState, chains: Iterable[int]) -> None:
 def _splice(state: ScheduleState, chains: dict[int, list[str]]) -> ScheduleState:
     """``state`` with the chains at those resource indices replaced and re-timed.
 
-    Only they and their tasks are copied. ``state`` must be elaborated.
+    ``state`` must be elaborated. A spliced chain keeps the ``Task`` objects
+    of its unchanged prefix: up to the first slot where it differs from the
+    old chain, each task has the same resource, predecessor and inputs, so
+    its timing is already final. Only the tasks from that slot on are copied
+    and re-timed; every other chain and task is shared with ``state``.
     """
     s = replace(state, resources=list(state.resources), tasks=dict(state.tasks))
+    firsts: dict[int, int] = {}
     for i, chain in chains.items():
+        old = s.resources[i].task_chain
+        first, n = 0, min(len(old), len(chain))
+        while first < n and old[first] == chain[first]:
+            first += 1
+        firsts[i] = first
         s.resources[i] = replace(s.resources[i], task_chain=chain)
-        for tid in chain:
+        for tid in chain[first:]:
             s.tasks[tid] = Task(**vars(s.tasks[tid]))
-    _retime(s, chains)
+    _retime(s, firsts)
     return s
 
 

@@ -10,19 +10,19 @@ Everything here is a pure function of the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
+from typing import NamedTuple
 
 from .errors import NoFocalTask
 from .schedule import ScheduleState
 
 
-@dataclass(frozen=True)
-class StateSignature:
+class StateSignature(NamedTuple):
     """The abstracted features that identify a state for learning.
 
     All hour-valued fields are quantized to 2 decimals; two states with the
-    same signature are indistinguishable to the preference store.
+    same signature are indistinguishable to the preference store. A tuple,
+    so it hashes and compares in C.
     """
 
     total_wip: float

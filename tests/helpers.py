@@ -4,7 +4,8 @@ The oracles here re-derive schedule figures from first principles (plain
 forward sweeps over chains) and stay independent of the package's
 elaboration path; property tests compare the two.
 ``assert_fully_elaborated`` instead checks a state re-timed in part against
-the package's own full elaboration.
+the package's own full elaboration, and ``assert_prefixes_shared`` checks
+which task objects a splice copied.
 """
 
 from __future__ import annotations
@@ -65,6 +66,53 @@ def assert_fully_elaborated(state: ScheduleState) -> None:
         assert (t.start, t.duration, t.finish) == (f.start, f.duration, f.finish), tid
     for attr in AGGREGATES:
         assert getattr(state, attr) == getattr(fresh, attr), attr
+
+
+def first_changed_slot(old: list[str], new: list[str]) -> int:
+    """The first slot where two chains differ, or the shorter one's length."""
+    for slot, (a, b) in enumerate(zip(old, new)):
+        if a != b:
+            return slot
+    return min(len(old), len(new))
+
+
+def assert_prefixes_shared(before: ScheduleState, after: ScheduleState) -> int:
+    """``after`` is fully elaborated and shares with ``before`` every chain
+    it left alone, with its tasks. Each changed chain shares the tasks of
+    its unchanged prefix and holds new objects from its first changed slot
+    on. Returns the number of changed chains."""
+    assert_fully_elaborated(after)
+    changed = 0
+    for old, new in zip(before.resources, after.resources):
+        if new.task_chain == old.task_chain:
+            assert new is old
+            assert all(after.tasks[tid] is before.tasks[tid] for tid in new.task_chain)
+            continue
+        changed += 1
+        first = first_changed_slot(old.task_chain, new.task_chain)
+        for tid in new.task_chain[:first]:
+            assert after.tasks[tid] is before.tasks[tid], tid
+        for tid in new.task_chain[first:]:
+            assert after.tasks[tid] is not before.tasks.get(tid), tid
+    return changed
+
+
+class FrozenTask(Task):
+    """A task that refuses every attribute write."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"write of {name} to input task {self.id}")
+
+
+def frozen(state: ScheduleState) -> ScheduleState:
+    """A copy of ``state`` whose tasks refuse writes, so that an operation
+    that must leave its input alone fails loudly on a shared task."""
+    s = state.clone()
+    for tid, t in s.tasks.items():
+        ft = object.__new__(FrozenTask)
+        ft.__dict__.update(vars(t))
+        s.tasks[tid] = ft
+    return s
 
 
 def random_state(rng: Random, max_resources: int = 3, max_tasks: int = 8) -> ScheduleState:

@@ -4,7 +4,12 @@ from random import Random
 import pytest
 
 from reskit.errors import NoFocalTask, OperatorNotApplicable
-from reskit.instances import InstanceSpec, generate_instance, inject_disruption
+from reskit.instances import (
+    InstanceSpec,
+    generate_instance,
+    inject_disruption,
+    sample_disruption,
+)
 from reskit.operators import (
     PROPOSAL_CAP,
     OperatorKind,
@@ -14,7 +19,13 @@ from reskit.operators import (
 )
 from reskit.schedule import Resource, ScheduleState, Task, elaborate, validate
 
-from helpers import assert_fully_elaborated, naive_timing, random_state
+from helpers import (
+    assert_fully_elaborated,
+    assert_prefixes_shared,
+    frozen,
+    naive_timing,
+    random_state,
+)
 
 TOL = 1e-9
 
@@ -136,6 +147,75 @@ def test_propose_uncapped_matches_oracle_on_random_states():
         s = inject_disruption(inst)
         assert propose(s, cap=10_000) == oracle_enumerate(s)
         assert len(propose(s)) <= 10
+
+
+def test_propose_orders_equal_distances_by_id():
+    # At a release time of 1e17 a 0.1 h duration vanishes in the float sum,
+    # so tasks along one chain share a start; their ids run backwards, and
+    # another chain holds a task at the same distance whose id sorts between.
+    big = 1e17
+    resources = [
+        # far left of the focal: 0, 0.1 and 0.2 h all lie 1e17 + 48 h away
+        Resource(id="r0", rates={"A": 10.0, "B": 10.0}, task_chain=["u3", "u2", "u1"]),
+        # starts 1e17 (t9..t6) and 1e17 + 96 (t5..t3), each 48 h from f
+        Resource(
+            id="r1",
+            rates={"A": 10.0, "B": 10.0},
+            release_time=big,
+            task_chain=["t9", "t8", "t7", "t6", "t5", "t4", "t3"],
+        ),
+        # f, then s2 and s1 at one start 96 h to the right
+        Resource(
+            id="r2",
+            rates={"A": 10.0, "B": 10.0},
+            release_time=big + 48,
+            task_chain=["f", "s2", "s1"],
+        ),
+        # cannot take the focal's product A: pairs with nothing
+        Resource(id="r3", rates={"B": 10.0}, release_time=big, task_chain=["b2", "b1"]),
+        # one task 48 h right of f, its id between t5 and t6
+        Resource(id="r4", rates={"A": 10.0}, release_time=big + 96, task_chain=["t55"]),
+    ]
+    quantity = {"t6": 1000.0, "f": 1000.0, "u3": 1.0, "u2": 1.0}
+    tasks = {
+        tid: mk(tid, "B" if tid[0] in "bs" else "A", quantity.get(tid, 1.0), 50.0)
+        for r in resources
+        for tid in r.task_chain
+    }
+    s = elaborate(ScheduleState(resources=resources, tasks=tasks))
+    s.focal_task = "f"
+    starts = [s.tasks[tid].start for tid in resources[1].task_chain]
+    assert len(set(starts)) == 2 and starts == sorted(starts)
+    assert s.tasks["s2"].start == s.tasks["s1"].start > s.tasks["f"].start
+    raw = oracle_enumerate(s)
+    assert len(raw) > PROPOSAL_CAP
+    assert [op.aux for op in raw[:4]] == ["t3", "t3", "t4", "t4"]
+    assert propose(s) == raw[:PROPOSAL_CAP]
+    assert propose(s, cap=10_000) == raw
+
+
+def test_capped_propose_matches_oracle_on_500x20_plants():
+    # fresh orders on three 500 x 20 plants, then random repair steps; the
+    # sparse capabilities leave chains the focal cannot move to
+    rng = Random(29)
+    checked = unreachable = 0
+    for seed in range(3):
+        spec = InstanceSpec(seed=500 + seed, task_count=500, resource_count=20)
+        inst = generate_instance(spec)
+        for _ in range(4):
+            s = inject_disruption(sample_disruption(inst, rng))
+            assert propose(s, cap=10_000) == oracle_enumerate(s)
+            for _ in range(8):
+                ops = propose(s)
+                assert ops == oracle_enumerate(s)[:PROPOSAL_CAP]
+                focal = s.tasks[s.focal_task]
+                unreachable += sum(focal.product not in r.rates for r in s.resources)
+                checked += 1
+                if not ops:
+                    break
+                s = apply(s, ops[rng.randrange(len(ops))])
+    assert checked > 60
+    assert unreachable > 0
 
 
 def fig2_state():
@@ -327,18 +407,17 @@ def focal_states():
 def test_apply_equals_full_elaboration_and_leaves_input_alone():
     checked = 0
     for s in focal_states():
+        # the input's tasks refuse writes, so re-timing a shared task raises
+        s = frozen(s)
         before = copy.deepcopy(s)
         ops = propose(s)
         assert ops == oracle_enumerate(s)[:PROPOSAL_CAP]
         for op in ops:
             out = apply(s, op)
-            assert_fully_elaborated(out)
-            # only the spliced chains get new objects
+            # only the spliced chains get new objects, and of those only the
+            # tasks from their first changed slot on
             spliced = {out.resource_of(op.focal).id, s.resource_of(op.focal).id}
-            for old, new in zip(s.resources, out.resources):
-                if new.id not in spliced:
-                    assert new is old
-                    assert all(out.tasks[tid] is s.tasks[tid] for tid in new.task_chain)
+            assert assert_prefixes_shared(s, out) == len(spliced)
             checked += 1
         assert s == before
     assert checked > 500

@@ -257,6 +257,33 @@ def test_qstore_roundtrip_many_entries(tmp_path):
     assert loaded.entries == store.entries  # full-precision values survive
 
 
+def test_keys_are_values_built_by_position_or_keyword(tmp_path):
+    fields = (46.83, 16, 15.0, 2.5, 40.0, 28.5, "Task5")
+    by_position = StateSignature(*fields)
+    assert by_position == sig() and hash(by_position) == hash(sig())
+    assert StateSignature._fields == (
+        "total_wip",
+        "task_number",
+        "max_tardiness",
+        "avg_tardiness",
+        "total_tardiness",
+        "init_tardiness",
+        "focal_task",
+    )
+    k = QKey(by_position, "up-right-jump", "Task5", "Task10")
+    by_keyword = QKey(sig=sig(), op_name="up-right-jump", op_focal="Task5", op_aux="Task10")
+    assert k == by_keyword and hash(k) == hash(by_keyword)
+    assert QKey._fields == ("sig", "op_name", "op_focal", "op_aux")
+    assert k != QKey(sig(41.0), "up-right-jump", "Task5", "Task10")
+    store = QStore()
+    store.entries[k] = 0.5
+    assert store.q(by_keyword) == 0.5
+    store.entries[QKey(sig(41.0), "down-left-swap", "Task5", "Task9")] = -1.25
+    path = tmp_path / "q.txt"
+    save_qstore(store, path)
+    assert load_qstore(path).entries == store.entries
+
+
 def test_qstore_hand_edited_value(tmp_path):
     path = tmp_path / "q.txt"
     store = QStore()

@@ -1,0 +1,164 @@
+"""Run the benchmark on two revisions, alternating, and write one JSON file.
+
+    python3 tools/bench_pair.py --base HEAD~1 --head WORKTREE \\
+        --run repair-500x20:0:10 --run campaign:1:1 --seed 21 --out BENCH_6.json
+
+Each ``--run WORKLOAD:TRACE:PAIRS`` runs ``perfbench/run.py`` PAIRS times on
+each side, a pair at a time; pair ``i`` uses seed ``--seed + i`` on both
+sides, and the side that runs first alternates from pair to pair. Every
+run lasts ``run_seconds`` of ``BENCHMARK.json``, as the benchmark does. Both
+revisions are exported with ``git archive`` into a scratch directory, so
+each side runs the benchmark of its own checkout on its own sources.
+``WORKTREE`` stands for the working tree as it is: its tracked files and
+its untracked files that ``.gitignore`` does not exclude.
+
+The file holds every run's info line and result line as ``perfbench``
+printed them, and a summary per workload and trace mode: each metric's
+median on both sides, their ratio, and for the end-to-end metrics the
+number of pairs the head side won and the spread of the base side's runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+WORKTREE = "WORKTREE"
+
+
+def export(rev: str, dest: Path) -> str:
+    """Write ``rev``'s files into ``dest``; return the commit it names."""
+    dest.mkdir(parents=True)
+    if rev == WORKTREE:
+        listed = subprocess.run(
+            ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+            cwd=REPO, check=True, capture_output=True,
+        ).stdout.decode().split("\0")
+        for name in filter(None, listed):
+            path = REPO / name
+            if path.is_file():
+                (dest / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(path, dest / name)
+    else:
+        archive = subprocess.run(
+            ["git", "archive", "--format=tar", rev], cwd=REPO, check=True, capture_output=True
+        ).stdout
+        tar_path = dest.parent / f"{dest.name}.tar"
+        tar_path.write_bytes(archive)
+        with tarfile.open(tar_path) as tar:
+            tar.extractall(dest)
+        tar_path.unlink()
+    commit = subprocess.run(
+        ["git", "rev-parse", "--short=12", "HEAD" if rev == WORKTREE else rev],
+        cwd=REPO, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    return f"{commit} with working-tree changes" if rev == WORKTREE else commit
+
+
+def run_once(root: Path, workload: str, trace: int, seed: int, seconds: int) -> dict:
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True).stdout
+    info_line, result_line = out.strip().splitlines()[-2:]
+    return {"info": json.loads(info_line)["info"], "result": json.loads(result_line)}
+
+
+def quartile_spread(values: list[float]) -> float:
+    if len(values) < 2:
+        return 0.0
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return q[2] - q[0]
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    out: dict[str, dict] = {}
+    for run in runs:
+        group = out.setdefault(f"{run['workload']}/trace{run['trace']}", {})
+        for name, metric in run["result"]["metrics"].items():
+            group.setdefault(name, {"base": {}, "head": {}})[run["side"]][run["pair"]] = (
+                metric["value"]
+            )
+    summary: dict[str, dict] = {}
+    for group, metrics in out.items():
+        rows = summary[group] = {}
+        for name, sides in metrics.items():
+            base, head = sides["base"], sides["head"]
+            pairs = sorted(set(base) & set(head))
+            b = statistics.median(base[i] for i in pairs)
+            h = statistics.median(head[i] for i in pairs)
+            row = {"base_median": b, "head_median": h, "ratio": h / b if b else None}
+            if name in better:
+                sign = 1 if better[name] == "higher" else -1
+                row["head_better_pairs"] = sum(sign * (head[i] - base[i]) > 0 for i in pairs)
+                row["pairs"] = len(pairs)
+                row["base_quartile_spread"] = quartile_spread([base[i] for i in pairs])
+            rows[name] = row
+    return summary
+
+
+def parse_args(argv: list[str] | None) -> argparse.Namespace:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--base", required=True, help="git revision of the parent")
+    p.add_argument("--head", default=WORKTREE, help=f"git revision or {WORKTREE}")
+    p.add_argument("--run", action="append", required=True, metavar="WORKLOAD:TRACE:PAIRS")
+    p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    p.add_argument("--out", required=True)
+    return p.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = parse_args(argv)
+    plan = []
+    for spec in args.run:
+        workload, trace, pairs = spec.split(":")
+        plan.append((workload, int(trace), int(pairs)))
+    config = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in config["end_to_end"]}
+    seconds = config["run_seconds"]
+
+    scratch = Path(tempfile.mkdtemp(prefix="bench-pair-"))
+    try:
+        roots = {"base": scratch / "base", "head": scratch / "head"}
+        revs = {side: export(rev, roots[side]) for side, rev in
+                (("base", args.base), ("head", args.head))}
+        runs = []
+        for workload, trace, pairs in plan:
+            for pair in range(pairs):
+                seed = args.seed + pair
+                order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+                for position, side in enumerate(order):
+                    lines = run_once(roots[side], workload, trace, seed, seconds)
+                    runs.append({
+                        "workload": workload, "trace": trace, "pair": pair, "seed": seed,
+                        "side": side, "ran": position, **lines,
+                    })
+                    metric = lines["result"]["metrics"].get("steps_per_s", {}).get("value")
+                    print(f"{workload} trace={trace} pair={pair} seed={seed} {side}: "
+                          f"digest {lines['info'].get('digest')} steps_per_s {metric}",
+                          file=sys.stderr)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    report = {
+        "base": {"rev": args.base, "commit": revs["base"]},
+        "head": {"rev": args.head, "commit": revs["head"]},
+        "seconds": seconds,
+        "summary": summarize(runs, better),
+        "runs": runs,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
