@@ -58,13 +58,6 @@ class RepairOperator:
     target_resource: str
 
 
-def _holder_index(state: ScheduleState, task_id: str) -> int:
-    for i, r in enumerate(state.resources):
-        if task_id in r.task_chain:
-            return i
-    raise KeyError(task_id)
-
-
 def _pairings(
     state: ScheduleState, focal: Task, fi: int, aux: Task, ai: int
 ) -> list[RepairOperator]:
@@ -110,7 +103,7 @@ def propose(state: ScheduleState, cap: int = PROPOSAL_CAP) -> list[RepairOperato
         raise NoFocalTask("propose requires a focal task")
     tasks = state.tasks
     focal = tasks[state.focal_task]
-    fi = _holder_index(state, focal.id)
+    fi = focal.resource_index
     at = focal.start
 
     # Cursors walk outward from each chain's split point. A heap entry is
@@ -168,9 +161,9 @@ def apply(state: ScheduleState, op: RepairOperator) -> ScheduleState:
         raise OperatorNotApplicable(f"{op.focal} is not the focal task")
     if op.aux not in state.tasks:
         raise OperatorNotApplicable(f"unknown auxiliary task {op.aux}")
-    fi = _holder_index(state, op.focal)
-    ai = _holder_index(state, op.aux)
-    if op not in _pairings(state, state.tasks[op.focal], fi, state.tasks[op.aux], ai):
+    focal, aux = state.tasks[op.focal], state.tasks[op.aux]
+    fi, ai = focal.resource_index, aux.resource_index
+    if op not in _pairings(state, focal, fi, aux, ai):
         raise OperatorNotApplicable(f"{op.kind.value}({op.focal}, {op.aux}, {op.target_resource})")
 
     chains = {i: list(state.resources[i].task_chain) for i in (fi, ai)}

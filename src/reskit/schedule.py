@@ -33,8 +33,9 @@ AGG_TOL = 1e-9
 class Task:
     """An order operation: what to make, how much, and by when.
 
-    ``duration``, ``start`` and ``finish`` are derived; they are only
-    meaningful after :func:`elaborate`.
+    ``duration``, ``start``, ``finish`` and ``resource_index`` (the index in
+    ``ScheduleState.resources`` of the resource whose chain holds the task)
+    are derived; they are only meaningful after :func:`elaborate`.
     """
 
     id: str
@@ -46,6 +47,7 @@ class Task:
     start: float = 0.0
     finish: float = 0.0
     executing: bool = False
+    resource_index: int | None = None
 
 
 @dataclass
@@ -94,11 +96,8 @@ class ScheduleState:
         raise KeyError(resource_id)
 
     def resource_of(self, task_id: str) -> Resource:
-        """Resource whose chain holds ``task_id``."""
-        for r in self.resources:
-            if task_id in r.task_chain:
-                return r
-        raise KeyError(task_id)
+        """Resource whose chain holds ``task_id``; the state must be elaborated."""
+        return self.resources[self.tasks[task_id].resource_index]
 
 
 @dataclass(frozen=True)
@@ -130,7 +129,7 @@ def _structure_defects(state: ScheduleState) -> Iterator[Violation]:
             if tid not in state.tasks:
                 yield Violation("UnknownTask", tid, f"chain of {r.id} references it")
             elif tid in chained:
-                first = state.resource_of(tid).id
+                first = next(q.id for q in state.resources if tid in q.task_chain)
                 yield Violation("DuplicateAssignment", tid, f"in chains of {first} and {r.id}")
             else:
                 chained.add(tid)
@@ -160,7 +159,8 @@ def _retime(s: ScheduleState, chains: dict[int, int]) -> None:
 
     ``chains`` maps a resource index to the first slot to re-time; the task
     before that slot must already carry its final timing. The re-timed
-    tasks must be ``s``'s own copies; every other task keeps its timing.
+    tasks must be ``s``'s own copies, and each records the index of its
+    resource; every other task keeps its timing and index.
     The aggregates are then summed over all tasks in ``s.tasks`` order, so
     a state re-timed in part carries the same floats as one elaborated in
     full.
@@ -184,6 +184,7 @@ def _retime(s: ScheduleState, chains: dict[int, int]) -> None:
             else:
                 t.start = prev_task.finish
             t.finish = t.start + t.duration
+            t.resource_index = i
             prev_task = t
 
     total = 0.0
@@ -299,6 +300,14 @@ def validate(state: ScheduleState) -> list[Violation]:
             stored, derived = getattr(t, attr), getattr(fresh.tasks[tid], attr)
             if stored != derived and not abs(stored - derived) <= tol:
                 out.append(Violation("StaleTiming", tid, f"{attr} {stored} != {derived}"))
+        if t.resource_index != fresh.tasks[tid].resource_index:
+            out.append(
+                Violation(
+                    "StaleResourceIndex",
+                    tid,
+                    f"resource_index {t.resource_index} != {fresh.tasks[tid].resource_index}",
+                )
+            )
     for subject, attr in [
         ("totTard", "total_tardiness"),
         ("maxTard", "max_tardiness"),

@@ -1,8 +1,9 @@
 """Shared test fixtures: independent oracles and random state builders.
 
 The oracles here re-derive schedule figures from first principles (plain
-forward sweeps over chains) and stay independent of the package's
-elaboration path; property tests compare the two.
+forward sweeps and scans over chains, exactly rounded sums) and stay
+independent of the package's elaboration path; property tests compare the
+two.
 ``assert_fully_elaborated`` instead checks a state re-timed in part against
 the package's own full elaboration, and ``assert_prefixes_shared`` checks
 which task objects a splice copied.
@@ -10,6 +11,7 @@ which task objects a splice copied.
 
 from __future__ import annotations
 
+import math
 from random import Random
 
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
@@ -54,6 +56,27 @@ def naive_aggregates(state: ScheduleState) -> dict[str, float]:
     }
 
 
+def naive_holders(state: ScheduleState) -> dict[str, int]:
+    """Chain-scan oracle: each chained task's resource index."""
+    return {tid: i for i, r in enumerate(state.resources) for tid in r.task_chain}
+
+
+def assert_matches_oracles(state: ScheduleState) -> None:
+    """Each task's ``resource_index`` is its holder by a chain scan; total
+    tardiness and WIP are within 1e-12 relative of ``math.fsum`` over the
+    tasks, and the max tardiness is the largest lateness exactly."""
+    assert {tid: t.resource_index for tid, t in state.tasks.items()} == naive_holders(state)
+    timing = naive_timing(state)
+    lateness = [v["tardiness"] for v in timing.values()]
+    exact = {
+        "total_tardiness": math.fsum(lateness),
+        "total_wip": math.fsum(v["duration"] for v in timing.values()),
+    }
+    for attr, value in exact.items():
+        assert math.isclose(getattr(state, attr), value, rel_tol=1e-12, abs_tol=0.0), attr
+    assert state.max_tardiness == max(lateness, default=0.0)
+
+
 AGGREGATES = ("total_tardiness", "max_tardiness", "avg_tardiness", "total_wip", "task_number")
 
 
@@ -64,6 +87,7 @@ def assert_fully_elaborated(state: ScheduleState) -> None:
     for tid, t in state.tasks.items():
         f = fresh.tasks[tid]
         assert (t.start, t.duration, t.finish) == (f.start, f.duration, f.finish), tid
+        assert t.resource_index == f.resource_index, tid
     for attr in AGGREGATES:
         assert getattr(state, attr) == getattr(fresh, attr), attr
 

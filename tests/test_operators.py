@@ -17,10 +17,12 @@ from reskit.operators import (
     apply,
     propose,
 )
-from reskit.schedule import Resource, ScheduleState, Task, elaborate, validate
+from reskit.schedule import Resource, ScheduleState, Task, elaborate, insert_order, validate
 
 from helpers import (
+    PRODUCTS,
     assert_fully_elaborated,
+    assert_matches_oracles,
     assert_prefixes_shared,
     frozen,
     naive_timing,
@@ -441,3 +443,47 @@ def test_successive_applies_leave_every_earlier_state_alone():
         for state, snapshot in history:
             assert state == snapshot
     assert steps > 60
+
+
+def oracle_starts():
+    """Random small states with an order inserted at a random capable slot,
+    then fresh orders on two 500 x 20 plants."""
+    rng = Random(31)
+    for _ in range(150):
+        base = elaborate(random_state(rng, max_resources=4, max_tasks=12))
+        order = Task(
+            id="t99",
+            name="Task99",
+            product=rng.choice(PRODUCTS),
+            quantity=round(rng.uniform(1.0, 60.0), 1),
+            due_date=round(rng.uniform(0.0, 30.0), 2),
+        )
+        capable = [r for r in base.resources if order.product in r.rates]
+        if capable:
+            target = rng.choice(capable)
+            position = rng.randint(0, len(target.task_chain))
+            yield insert_order(base, order, target.id, position)
+    for seed in range(2):
+        inst = generate_instance(InstanceSpec(seed=700 + seed, task_count=500, resource_count=20))
+        for _ in range(3):
+            yield inject_disruption(sample_disruption(inst, rng))
+
+
+def test_steps_match_independent_oracles():
+    # after every insert_order and every random apply: each task's resource
+    # slot is its holder by a chain scan, and the aggregates match exact sums
+    rng = Random(37)
+    steps = across = 0
+    for s in oracle_starts():
+        assert_matches_oracles(s)
+        for _ in range(12):
+            ops = propose(s)
+            if not ops:
+                break
+            op = ops[rng.randrange(len(ops))]
+            s = apply(s, op)
+            assert_matches_oracles(s)
+            steps += 1
+            across += op.kind.vertical != "same"  # two chains spliced
+    assert steps > 1500
+    assert across > 600

@@ -247,6 +247,27 @@ def test_validate_unassigned_task():
     assert any(v.code == "UnassignedTask" and v.subject == "t9" for v in validate(s))
 
 
+def test_validate_flags_a_stale_resource_index():
+    s = two_task_state()
+    s.resources.append(Resource(id="r2", rates={"A": 10.0}, task_chain=["t2"]))
+    s.resources[0].task_chain.remove("t2")
+    s = elaborate(s)
+    assert [s.tasks[tid].resource_index for tid in ("t1", "t2")] == [0, 1]
+    assert s.resource_of("t2") is s.resources[1]
+    for stale_index in (0, None, 2):
+        stale = s.clone()
+        stale.tasks["t2"].resource_index = stale_index
+        assert [(v.code, v.subject) for v in validate(stale)] == [("StaleResourceIndex", "t2")]
+
+
+def test_resource_of_fails_on_a_task_never_elaborated():
+    raw = two_task_state()
+    with pytest.raises(TypeError):
+        raw.resource_of("t1")
+    with pytest.raises(KeyError):
+        elaborate(raw).resource_of("t9")
+
+
 def test_validate_flags_each_stale_derived_field():
     aggregates = [
         ("totTard", "total_tardiness"),
@@ -265,6 +286,11 @@ def test_validate_flags_each_stale_derived_field():
             stale = s.clone()
             setattr(stale.tasks[tid], attr, getattr(stale.tasks[tid], attr) + 0.5)
             assert any(v.subject == tid and attr in v.detail for v in validate(stale))
+            stale = s.clone()
+            stale.tasks[tid].resource_index = rng.choice([None, len(s.resources)])
+            assert [(v.code, v.subject) for v in validate(stale)] == [
+                ("StaleResourceIndex", tid)
+            ]
         subject, attr = rng.choice(aggregates)
         stale = s.clone()
         setattr(stale, attr, getattr(stale, attr) + 1)
