@@ -5,7 +5,12 @@ ordered chain of tasks. Products are plain string codes. All timing is
 derived: a task's duration follows from its quantity and the assigned
 resource's rate for its product, starts follow from chain order, and the
 aggregate figures (total/max/avg tardiness, work in process) follow from the
-task fields. ``elaborate`` recomputes every derived field and is idempotent.
+task fields in two levels. Each resource carries its chain's partials,
+summed left to right in chain order; the state's totals are the sums of
+those partials in resource order, and its max tardiness is their max. So a
+repair step re-sums only the chains it splices, plus one pass over the
+resources. ``elaborate`` recomputes every derived field the same way and is
+idempotent.
 
 States are values: every operation returns a new state and leaves its input
 untouched, so states can be archived for episode rollback and compared after
@@ -56,7 +61,9 @@ class Resource:
 
     ``rates`` maps product code to kg/h; a missing key means the resource
     cannot process that product. ``release_time`` is the earliest start for
-    movable (non-executing) work.
+    movable (non-executing) work. ``total_tardiness``, ``total_wip`` and
+    ``max_tardiness`` are derived: the chain's partials of the state's
+    aggregates, only meaningful after :func:`elaborate`.
     """
 
     id: str
@@ -64,6 +71,9 @@ class Resource:
     rates: dict[str, float] = field(default_factory=dict)
     task_chain: list[str] = field(default_factory=list)
     release_time: float = 0.0
+    total_tardiness: float = 0.0
+    total_wip: float = 0.0
+    max_tardiness: float = 0.0
 
 
 @dataclass
@@ -146,6 +156,9 @@ def elaborate(state: ScheduleState) -> ScheduleState:
     executing, in which case its recorded start is kept (a frozen task
     anchors its chain); each later task starts when its predecessor
     finishes. Durations are quantity / rate on the current resource.
+    Every chain's partials are summed in chain order, then the aggregates
+    over the partials in resource order, exactly as ``_retime`` does after
+    a splice, so a state re-timed in part equals its elaboration.
     """
     for defect in _structure_defects(state):
         raise BrokenChain(str(defect))
@@ -159,11 +172,13 @@ def _retime(s: ScheduleState, chains: dict[int, int]) -> None:
 
     ``chains`` maps a resource index to the first slot to re-time; the task
     before that slot must already carry its final timing. The re-timed
-    tasks must be ``s``'s own copies, and each records the index of its
-    resource; every other task keeps its timing and index.
-    The aggregates are then summed over all tasks in ``s.tasks`` order, so
-    a state re-timed in part carries the same floats as one elaborated in
-    full.
+    resources and tasks must be ``s``'s own copies. Each re-timed task
+    records the index of its resource, and each re-timed chain's partials
+    are summed anew over the whole chain, left to right; every other task
+    and resource keeps what it carries. The aggregates are then summed over
+    the partials in resource order, so a step costs the spliced chains plus
+    O(resources), and a state re-timed in part carries the same floats as
+    one elaborated in full.
     """
     tasks = s.tasks
     for i, first in chains.items():
@@ -187,17 +202,24 @@ def _retime(s: ScheduleState, chains: dict[int, int]) -> None:
             t.resource_index = i
             prev_task = t
 
-    total = 0.0
-    max_t = 0.0
-    wip = 0.0
-    for t in tasks.values():
-        # task_tardiness, inlined; adding a zero lateness would change nothing.
-        lateness = t.finish - t.due_date
-        if lateness > 0.0:
-            total += lateness
-            if lateness > max_t:
-                max_t = lateness
-        wip += t.duration
+        total = max_t = wip = 0.0
+        for tid in chain:
+            t = tasks[tid]
+            # task_tardiness, inlined; adding a zero lateness would change nothing.
+            lateness = t.finish - t.due_date
+            if lateness > 0.0:
+                total += lateness
+                if lateness > max_t:
+                    max_t = lateness
+            wip += t.duration
+        r.total_tardiness, r.max_tardiness, r.total_wip = total, max_t, wip
+
+    total = max_t = wip = 0.0
+    for r in s.resources:
+        total += r.total_tardiness
+        if r.max_tardiness > max_t:
+            max_t = r.max_tardiness
+        wip += r.total_wip
     s.total_tardiness = total
     s.max_tardiness = max_t
     s.task_number = len(tasks)
@@ -308,6 +330,11 @@ def validate(state: ScheduleState) -> list[Violation]:
                     f"resource_index {t.resource_index} != {fresh.tasks[tid].resource_index}",
                 )
             )
+    for r, f in zip(state.resources, fresh.resources):
+        for attr in ("total_tardiness", "max_tardiness", "total_wip"):
+            stored, derived = getattr(r, attr), getattr(f, attr)
+            if stored != derived and not abs(stored - derived) <= AGG_TOL:
+                out.append(Violation("StalePartial", r.id, f"{attr} {stored} != {derived}"))
     for subject, attr in [
         ("totTard", "total_tardiness"),
         ("maxTard", "max_tardiness"),

@@ -61,33 +61,47 @@ def naive_holders(state: ScheduleState) -> dict[str, int]:
     return {tid: i for i, r in enumerate(state.resources) for tid in r.task_chain}
 
 
-def assert_matches_oracles(state: ScheduleState) -> None:
-    """Each task's ``resource_index`` is its holder by a chain scan; total
-    tardiness and WIP are within 1e-12 relative of ``math.fsum`` over the
-    tasks, and the max tardiness is the largest lateness exactly."""
-    assert {tid: t.resource_index for tid, t in state.tasks.items()} == naive_holders(state)
-    timing = naive_timing(state)
-    lateness = [v["tardiness"] for v in timing.values()]
+def _assert_sums(holder: ScheduleState | Resource, timing: list[dict[str, float]]) -> None:
+    """``holder``'s total tardiness and WIP are within 1e-12 relative of
+    ``math.fsum`` over ``timing``, and its max tardiness is the largest
+    lateness there exactly."""
+    lateness = [v["tardiness"] for v in timing]
     exact = {
         "total_tardiness": math.fsum(lateness),
-        "total_wip": math.fsum(v["duration"] for v in timing.values()),
+        "total_wip": math.fsum(v["duration"] for v in timing),
     }
     for attr, value in exact.items():
-        assert math.isclose(getattr(state, attr), value, rel_tol=1e-12, abs_tol=0.0), attr
-    assert state.max_tardiness == max(lateness, default=0.0)
+        assert math.isclose(getattr(holder, attr), value, rel_tol=1e-12, abs_tol=0.0), attr
+    assert holder.max_tardiness == max(lateness, default=0.0)
+
+
+def assert_matches_oracles(state: ScheduleState) -> None:
+    """Each task's ``resource_index`` is its holder by a chain scan, and the
+    tardiness and WIP figures of each chain and of the state match exact
+    sums over their tasks' forward-sweep timing."""
+    assert {tid: t.resource_index for tid, t in state.tasks.items()} == naive_holders(state)
+    timing = naive_timing(state)
+    for r in state.resources:
+        _assert_sums(r, [timing[tid] for tid in r.task_chain])
+    _assert_sums(state, list(timing.values()))
 
 
 AGGREGATES = ("total_tardiness", "max_tardiness", "avg_tardiness", "total_wip", "task_number")
+PARTIALS = ("total_tardiness", "max_tardiness", "total_wip")
 
 
 def assert_fully_elaborated(state: ScheduleState) -> None:
-    """Every derived float equals a full re-elaboration's, bit for bit."""
+    """Every derived field equals a full re-elaboration's, floats bit for
+    bit: task timing and resource index, resource partials, aggregates."""
     fresh = elaborate(state)
     assert list(state.tasks) == list(fresh.tasks)
     for tid, t in state.tasks.items():
         f = fresh.tasks[tid]
         assert (t.start, t.duration, t.finish) == (f.start, f.duration, f.finish), tid
         assert t.resource_index == f.resource_index, tid
+    for r, f in zip(state.resources, fresh.resources, strict=True):
+        for attr in PARTIALS:
+            assert getattr(r, attr) == getattr(f, attr), (r.id, attr)
     for attr in AGGREGATES:
         assert getattr(state, attr) == getattr(fresh, attr), attr
 

@@ -260,6 +260,27 @@ def test_validate_flags_a_stale_resource_index():
         assert [(v.code, v.subject) for v in validate(stale)] == [("StaleResourceIndex", "t2")]
 
 
+def test_validate_flags_a_stale_partial():
+    s = two_task_state()
+    s.resources.append(Resource(id="r2", rates={"A": 10.0}, task_chain=["t2"]))
+    s.resources[0].task_chain.remove("t2")
+    s = elaborate(s)
+    # t1 finishes at 2 h, due 1 h; t2 finishes at 3 h, due 10 h
+    assert [(r.total_tardiness, r.max_tardiness, r.total_wip) for r in s.resources] == [
+        (1.0, 1.0, 2.0),
+        (0.0, 0.0, 3.0),
+    ]
+    for i, attr, value in [
+        (0, "total_tardiness", 0.0),
+        (1, "max_tardiness", 1.0),
+        (1, "total_wip", 2.0),
+    ]:
+        stale = s.clone()
+        setattr(stale.resources[i], attr, value)
+        hits = [(v.code, v.subject, v.detail.split()[0]) for v in validate(stale)]
+        assert hits == [("StalePartial", f"r{i + 1}", attr)]
+
+
 def test_resource_of_fails_on_a_task_never_elaborated():
     raw = two_task_state()
     with pytest.raises(TypeError):
@@ -291,6 +312,12 @@ def test_validate_flags_each_stale_derived_field():
             assert [(v.code, v.subject) for v in validate(stale)] == [
                 ("StaleResourceIndex", tid)
             ]
+        r = rng.choice(s.resources)
+        attr = rng.choice(["total_tardiness", "max_tardiness", "total_wip"])
+        stale = s.clone()
+        stale_r = stale.resource_by_id(r.id)
+        setattr(stale_r, attr, getattr(stale_r, attr) + 1)
+        assert [(v.code, v.subject) for v in validate(stale)] == [("StalePartial", r.id)]
         subject, attr = rng.choice(aggregates)
         stale = s.clone()
         setattr(stale, attr, getattr(stale, attr) + 1)
