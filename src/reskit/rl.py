@@ -13,6 +13,7 @@ pre-disruption tardiness, so goal states beat tardiness-equal non-goals.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +26,7 @@ from .errors import (
     InvalidConfig,
     QStoreVersionError,
 )
-from .operators import RepairOperator
+from .operators import OperatorKind, RepairOperator
 from .schedule import ScheduleState
 from .stategraph import StateSignature, signature
 
@@ -191,9 +192,21 @@ def save_qstore(store: QStore, path: str | Path) -> int:
 _HEADER_RE = re.compile(
     r"^(v\d+) alpha=(\S+) gamma=(\S+) lambda=(\S+) epsilon=(\S+)$"
 )
+_OPERATOR_NAMES = frozenset(kind.value for kind in OperatorKind)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
 
 
 def load_qstore(path: str | Path) -> QStore:
+    """Read a store ``save_qstore`` wrote; raise ``CorruptQStoreError`` on
+    anything it would not write: a malformed line, a number that is not
+    finite, a negative task count, an unknown operator name or a key given
+    twice."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines:
@@ -222,18 +235,25 @@ def load_qstore(path: str | Path) -> QStore:
             raise CorruptQStoreError(f"{path}:{lineno}: expected 11 fields, got {len(fields)}")
         try:
             sig = StateSignature(
-                total_wip=float(fields[0]),
+                total_wip=_finite(fields[0]),
                 task_number=int(fields[1]),
-                max_tardiness=float(fields[2]),
-                avg_tardiness=float(fields[3]),
-                total_tardiness=float(fields[4]),
-                init_tardiness=float(fields[5]),
+                max_tardiness=_finite(fields[2]),
+                avg_tardiness=_finite(fields[3]),
+                total_tardiness=_finite(fields[4]),
+                init_tardiness=_finite(fields[5]),
                 focal_task=fields[6],
             )
-            key = QKey(sig, fields[7], fields[8], fields[9])
-            store.entries[key] = float(fields[10])
+            value = _finite(fields[10])
         except ValueError as exc:
             raise CorruptQStoreError(f"{path}:{lineno}: {exc}") from exc
+        if sig.task_number < 0:
+            raise CorruptQStoreError(f"{path}:{lineno}: negative task count {sig.task_number}")
+        if fields[7] not in _OPERATOR_NAMES:
+            raise CorruptQStoreError(f"{path}:{lineno}: unknown operator {fields[7]!r}")
+        key = QKey(sig, fields[7], fields[8], fields[9])
+        if key in store.entries:
+            raise CorruptQStoreError(f"{path}:{lineno}: key repeated from an earlier line")
+        store.entries[key] = value
     return store
 
 

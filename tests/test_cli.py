@@ -222,6 +222,58 @@ def test_qstore_error_exit_codes(tmp_path, instance_path, capsys):
     capsys.readouterr()
 
 
+QSTORE_HEADER = "v1 alpha=0.1 gamma=0.9 lambda=0.1 epsilon=0.1"
+# total_wip, task_number, max/avg/total/init tardiness, focal; op, focal, aux; value
+QSTORE_RECORD = "46.83 16 15.00 2.50 40.00 28.50 Task5 up-right-jump Task5 Task10 0.5".split()
+
+
+def _record(**changed):
+    fields = list(QSTORE_RECORD)
+    for index, value in changed.items():
+        fields[int(index[1:])] = value
+    return "\t".join(fields)
+
+
+@pytest.mark.parametrize("command", ["validate", "repair", "inspect-q"])
+@pytest.mark.parametrize(
+    "records",
+    [
+        [_record(f2="nan")],
+        [_record(f0="inf")],
+        [_record(f5="-inf")],
+        [_record(f1="-3")],
+        [_record(f10="nan")],
+        [_record(f10="inf")],
+        [_record(f7="up-up-jump")],
+        [_record(), _record(f10="0.75")],
+    ],
+    ids=[
+        "nan-max-tardiness",
+        "inf-wip",
+        "minus-inf-init-tardiness",
+        "negative-task-count",
+        "nan-value",
+        "inf-value",
+        "unknown-operator",
+        "repeated-key",
+    ],
+)
+def test_corrupt_qstore_record_exits_2(tmp_path, instance_path, capsys, command, records):
+    q = tmp_path / "q.txt"
+    args = {
+        "validate": ["validate", "--qstore", str(q)],
+        "repair": ["repair", "--instance", instance_path, "--qstore", str(q)],
+        "inspect-q": ["inspect-q", "--qstore", str(q)],
+    }[command]
+    q.write_text("\n".join([QSTORE_HEADER, _record(f6="Task9")]) + "\n", encoding="utf-8")
+    assert main(args) == 0
+    capsys.readouterr()
+    q.write_text("\n".join([QSTORE_HEADER, *records]) + "\n", encoding="utf-8")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {q}:{len(records) + 1}: ")
+
+
 def _nan_quantity(data):
     data["tasks"][0]["quantity_kg"] = float("nan")
 
