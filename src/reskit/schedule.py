@@ -322,14 +322,9 @@ def validate(state: ScheduleState) -> list[Violation]:
             stored, derived = getattr(t, attr), getattr(fresh.tasks[tid], attr)
             if stored != derived and not abs(stored - derived) <= tol:
                 out.append(Violation("StaleTiming", tid, f"{attr} {stored} != {derived}"))
-        if t.resource_index != fresh.tasks[tid].resource_index:
-            out.append(
-                Violation(
-                    "StaleResourceIndex",
-                    tid,
-                    f"resource_index {t.resource_index} != {fresh.tasks[tid].resource_index}",
-                )
-            )
+        stored, derived = t.resource_index, fresh.tasks[tid].resource_index
+        if stored != derived:
+            out.append(Violation("StaleResourceIndex", tid, f"{stored} != {derived}"))
     for r, f in zip(state.resources, fresh.resources):
         for attr in ("total_tardiness", "max_tardiness", "total_wip"):
             stored, derived = getattr(r, attr), getattr(f, attr)

@@ -34,12 +34,12 @@ from pathlib import Path
 from bench_pair import WORKTREE, export
 
 REL_TOL = 1e-12
-CASES = {"seed0": ["--seed", "0"], "seed7": ["--seed", "7"], "seed3-arrival6": ["--seed", "3"]}
-GENERATE_EXTRA = {"seed3-arrival6": ["--arrival", "6"]}
+# Case -> its seed and its extra generate arguments.
+CASES = {"seed0": (0, []), "seed7": (7, []), "seed3-arrival6": (3, ["--arrival", "6"])}
 # Command, its arguments, and the file its standard output goes to.
 COMMANDS = [
     ("train", ["--instance", "inst.json", "--qstore", "q.txt", "--report", "report.json"],
-     "train.out"),
+     None),
     ("repair", ["--instance", "inst.json", "--qstore", "q.txt", "--trace", "trace.json",
                 "--svg-before", "before.svg", "--svg-after", "after.svg"], "repair.out"),
     ("evaluate", ["--instance", "inst.json", "--qstore", "q.txt", "--report", "eval.json"],
@@ -55,12 +55,12 @@ def write_artifacts(root: Path, out: Path) -> None:
     """Run every case's commands with ``root``'s sources, writing into ``out``."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     env.pop("RESKIT_SEED", None)
-    for case, seed in CASES.items():
+    for case, (seed, extra) in CASES.items():
         where = out / case
         where.mkdir(parents=True)
-        steps = [("generate", ["--out", "inst.json", *GENERATE_EXTRA.get(case, [])], None)]
-        for command, args, stdout in steps + COMMANDS:
-            seeded = [] if command in ("inspect-q", "render") else seed
+        for command, args, stdout in [("generate", ["--out", "inst.json", *extra], None),
+                                      *COMMANDS]:
+            seeded = [] if command in ("inspect-q", "render") else ["--seed", str(seed)]
             done = subprocess.run(
                 [sys.executable, "-m", "reskit.cli", command, *args, *seeded],
                 cwd=where, env=env, capture_output=True, text=True,
@@ -86,7 +86,7 @@ def compare(a: str, b: str) -> tuple[str, str]:
         if k % 2 == 0:  # text between numbers
             return "differs", f"{x[:40]!r} against {y[:40]!r}"
         fx, fy = float(x), float(y)
-        rel = abs(fx - fy) / max(abs(fx), abs(fy))
+        rel = abs(fx - fy) / max(abs(fx), abs(fy)) if fx != fy else 0.0
         if not rel <= REL_TOL:
             return "differs", f"{x} against {y} (relative {rel:.3g})"
         largest = max(largest, rel)
