@@ -247,11 +247,16 @@ def test_validate_unassigned_task():
     assert any(v.code == "UnassignedTask" and v.subject == "t9" for v in validate(s))
 
 
-def test_validate_flags_a_stale_resource_index():
+def split_state() -> ScheduleState:
+    """``two_task_state`` with T2 moved to a second resource, elaborated."""
     s = two_task_state()
     s.resources.append(Resource(id="r2", rates={"A": 10.0}, task_chain=["t2"]))
     s.resources[0].task_chain.remove("t2")
-    s = elaborate(s)
+    return elaborate(s)
+
+
+def test_validate_flags_a_stale_resource_index():
+    s = split_state()
     assert [s.tasks[tid].resource_index for tid in ("t1", "t2")] == [0, 1]
     assert s.resource_of("t2") is s.resources[1]
     for stale_index in (0, None, 2):
@@ -261,10 +266,7 @@ def test_validate_flags_a_stale_resource_index():
 
 
 def test_validate_flags_a_stale_partial():
-    s = two_task_state()
-    s.resources.append(Resource(id="r2", rates={"A": 10.0}, task_chain=["t2"]))
-    s.resources[0].task_chain.remove("t2")
-    s = elaborate(s)
+    s = split_state()
     # t1 finishes at 2 h, due 1 h; t2 finishes at 3 h, due 10 h
     assert [(r.total_tardiness, r.max_tardiness, r.total_wip) for r in s.resources] == [
         (1.0, 1.0, 2.0),
@@ -312,11 +314,10 @@ def test_validate_flags_each_stale_derived_field():
             assert [(v.code, v.subject) for v in validate(stale)] == [
                 ("StaleResourceIndex", tid)
             ]
-        r = rng.choice(s.resources)
-        attr = rng.choice(["total_tardiness", "max_tardiness", "total_wip"])
         stale = s.clone()
-        stale_r = stale.resource_by_id(r.id)
-        setattr(stale_r, attr, getattr(stale_r, attr) + 1)
+        r = rng.choice(stale.resources)
+        attr = rng.choice(["total_tardiness", "max_tardiness", "total_wip"])
+        setattr(r, attr, getattr(r, attr) + 1)
         assert [(v.code, v.subject) for v in validate(stale)] == [("StalePartial", r.id)]
         subject, attr = rng.choice(aggregates)
         stale = s.clone()
