@@ -24,6 +24,7 @@ from .errors import (
     InstanceFormatError,
     QStoreVersionError,
     ReskitError,
+    UnprocessableProduct,
 )
 from .gantt import render_svg, render_text
 from .instances import (
@@ -38,7 +39,7 @@ from .instances import (
     save_instance,
 )
 from .rl import Hyperparams, QStore, load_qstore, save_qstore, top_preferences
-from .schedule import elaborate, validate
+from .schedule import validate
 
 
 def _episode_summary(index: int, result: EpisodeResult) -> dict:
@@ -204,7 +205,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_render(args) -> int:
     instance = load_instance(args.instance)
-    state = inject_disruption(instance) if args.disrupted else elaborate(instance.state)
+    state = inject_disruption(instance) if args.disrupted else instance.state
     # The text is drawn first: a row bound it fails leaves no file behind.
     text = render_text(state, quantum=args.quantum) if args.text or not args.svg else None
     if args.svg:
@@ -218,13 +219,12 @@ def cmd_render(args) -> int:
 def cmd_validate(args) -> int:
     failures = 0
     if args.instance:
-        instance = load_instance(args.instance)
         try:
-            violations = validate(elaborate(instance.state))
-        except ReskitError as exc:
+            instance = load_instance(args.instance)
+        except UnprocessableProduct as exc:
             print(f"{args.instance}: {exc}", file=sys.stderr)
             return 1
-        for v in violations:
+        for v in validate(instance.state):
             print(f"{args.instance}: {v}", file=sys.stderr)
             failures += 1
         if instance.order.product not in {

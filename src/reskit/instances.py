@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from random import Random
 
@@ -44,7 +44,12 @@ class InstanceSpec:
 
 @dataclass
 class Instance:
-    """A base schedule plus its disruption: one arriving order."""
+    """A base schedule plus its disruption: one arriving order.
+
+    ``state`` is elaborated: ``generate_instance`` and the loader both
+    return it so, and ``inject_disruption`` relies on it. Re-elaborate it
+    after editing it.
+    """
 
     state: ScheduleState
     order: Task
@@ -128,18 +133,28 @@ def inject_disruption(
     Chain heads already started at the arrival time are flagged executing.
     Unless told where, the order lands at the end of the capable resource
     whose chain finishes earliest (ties to the earlier resource, as ``min``
-    keeps the first of equal keys). A pre-disruption tardiness that is not
-    finite raises ``InstanceFormatError``: every state would reach it.
+    keeps the first of equal keys). A pre-disruption or post-insertion
+    tardiness that is not finite raises ``InstanceFormatError``: every state
+    would reach the one, and no reward is defined from the other.
+
+    ``instance.state`` must be elaborated, and is left untouched. The result
+    shares every ``Resource`` and ``Task`` it does not change with it: only
+    the flagged heads and the target chain from the insertion slot on are
+    new. So, besides the shallow task-dict copies every splice makes, a
+    fresh order costs O(resources + target chain), not a plant copy.
     """
-    base = elaborate(instance.state)
+    base = instance.state
     if not math.isfinite(base.total_tardiness):
         raise InstanceFormatError(
             f"pre-disruption tardiness is {base.total_tardiness}, not a finite number"
         )
+    tasks = dict(base.tasks)
     for r in base.resources:
-        if r.task_chain and base.tasks[r.task_chain[0]].start < instance.arrival_h:
-            base.tasks[r.task_chain[0]].executing = True
-    base.init_tardiness = base.total_tardiness
+        if r.task_chain and tasks[r.task_chain[0]].start < instance.arrival_h:
+            head = Task(**vars(tasks[r.task_chain[0]]))
+            head.executing = True
+            tasks[head.id] = head
+    base = replace(base, tasks=tasks, init_tardiness=base.total_tardiness)
 
     if resource is None:
         capable = [r for r in base.resources if instance.order.product in r.rates]
@@ -147,12 +162,17 @@ def inject_disruption(
             raise UnprocessableProduct(f"no resource can process {instance.order.product}")
 
         def chain_end(r: Resource) -> float:
-            return base.tasks[r.task_chain[-1]].finish if r.task_chain else r.release_time
+            return tasks[r.task_chain[-1]].finish if r.task_chain else r.release_time
 
         resource = min(capable, key=chain_end).id
     if position is None:
         position = len(base.resource_by_id(resource).task_chain)
-    return insert_order(base, instance.order, resource, position)
+    disrupted = insert_order(base, instance.order, resource, position)
+    if not math.isfinite(disrupted.total_tardiness):
+        raise InstanceFormatError(
+            f"post-insertion tardiness is {disrupted.total_tardiness}, not a finite number"
+        )
+    return disrupted
 
 
 def sample_disruption(instance: Instance, rng: Random) -> Instance:
@@ -265,6 +285,12 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def instance_from_dict(data: dict) -> Instance:
+    """The instance a dict in the file format describes, its state elaborated.
+
+    Malformed data raises ``InstanceFormatError``; a task on a resource with
+    no rate for its product raises ``UnprocessableProduct`` from the
+    elaboration. Re-elaborate the state after editing it.
+    """
     _require(data, {"resources", "tasks", "disruption"}, "top level")
     if not isinstance(data["resources"], list) or not isinstance(data["tasks"], list):
         raise InstanceFormatError("resources and tasks must be arrays")
@@ -343,7 +369,7 @@ def instance_from_dict(data: dict) -> Instance:
         names.add(t.name)
     arrival = _number(data["disruption"]["arrival_h"], "disruption.arrival_h")
 
-    state = ScheduleState(resources=resources, tasks=tasks)
+    state = elaborate(ScheduleState(resources=resources, tasks=tasks))
     return Instance(state=state, order=order, arrival_h=arrival)
 
 

@@ -14,11 +14,12 @@ idempotent.
 
 States are values: every operation returns a new state and leaves its input
 untouched, so states can be archived for episode rollback and compared after
-the fact. A returned state never changes, but ``insert_order`` and
-``operators.apply`` copy only the chains they splice, and of those only the
-tasks from the first changed slot on: unchanged chain prefixes and every
-other ``Task`` and ``Resource`` are shared, so ``clone()`` a state before
-mutating it.
+the fact. A returned state never changes, but ``insert_order``,
+``operators.apply`` and ``instances.inject_disruption`` copy only the chains
+they splice, and of those only the tasks from the first changed slot on
+(``inject_disruption`` also copies each chain head it flags executing):
+unchanged chain prefixes and every other ``Task`` and ``Resource`` are
+shared, so ``clone()`` a state before mutating it.
 ``elaborate`` returns a state that shares nothing with its input.
 ``Resource.task_chain`` is the only record of task order.
 """

@@ -419,6 +419,56 @@ def test_infinite_pre_disruption_tardiness_exits_2(tmp_path, capsys):
     assert not (tmp_path / "q.txt").exists()
 
 
+def test_infinite_post_insertion_tardiness_exits_2(tmp_path, capsys):
+    # the order's duration overflows to inf: no reward is defined after insertion
+    data = instance_to_dict(generate_instance(InstanceSpec(seed=3)))
+    order = data["disruption"]["order"]
+    order["quantity_kg"] = 1e308
+    for rd in data["resources"]:
+        if order["product"] in rd["rates"]:
+            rd["rates"][order["product"]] = 0.5
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    # validate checks the file, and evaluate repairs fresh orders, not the file's
+    for args in (["validate"], ["evaluate", "--runs", "2"], ["render"]):
+        assert main([args[0], "--instance", str(path), *args[1:]]) == 0, args[0]
+    capsys.readouterr()
+    for args in (
+        ["repair"],
+        ["train", "--qstore", str(tmp_path / "q.txt")],
+        ["render", "--disrupted"],
+    ):
+        assert main([args[0], "--instance", str(path), *args[1:]]) == 2, args[0]
+        assert "post-insertion tardiness is inf" in capsys.readouterr().err
+    assert not (tmp_path / "q.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "repair", "train", "evaluate", "render"])
+def test_task_on_incapable_resource_exits_1(tmp_path, capsys, command):
+    # well-formed, but the loader's elaboration finds no rate for a chained task
+    data = instance_to_dict(generate_instance(InstanceSpec(seed=7)))
+    head = next(
+        td for td in data["tasks"] if td["resource"] == "r1" and td["chain_position"] == 0
+    )
+    del data["resources"][0]["rates"][head["product"]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    q = tmp_path / "q.txt"
+    args = {
+        "validate": [],
+        "repair": [],
+        "train": ["--qstore", str(q)],
+        "evaluate": ["--runs", "2"],
+        "render": [],
+    }[command]
+    assert main([command, "--instance", str(path), *args]) == 1
+    err = capsys.readouterr().err
+    assert "rate" in err
+    assert "Traceback" not in err
+    assert err.startswith(f"{path}: " if command == "validate" else "error: ")
+    assert not q.exists()
+
+
 def test_render_row_bound_fails_before_any_file_is_written(tmp_path, capsys):
     data = instance_to_dict(generate_instance(InstanceSpec(seed=3)))
     data["tasks"][0]["quantity_kg"] = 1e9

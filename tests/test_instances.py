@@ -4,8 +4,11 @@ from random import Random
 
 import pytest
 
+from helpers import AGGREGATES, assert_fully_elaborated, frozen
+from reskit import instances, schedule
 from reskit.errors import InfeasibleSpec, InstanceFormatError
 from reskit.instances import (
+    Instance,
     InstanceSpec,
     dumps_instance,
     generate_instance,
@@ -16,7 +19,7 @@ from reskit.instances import (
     sample_disruption,
     save_instance,
 )
-from reskit.schedule import elaborate, validate
+from reskit.schedule import ScheduleState, elaborate, insert_order, validate
 
 
 def test_default_spec_generates_valid_instance():
@@ -138,18 +141,87 @@ def test_inject_flags_executing_heads():
             assert not s.tasks[tid].executing
 
 
-def test_inject_disruption_shares_nothing_with_the_instance():
-    inst = generate_instance(InstanceSpec(seed=8))
-    inst.arrival_h = 2.0
-    snapshot = copy.deepcopy(inst)
-    s = inject_disruption(inst)
-    for t in s.tasks.values():
-        t.executing = True
-        t.start = -1.0
-    for r in s.resources:
-        r.rates["Z"] = 1.0
-        r.task_chain.reverse()
-    assert inst == snapshot
+def _copying_oracle(instance, resource, position):
+    """The disrupted state built from a full copy: elaborate the raw plant,
+    flag the started heads in the copy, snapshot, insert."""
+    base = elaborate(instance.state)
+    for r in base.resources:
+        if r.task_chain and base.tasks[r.task_chain[0]].start < instance.arrival_h:
+            base.tasks[r.task_chain[0]].executing = True
+    base.init_tardiness = base.total_tardiness
+    if resource is None:
+        capable = [r for r in base.resources if instance.order.product in r.rates]
+        ends = [base.tasks[r.task_chain[-1]].finish if r.task_chain else r.release_time
+                for r in capable]
+        resource = capable[ends.index(min(ends))].id
+        position = len(base.resource_by_id(resource).task_chain)
+    return insert_order(base, instance.order, resource, position)
+
+
+@pytest.mark.parametrize("placement", ["default", "explicit"])
+def test_inject_disruption_matches_a_full_copy_and_shares_what_it_leaves(placement):
+    for seed in range(40):
+        generated = generate_instance(InstanceSpec(seed=seed))
+        rng = Random(seed)
+        for arrival in (0.0, 1.0, 2.0, 6.0):
+            inst = Instance(frozen(generated.state), generated.order, arrival)
+            resource = position = None
+            if placement == "explicit":
+                capable = [r for r in inst.state.resources if inst.order.product in r.rates]
+                target = rng.choice(capable)
+                resource, position = target.id, rng.randint(0, len(target.task_chain))
+            snapshot = copy.deepcopy(inst)
+            s = inject_disruption(inst, resource, position)
+            oracle = _copying_oracle(inst, resource, position)
+            assert inst == snapshot
+
+            where = (seed, arrival, placement)
+            assert list(s.tasks) == list(oracle.tasks), where
+            for tid, t in s.tasks.items():
+                assert vars(t) == vars(oracle.tasks[tid]), (where, tid)
+            for r, o in zip(s.resources, oracle.resources, strict=True):
+                assert vars(r) == vars(o), (where, r.id)
+            for attr in (*AGGREGATES, "init_tardiness", "focal_task"):
+                assert getattr(s, attr) == getattr(oracle, attr), (where, attr)
+
+            # Only the flagged heads and the target chain from the order on are new.
+            target = s.resource_of(inst.order.id)
+            chain = target.task_chain
+            new = set(chain[chain.index(inst.order.id):])
+            new.update(tid for tid, t in s.tasks.items() if t.executing)
+            for i, r in enumerate(s.resources):
+                assert (r is inst.state.resources[i]) == (r is not target), (where, r.id)
+            for tid, t in s.tasks.items():
+                assert (t is inst.state.tasks.get(tid)) == (tid not in new), (where, tid)
+
+
+def test_inject_disruption_neither_copies_nor_elaborates_the_plant(tmp_path, monkeypatch):
+    path = tmp_path / "inst.json"
+    save_instance(generate_instance(InstanceSpec(seed=2, resource_count=10, task_count=200)), path)
+    inst = load_instance(path)
+    inst.arrival_h = 1.0
+
+    def refuse(*_):
+        raise AssertionError("inject_disruption copied or elaborated the whole plant")
+
+    monkeypatch.setattr(ScheduleState, "clone", refuse)
+    monkeypatch.setattr(schedule, "elaborate", refuse)
+    monkeypatch.setattr(instances, "elaborate", refuse)
+    rng = Random(5)
+    for _ in range(5):
+        fresh = sample_disruption(inst, rng)
+        s = inject_disruption(fresh)
+        assert s.focal_task == fresh.order.id
+        assert any(t.executing for t in s.tasks.values())
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 11, 19])
+def test_loaded_state_is_elaborated(tmp_path, seed):
+    path = tmp_path / "inst.json"
+    save_instance(generate_instance(InstanceSpec(seed=seed, resource_count=4, task_count=30)), path)
+    state = load_instance(path).state
+    assert_fully_elaborated(state)
+    assert validate(state) == []
 
 
 def test_inject_explicit_placement():
