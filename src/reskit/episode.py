@@ -26,12 +26,12 @@ class Outcome(str, Enum):
     NO_PROPOSALS = "no-proposals"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeConfig:
     max_steps: int = 50
     seed: int = 0
 
-    def check(self) -> None:
+    def __post_init__(self) -> None:
         if self.max_steps <= 0:
             raise InvalidConfig(f"max_steps must be positive, got {self.max_steps}")
 
@@ -66,28 +66,34 @@ def run_episode(
     ``state`` must be elaborated and is left as it is; with no step taken,
     it is the result's ``final_state``.
     """
-    cfg.check()
     if rng is None:
         rng = Random(cfg.seed)
     eps_override = None if learning else 0.0
 
     steps: list[StepRecord] = []
-    if goal_reached(state):
-        return EpisodeResult(Outcome.GOAL_REACHED, steps, state)
-    proposals = propose(state)
-    if not proposals:
-        return EpisodeResult(Outcome.NO_PROPOSALS, steps, state)
-    op, key = select(store, state, proposals, rng, epsilon=eps_override)
-
-    for step_index in range(1, cfg.max_steps + 1):
+    prev_key = r = None  # the last step's key and reward
+    while True:
+        if goal_reached(state):
+            outcome = Outcome.GOAL_REACHED
+            break
+        if len(steps) == cfg.max_steps:
+            outcome = Outcome.STEP_LIMIT
+            break
+        proposals = propose(state)
+        if not proposals:
+            outcome = Outcome.NO_PROPOSALS
+            break
+        op, key = select(store, state, proposals, rng, epsilon=eps_override)
         if learning:
+            if steps:
+                store.sarsa_update(prev_key, r, key)
             store.bump_trace(key)
         source = state.resource_of(op.focal).id
         nxt = apply(state, op)
         r = reward(state, nxt)
         steps.append(
             StepRecord(
-                index=step_index,
+                index=len(steps) + 1,
                 operator=op,
                 source_resource=source,
                 tardiness_before=state.total_tardiness,
@@ -96,26 +102,13 @@ def run_episode(
                 proposal_count=len(proposals),
             )
         )
-        if goal_reached(nxt):
-            outcome = Outcome.GOAL_REACHED
-            break
-        if step_index == cfg.max_steps:
-            outcome = Outcome.STEP_LIMIT
-            break
-        next_proposals = propose(nxt)
-        if not next_proposals:
-            outcome = Outcome.NO_PROPOSALS
-            break
-        next_op, next_key = select(store, nxt, next_proposals, rng, epsilon=eps_override)
-        if learning:
-            store.sarsa_update(key, r, next_key)
-        state, op, key, proposals = nxt, next_op, next_key, next_proposals
+        state, prev_key = nxt, key
 
-    # Every outcome ends the episode the same way: bootstrap 0, drop traces.
-    if learning:
-        store.sarsa_update(key, r, None)
+    # An episode that took a step ends the same way: bootstrap 0, drop traces.
+    if learning and steps:
+        store.sarsa_update(prev_key, r, None)
         store.clear_traces()
-    return EpisodeResult(outcome, steps, nxt)
+    return EpisodeResult(outcome, steps, state)
 
 
 def train(
@@ -131,7 +124,6 @@ def train(
     """
     if episodes <= 0:
         raise InvalidConfig(f"episodes must be positive, got {episodes}")
-    cfg.check()
     rng = Random(cfg.seed)
     results: list[EpisodeResult] = []
     for _ in range(episodes):

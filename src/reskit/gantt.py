@@ -48,20 +48,13 @@ def _tick_step(horizon: float) -> float:
     return 10 * mag
 
 
-def _bar_class(state: ScheduleState, task: Task) -> str:
+def _bar_style(state: ScheduleState, task: Task, colors: dict[str, str]) -> tuple[str, str]:
+    """A bar's (class, fill): focal first, then executing, then by product."""
     if task.id == state.focal_task:
-        return "bar focal"
+        return "bar focal", FOCAL_FILL
     if task.executing:
-        return "bar executing"
-    return "bar"
-
-
-def _bar_fill(state: ScheduleState, task: Task, colors: dict[str, str]) -> str:
-    if task.id == state.focal_task:
-        return FOCAL_FILL
-    if task.executing:
-        return EXECUTING_FILL
-    return colors.get(task.product, PALETTE[0])
+        return "bar executing", EXECUTING_FILL
+    return "bar", colors.get(task.product, PALETTE[0])
 
 
 def render_svg(state: ScheduleState, caption: str = "") -> str:
@@ -112,9 +105,10 @@ def render_svg(state: ScheduleState, caption: str = "") -> str:
             bx = x(t.start)
             bw = max(t.duration * scale, 1.0)
             by = y + (_ROW_H - _BAR_H) / 2
+            css, fill = _bar_style(state, t, colors)
             parts.append(
-                f'<rect class="{_bar_class(state, t)}" x="{bx:.2f}" y="{by:.2f}" '
-                f'width="{bw:.2f}" height="{_BAR_H}" fill="{_bar_fill(state, t, colors)}" '
+                f'<rect class="{css}" x="{bx:.2f}" y="{by:.2f}" '
+                f'width="{bw:.2f}" height="{_BAR_H}" fill="{fill}" '
                 f'stroke="#222222" stroke-width="1"><title>{t.name} ({t.product} '
                 f'{t.quantity:g} kg, due {t.due_date:g} h)</title></rect>'
             )

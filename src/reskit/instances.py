@@ -125,23 +125,22 @@ def generate_instance(spec: InstanceSpec) -> Instance:
     return Instance(state=state, order=order, arrival_h=0.0)
 
 
-def inject_disruption(
-    instance: Instance, resource: str | None = None, position: int | None = None
-) -> ScheduleState:
+def inject_disruption(instance: Instance) -> ScheduleState:
     """Snapshot pre-disruption tardiness, freeze running work, insert the order.
 
     Chain heads already started at the arrival time are flagged executing.
-    Unless told where, the order lands at the end of the capable resource
-    whose chain finishes earliest (ties to the earlier resource, as ``min``
-    keeps the first of equal keys). A pre-disruption or post-insertion
-    tardiness that is not finite raises ``InstanceFormatError``: every state
-    would reach the one, and no reward is defined from the other.
+    The order goes at the end of the capable resource whose chain finishes
+    earliest (ties to the earlier resource, as ``min`` keeps the first of
+    equal keys); with no capable resource it raises
+    ``UnprocessableProduct``. A pre-disruption or post-insertion tardiness
+    that is not finite raises ``InstanceFormatError``: every state would
+    reach the one, and no reward is defined from the other.
 
     ``instance.state`` must be elaborated, and is left untouched. The result
     shares every ``Resource`` and ``Task`` it does not change with it: only
-    the flagged heads and the target chain from the insertion slot on are
-    new. So, besides the shallow task-dict copies every splice makes, a
-    fresh order costs O(resources + target chain), not a plant copy.
+    the flagged heads, the order and its resource are new. So, besides the
+    shallow task-dict copies every splice makes, a fresh order costs
+    O(resources), not a plant copy.
     """
     base = instance.state
     if not math.isfinite(base.total_tardiness):
@@ -156,18 +155,15 @@ def inject_disruption(
             tasks[head.id] = head
     base = replace(base, tasks=tasks, init_tardiness=base.total_tardiness)
 
-    if resource is None:
-        capable = [r for r in base.resources if instance.order.product in r.rates]
-        if not capable:
-            raise UnprocessableProduct(f"no resource can process {instance.order.product}")
+    capable = [r for r in base.resources if instance.order.product in r.rates]
+    if not capable:
+        raise UnprocessableProduct(f"no resource can process {instance.order.product}")
 
-        def chain_end(r: Resource) -> float:
-            return tasks[r.task_chain[-1]].finish if r.task_chain else r.release_time
+    def chain_end(r: Resource) -> float:
+        return tasks[r.task_chain[-1]].finish if r.task_chain else r.release_time
 
-        resource = min(capable, key=chain_end).id
-    if position is None:
-        position = len(base.resource_by_id(resource).task_chain)
-    disrupted = insert_order(base, instance.order, resource, position)
+    target = min(capable, key=chain_end)
+    disrupted = insert_order(base, instance.order, target.id, len(target.task_chain))
     if not math.isfinite(disrupted.total_tardiness):
         raise InstanceFormatError(
             f"post-insertion tardiness is {disrupted.total_tardiness}, not a finite number"
@@ -199,8 +195,8 @@ def sample_disruption(instance: Instance, rng: Random) -> Instance:
 # --- instance file format ---------------------------------------------------
 
 _RESOURCE_FIELDS = {"id", "kind", "rates", "release_time"}
-_TASK_FIELDS = {"id", "name", "product", "quantity_kg", "due_h", "resource", "chain_position"}
 _ORDER_FIELDS = {"id", "name", "product", "quantity_kg", "due_h"}
+_TASK_FIELDS = _ORDER_FIELDS | {"resource", "chain_position"}
 
 
 def _require(obj: dict, allowed: set[str], where: str) -> None:
@@ -244,6 +240,28 @@ def _non_negative(value, where: str) -> float:
     return number
 
 
+def _order_to_dict(t: Task) -> dict:
+    return {
+        "id": t.id,
+        "name": t.name,
+        "product": t.product,
+        "quantity_kg": t.quantity,
+        "due_h": t.due_date,
+    }
+
+
+def _order_from_dict(d: dict, fields: set[str], where: str) -> Task:
+    """The order (or task) fields of ``d``, which holds exactly ``fields``."""
+    _require(d, fields, where)
+    return Task(
+        id=_string(d["id"], f"{where}.id"),
+        name=_string(d["name"], f"{where}.name"),
+        product=_string(d["product"], f"{where}.product"),
+        quantity=_positive(d["quantity_kg"], f"{where}.quantity_kg"),
+        due_date=_non_negative(d["due_h"], f"{where}.due_h"),
+    )
+
+
 def instance_to_dict(instance: Instance) -> dict:
     placement: dict[str, tuple[str, int]] = {}
     for r in instance.state.resources:
@@ -261,26 +279,13 @@ def instance_to_dict(instance: Instance) -> dict:
         ],
         "tasks": [
             {
-                "id": t.id,
-                "name": t.name,
-                "product": t.product,
-                "quantity_kg": t.quantity,
-                "due_h": t.due_date,
+                **_order_to_dict(t),
                 "resource": placement[t.id][0],
                 "chain_position": placement[t.id][1],
             }
             for t in sorted(instance.state.tasks.values(), key=lambda t: t.id)
         ],
-        "disruption": {
-            "order": {
-                "id": instance.order.id,
-                "name": instance.order.name,
-                "product": instance.order.product,
-                "quantity_kg": instance.order.quantity,
-                "due_h": instance.order.due_date,
-            },
-            "arrival_h": instance.arrival_h,
-        },
+        "disruption": {"order": _order_to_dict(instance.order), "arrival_h": instance.arrival_h},
     }
 
 
@@ -318,14 +323,7 @@ def instance_from_dict(data: dict) -> Instance:
     tasks: dict[str, Task] = {}
     for i, td in enumerate(data["tasks"]):
         where = f"tasks[{i}]"
-        _require(td, _TASK_FIELDS, where)
-        t = Task(
-            id=_string(td["id"], f"{where}.id"),
-            name=_string(td["name"], f"{where}.name"),
-            product=_string(td["product"], f"{where}.product"),
-            quantity=_positive(td["quantity_kg"], f"{where}.quantity_kg"),
-            due_date=_non_negative(td["due_h"], f"{where}.due_h"),
-        )
+        t = _order_from_dict(td, _TASK_FIELDS, where)
         if t.id in tasks:
             raise InstanceFormatError(f"{where}: duplicate task id {t.id}")
         rid = _string(td["resource"], f"{where}.resource")
@@ -347,15 +345,7 @@ def instance_from_dict(data: dict) -> Instance:
         r.task_chain = [tid for _, tid in entries]
 
     _require(data["disruption"], {"order", "arrival_h"}, "disruption")
-    od = data["disruption"]["order"]
-    _require(od, _ORDER_FIELDS, "disruption.order")
-    order = Task(
-        id=_string(od["id"], "disruption.order.id"),
-        name=_string(od["name"], "disruption.order.name"),
-        product=_string(od["product"], "disruption.order.product"),
-        quantity=_positive(od["quantity_kg"], "disruption.order.quantity_kg"),
-        due_date=_non_negative(od["due_h"], "disruption.order.due_h"),
-    )
+    order = _order_from_dict(data["disruption"]["order"], _ORDER_FIELDS, "disruption.order")
     if order.id in tasks:
         raise InstanceFormatError(f"disruption.order: id {order.id} is already a task id")
     # Q keys name tasks, so two tasks with one name would share preferences,

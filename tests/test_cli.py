@@ -406,9 +406,8 @@ def test_infinite_pre_disruption_tardiness_exits_2(tmp_path, capsys):
     data["resources"][0]["release_time"] = 1e308
     path = tmp_path / "inf.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(["validate", "--instance", str(path)]) == 0
-    capsys.readouterr()
     for args in (
+        ["validate"],
         ["repair"],
         ["train", "--qstore", str(tmp_path / "q.txt")],
         ["evaluate", "--runs", "2"],
@@ -429,11 +428,12 @@ def test_infinite_post_insertion_tardiness_exits_2(tmp_path, capsys):
             rd["rates"][order["product"]] = 0.5
     path = tmp_path / "inf.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    # validate checks the file, and evaluate repairs fresh orders, not the file's
-    for args in (["validate"], ["evaluate", "--runs", "2"], ["render"]):
+    # evaluate repairs fresh orders, not the file's, and render draws the base plant
+    for args in (["evaluate", "--runs", "2"], ["render"]):
         assert main([args[0], "--instance", str(path), *args[1:]]) == 0, args[0]
     capsys.readouterr()
     for args in (
+        ["validate"],
         ["repair"],
         ["train", "--qstore", str(tmp_path / "q.txt")],
         ["render", "--disrupted"],
@@ -467,6 +467,19 @@ def test_task_on_incapable_resource_exits_1(tmp_path, capsys, command):
     assert "Traceback" not in err
     assert err.startswith(f"{path}: " if command == "validate" else "error: ")
     assert not q.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "repair"])
+def test_unplaceable_order_exits_1(tmp_path, capsys, command):
+    # well-formed, but no resource has a rate for the arriving order's product
+    data = instance_to_dict(generate_instance(InstanceSpec(seed=7)))
+    data["disruption"]["order"]["product"] = "Z"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main([command, "--instance", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "no resource can process Z" in err
+    assert err.startswith(f"{path}: " if command == "validate" else "error: ")
 
 
 def test_render_row_bound_fails_before_any_file_is_written(tmp_path, capsys):
@@ -535,13 +548,13 @@ def _nodes(node, path=()):
 
 
 def test_loader_fuzz_every_command_exits_0_1_or_2(tmp_path, capsys):
-    # 100 seeded mutations of a valid file, each one leaf replaced or one key
-    # deleted: every command must exit 0, 1 or 2, and never raise or hang.
+    # 200 seeded mutations of a valid file, each one leaf replaced or one key
+    # deleted: every command must exit 0, 1 or 2, and never raise or hang,
+    # and a file validate accepts must be one repair and train can run.
     base = instance_to_dict(generate_instance(InstanceSpec(seed=5, task_count=6)))
     nodes = list(_nodes(base))
     leaves = [where for where, value in nodes if not isinstance(value, (dict, list))]
     keys = [where for where, _ in nodes if isinstance(where[-1], str)]
-    rng = random.Random(2024)
     path = tmp_path / "fuzz.json"
     q = str(tmp_path / "q.txt")
     commands = [
@@ -551,22 +564,28 @@ def test_loader_fuzz_every_command_exits_0_1_or_2(tmp_path, capsys):
         ["evaluate", "--runs", "1", "--max-steps", "5"],
         ["render"],
     ]
-    for _ in range(100):
-        data = copy.deepcopy(base)
-        delete = rng.random() < 0.2
-        *parents, last = rng.choice(keys if delete else leaves)
-        node = data
-        for key in parents:
-            node = node[key]
-        if delete:
-            del node[last]
-            mutation = f"delete {(*parents, last)}"
-        else:
-            value = rng.choice(FUZZ_VALUES)
-            node[last] = value
-            mutation = f"{(*parents, last)} = {value!r:.20}"
-        path.write_text(json.dumps(data), encoding="utf-8")
-        for command in commands:
-            code = main([command[0], "--instance", str(path), *command[1:]])
-            assert code in (0, 1, 2), f"{mutation}: {command[0]} returned {code}"
-        capsys.readouterr()
+    # Seed 2 sets a release_time to 1e308, an infinite tardiness repair refuses.
+    for rng in (random.Random(2024), random.Random(2)):
+        for _ in range(100):
+            data = copy.deepcopy(base)
+            delete = rng.random() < 0.2
+            *parents, last = rng.choice(keys if delete else leaves)
+            node = data
+            for key in parents:
+                node = node[key]
+            if delete:
+                del node[last]
+                mutation = f"delete {(*parents, last)}"
+            else:
+                value = rng.choice(FUZZ_VALUES)
+                node[last] = value
+                mutation = f"{(*parents, last)} = {value!r:.20}"
+            path.write_text(json.dumps(data), encoding="utf-8")
+            codes = {}
+            for command in commands:
+                code = main([command[0], "--instance", str(path), *command[1:]])
+                assert code in (0, 1, 2), f"{mutation}: {command[0]} returned {code}"
+                codes[command[0]] = code
+            if codes["validate"] == 0:
+                assert codes["repair"] == codes["train"] == 0, f"{mutation}: {codes}"
+            capsys.readouterr()

@@ -120,7 +120,7 @@ def test_lazy_entry_creation_matches_visits():
 def test_invalid_configs():
     s = disrupted_instance()
     with pytest.raises(InvalidConfig):
-        run_episode(s, QStore(), EpisodeConfig(max_steps=0))
+        EpisodeConfig(max_steps=0)
     with pytest.raises(InvalidConfig):
         train(s, QStore(), 0, EpisodeConfig())
 

@@ -141,7 +141,7 @@ def test_inject_flags_executing_heads():
             assert not s.tasks[tid].executing
 
 
-def _copying_oracle(instance, resource, position):
+def _copying_oracle(instance):
     """The disrupted state built from a full copy: elaborate the raw plant,
     flag the started heads in the copy, snapshot, insert."""
     base = elaborate(instance.state)
@@ -149,33 +149,24 @@ def _copying_oracle(instance, resource, position):
         if r.task_chain and base.tasks[r.task_chain[0]].start < instance.arrival_h:
             base.tasks[r.task_chain[0]].executing = True
     base.init_tardiness = base.total_tardiness
-    if resource is None:
-        capable = [r for r in base.resources if instance.order.product in r.rates]
-        ends = [base.tasks[r.task_chain[-1]].finish if r.task_chain else r.release_time
-                for r in capable]
-        resource = capable[ends.index(min(ends))].id
-        position = len(base.resource_by_id(resource).task_chain)
-    return insert_order(base, instance.order, resource, position)
+    capable = [r for r in base.resources if instance.order.product in r.rates]
+    ends = [base.tasks[r.task_chain[-1]].finish if r.task_chain else r.release_time
+            for r in capable]
+    resource = capable[ends.index(min(ends))]
+    return insert_order(base, instance.order, resource.id, len(resource.task_chain))
 
 
-@pytest.mark.parametrize("placement", ["default", "explicit"])
-def test_inject_disruption_matches_a_full_copy_and_shares_what_it_leaves(placement):
+def test_inject_disruption_matches_a_full_copy_and_shares_what_it_leaves():
     for seed in range(40):
         generated = generate_instance(InstanceSpec(seed=seed))
-        rng = Random(seed)
         for arrival in (0.0, 1.0, 2.0, 6.0):
             inst = Instance(frozen(generated.state), generated.order, arrival)
-            resource = position = None
-            if placement == "explicit":
-                capable = [r for r in inst.state.resources if inst.order.product in r.rates]
-                target = rng.choice(capable)
-                resource, position = target.id, rng.randint(0, len(target.task_chain))
             snapshot = copy.deepcopy(inst)
-            s = inject_disruption(inst, resource, position)
-            oracle = _copying_oracle(inst, resource, position)
+            s = inject_disruption(inst)
+            oracle = _copying_oracle(inst)
             assert inst == snapshot
 
-            where = (seed, arrival, placement)
+            where = (seed, arrival)
             assert list(s.tasks) == list(oracle.tasks), where
             for tid, t in s.tasks.items():
                 assert vars(t) == vars(oracle.tasks[tid]), (where, tid)
@@ -222,13 +213,6 @@ def test_loaded_state_is_elaborated(tmp_path, seed):
     state = load_instance(path).state
     assert_fully_elaborated(state)
     assert validate(state) == []
-
-
-def test_inject_explicit_placement():
-    inst = generate_instance(InstanceSpec(seed=9))
-    rid = next(r.id for r in inst.state.resources if inst.order.product in r.rates)
-    s = inject_disruption(inst, resource=rid, position=0)
-    assert s.resource_by_id(rid).task_chain[0] == inst.order.id
 
 
 def test_sample_disruption_is_plausible_and_deterministic():
