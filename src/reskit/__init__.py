@@ -20,7 +20,6 @@ from .schedule import (
     Task,
     Violation,
     elaborate,
-    insert_order,
     task_tardiness,
     validate,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "elaborate",
     "generate_instance",
     "inject_disruption",
-    "insert_order",
     "load_instance",
     "load_qstore",
     "propose",

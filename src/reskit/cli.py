@@ -22,6 +22,7 @@ from .errors import (
     CorruptQStoreError,
     InfeasibleSpec,
     InstanceFormatError,
+    InvalidConfig,
     QStoreVersionError,
     ReskitError,
     UnprocessableProduct,
@@ -172,6 +173,8 @@ def cmd_repair(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.runs < 1:
+        raise InvalidConfig(f"runs must be positive, got {args.runs}")
     seed = _resolve_seed(args)
     instance = load_instance(args.instance)
     store = load_qstore(args.qstore) if args.qstore else QStore()
@@ -196,7 +199,7 @@ def cmd_evaluate(args) -> int:
             }
         )
     success = sum(1 for r in runs if r["outcome"] == Outcome.GOAL_REACHED.value)
-    rate = success / len(runs) if runs else 0.0
+    rate = success / len(runs)
     if args.report:
         _write_json(args.report, {"runs": runs, "success_rate": rate})
     print(f"success rate {rate:.3f} ({success}/{len(runs)} greedy runs reached the goal)")
@@ -241,12 +244,13 @@ def cmd_validate(args) -> int:
 
 def cmd_inspect_q(args) -> int:
     store = load_qstore(args.qstore)
+    top = top_preferences(store, per_signature=args.top)
     print(
         f"# {len(store.entries)} entries, alpha={store.hyper.alpha:g} "
         f"gamma={store.hyper.gamma:g} lambda={store.hyper.lam:g} "
         f"epsilon={store.hyper.epsilon:g}"
     )
-    for key, value in top_preferences(store, per_signature=args.top):
+    for key, value in top:
         sig = key.sig
         print(
             f"totTard={sig.total_tardiness:.2f} init={sig.init_tardiness:.2f} "

@@ -13,10 +13,6 @@ class BrokenChain(ReskitError):
     """Task chains do not form a single acyclic sequence per resource."""
 
 
-class PositionOutOfRange(ReskitError):
-    """Chain insertion index is outside [0, len(chain)]."""
-
-
 class NoFocalTask(ReskitError):
     """The operation needs a focal task but the state has none."""
 

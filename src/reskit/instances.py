@@ -16,7 +16,7 @@ from pathlib import Path
 from random import Random
 
 from .errors import InfeasibleSpec, InstanceFormatError, UnprocessableProduct
-from .schedule import Resource, ScheduleState, Task, elaborate, insert_order
+from .schedule import Resource, ScheduleState, Task, _splice, elaborate
 
 _CAPABILITY_REDRAWS = 32
 # Order ready times scatter over this fraction of the expected makespan;
@@ -126,44 +126,52 @@ def generate_instance(spec: InstanceSpec) -> Instance:
 
 
 def inject_disruption(instance: Instance) -> ScheduleState:
-    """Snapshot pre-disruption tardiness, freeze running work, insert the order.
+    """Snapshot pre-disruption tardiness, freeze running work, append the order.
 
     Chain heads already started at the arrival time are flagged executing.
     The order goes at the end of the capable resource whose chain finishes
     earliest (ties to the earlier resource, as ``min`` keeps the first of
-    equal keys); with no capable resource it raises
-    ``UnprocessableProduct``. A pre-disruption or post-insertion tardiness
-    that is not finite raises ``InstanceFormatError``: every state would
-    reach the one, and no reward is defined from the other.
+    equal keys) and becomes the focal task. With no capable resource it
+    raises ``UnprocessableProduct``, and an order id already in the plant
+    raises ``ValueError``. A pre-disruption or post-insertion tardiness that
+    is not finite raises ``InstanceFormatError``: every state would reach
+    the one, and no reward is defined from the other.
 
     ``instance.state`` must be elaborated, and is left untouched. The result
-    shares every ``Resource`` and ``Task`` it does not change with it: only
-    the flagged heads, the order and its resource are new. So, besides the
-    shallow task-dict copies every splice makes, a fresh order costs
+    is one ``schedule._splice`` of the target chain, as ``operators.apply``
+    builds a step: only the flagged heads, the order and its resource are
+    new, and every other ``Resource`` and ``Task`` is shared with the
+    instance. So, besides the shallow task-dict copies, a fresh order costs
     O(resources), not a plant copy.
     """
-    base = instance.state
+    base, order = instance.state, instance.order
     if not math.isfinite(base.total_tardiness):
         raise InstanceFormatError(
             f"pre-disruption tardiness is {base.total_tardiness}, not a finite number"
         )
+    capable = [i for i, r in enumerate(base.resources) if order.product in r.rates]
+    if not capable:
+        raise UnprocessableProduct(f"no resource can process {order.product}")
+    if order.id in base.tasks:
+        raise ValueError(f"task id {order.id} already present")
+
     tasks = dict(base.tasks)
     for r in base.resources:
         if r.task_chain and tasks[r.task_chain[0]].start < instance.arrival_h:
-            head = Task(**vars(tasks[r.task_chain[0]]))
-            head.executing = True
-            tasks[head.id] = head
-    base = replace(base, tasks=tasks, init_tardiness=base.total_tardiness)
+            head = tasks[r.task_chain[0]]
+            # Copied as _splice copies a task; replace() would keep a subclass.
+            tasks[head.id] = Task(**{**vars(head), "executing": True})
+    tasks[order.id] = order
 
-    capable = [r for r in base.resources if instance.order.product in r.rates]
-    if not capable:
-        raise UnprocessableProduct(f"no resource can process {instance.order.product}")
-
-    def chain_end(r: Resource) -> float:
+    def chain_end(i: int) -> float:
+        r = base.resources[i]
         return tasks[r.task_chain[-1]].finish if r.task_chain else r.release_time
 
     target = min(capable, key=chain_end)
-    disrupted = insert_order(base, instance.order, target.id, len(target.task_chain))
+    disrupted = _splice(
+        replace(base, tasks=tasks, focal_task=order.id, init_tardiness=base.total_tardiness),
+        {target: [*base.resources[target].task_chain, order.id]},
+    )
     if not math.isfinite(disrupted.total_tardiness):
         raise InstanceFormatError(
             f"post-insertion tardiness is {disrupted.total_tardiness}, not a finite number"
@@ -357,7 +365,7 @@ def instance_from_dict(data: dict) -> Instance:
         if "\t" in t.name or "".join(t.name.splitlines()) != t.name:
             raise InstanceFormatError(f"task name {t.name!r} holds a tab or a line break")
         names.add(t.name)
-    arrival = _number(data["disruption"]["arrival_h"], "disruption.arrival_h")
+    arrival = _non_negative(data["disruption"]["arrival_h"], "disruption.arrival_h")
 
     state = elaborate(ScheduleState(resources=resources, tasks=tasks))
     return Instance(state=state, order=order, arrival_h=arrival)

@@ -205,8 +205,8 @@ def _finite(text: str) -> float:
 def load_qstore(path: str | Path) -> QStore:
     """Read a store ``save_qstore`` wrote; raise ``CorruptQStoreError`` on
     anything it would not write: a malformed line, a number that is not
-    finite, a negative task count, an unknown operator name or a key given
-    twice."""
+    finite, a negative task count, an unknown operator name, an operator
+    focal that is not the signature's focal, or a key given twice."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines:
@@ -250,6 +250,11 @@ def load_qstore(path: str | Path) -> QStore:
             raise CorruptQStoreError(f"{path}:{lineno}: negative task count {sig.task_number}")
         if fields[7] not in _OPERATOR_NAMES:
             raise CorruptQStoreError(f"{path}:{lineno}: unknown operator {fields[7]!r}")
+        if fields[8] != sig.focal_task:
+            raise CorruptQStoreError(
+                f"{path}:{lineno}: operator focal {fields[8]!r} is not the "
+                f"signature's focal {sig.focal_task!r}"
+            )
         key = QKey(sig, fields[7], fields[8], fields[9])
         if key in store.entries:
             raise CorruptQStoreError(f"{path}:{lineno}: key repeated from an earlier line")
@@ -259,6 +264,8 @@ def load_qstore(path: str | Path) -> QStore:
 
 def top_preferences(store: QStore, per_signature: int = 5) -> list[tuple[QKey, float]]:
     """Best-valued entries grouped per signature, for inspection output."""
+    if per_signature < 1:
+        raise InvalidConfig(f"per_signature must be positive, got {per_signature}")
     by_sig: dict[StateSignature, list[tuple[QKey, float]]] = {}
     for key, value in store.entries.items():
         by_sig.setdefault(key.sig, []).append((key, value))

@@ -14,12 +14,11 @@ idempotent.
 
 States are values: every operation returns a new state and leaves its input
 untouched, so states can be archived for episode rollback and compared after
-the fact. A returned state never changes, but ``insert_order``,
-``operators.apply`` and ``instances.inject_disruption`` copy only the chains
-they splice, and of those only the tasks from the first changed slot on
-(``inject_disruption`` also copies each chain head it flags executing):
-unchanged chain prefixes and every other ``Task`` and ``Resource`` are
-shared, so ``clone()`` a state before mutating it.
+the fact. A returned state never changes, but ``_splice``, which
+``operators.apply`` and ``instances.inject_disruption`` build their states
+with, copies only the chains it splices, and of those only the tasks from
+the first changed slot on: unchanged chain prefixes and every other ``Task``
+and ``Resource`` are shared, so ``clone()`` a state before mutating it.
 ``elaborate`` returns a state that shares nothing with its input.
 ``Resource.task_chain`` is the only record of task order.
 """
@@ -29,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
-from .errors import BrokenChain, PositionOutOfRange, UnprocessableProduct
+from .errors import BrokenChain, UnprocessableProduct
 
 # Absolute tolerance for aggregate float comparisons.
 AGG_TOL = 1e-9
@@ -99,12 +98,6 @@ class ScheduleState:
             ],
             tasks={tid: Task(**vars(t)) for tid, t in self.tasks.items()},
         )
-
-    def resource_by_id(self, resource_id: str) -> Resource:
-        for r in self.resources:
-            if r.id == resource_id:
-                return r
-        raise KeyError(resource_id)
 
     def resource_of(self, task_id: str) -> Resource:
         """Resource whose chain holds ``task_id``; the state must be elaborated."""
@@ -250,32 +243,6 @@ def _splice(state: ScheduleState, chains: dict[int, list[str]]) -> ScheduleState
             s.tasks[tid] = Task(**vars(s.tasks[tid]))
     _retime(s, firsts)
     return s
-
-
-def insert_order(
-    state: ScheduleState, order: Task, resource: str, position: int
-) -> ScheduleState:
-    """Insert an arriving order into a chain and mark it as the focal task.
-
-    ``state`` must be elaborated, and its ``init_tardiness`` snapshotted;
-    the insertion does not touch it. Only the target chain is copied.
-    """
-    target = state.resource_by_id(resource)
-    if order.product not in target.rates:
-        raise UnprocessableProduct(
-            f"resource {resource} has no rate for product {order.product}"
-        )
-    if not 0 <= position <= len(target.task_chain):
-        raise PositionOutOfRange(
-            f"position {position} not in [0, {len(target.task_chain)}] on {resource}"
-        )
-    if order.id in state.tasks:
-        raise ValueError(f"task id {order.id} already present")
-
-    chain = list(target.task_chain)
-    chain.insert(position, order.id)
-    with_order = replace(state, tasks={**state.tasks, order.id: order}, focal_task=order.id)
-    return _splice(with_order, {state.resources.index(target): chain})
 
 
 def validate(state: ScheduleState) -> list[Violation]:

@@ -6,7 +6,9 @@ independent of the package's elaboration path; property tests compare the
 two.
 ``assert_fully_elaborated`` instead checks a state re-timed in part against
 the package's own full elaboration, and ``assert_prefixes_shared`` checks
-which task objects a splice copied.
+which task objects a splice copied. ``disruption_oracle`` builds the
+disrupted state with a full elaboration of a raw copy, and
+``assert_disrupted`` checks ``inject_disruption`` against it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from random import Random
 
+from reskit.instances import Instance
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
 
 PRODUCTS = ["A", "B", "C", "D"]
@@ -133,6 +136,53 @@ def assert_prefixes_shared(before: ScheduleState, after: ScheduleState) -> int:
         for tid in new.task_chain[first:]:
             assert after.tasks[tid] is not before.tasks.get(tid), tid
     return changed
+
+
+def disruption_oracle(instance: Instance) -> ScheduleState:
+    """The disrupted state built without ``inject_disruption``: on a deep copy
+    of the plant, flag the chain heads started before the arrival, append the
+    order to the capable chain that ends first, make it the focal task,
+    elaborate in full, then record the pre-disruption tardiness."""
+    raw = instance.state.clone()
+    order = instance.order
+    capable = [r for r in raw.resources if order.product in r.rates]
+    ends = [raw.tasks[r.task_chain[-1]].finish if r.task_chain else r.release_time
+            for r in capable]
+    for r in raw.resources:
+        if r.task_chain and raw.tasks[r.task_chain[0]].start < instance.arrival_h:
+            raw.tasks[r.task_chain[0]].executing = True
+    capable[ends.index(min(ends))].task_chain.append(order.id)
+    raw.tasks[order.id] = order
+    raw.focal_task = order.id
+    s = elaborate(raw)
+    s.init_tardiness = instance.state.total_tardiness
+    return s
+
+
+def assert_disrupted(instance: Instance, s: ScheduleState) -> None:
+    """``s`` equals ``disruption_oracle(instance)`` field for field, and
+    shares with ``instance.state`` every resource but the order's and every
+    task but the order and the heads flagged executing at the arrival."""
+    oracle = disruption_oracle(instance)
+    assert list(s.tasks) == list(oracle.tasks)
+    for tid, t in s.tasks.items():
+        assert vars(t) == vars(oracle.tasks[tid]), tid
+    for r, o in zip(s.resources, oracle.resources, strict=True):
+        assert vars(r) == vars(o), r.id
+    for attr in (*AGGREGATES, "init_tardiness", "focal_task"):
+        assert getattr(s, attr) == getattr(oracle, attr), attr
+
+    base = instance.state
+    new = {instance.order.id}
+    new.update(
+        r.task_chain[0] for r in base.resources
+        if r.task_chain and base.tasks[r.task_chain[0]].start < instance.arrival_h
+    )
+    target = s.resource_of(instance.order.id)
+    for r, old in zip(s.resources, base.resources):
+        assert (r is old) == (r is not target), r.id
+    for tid, t in s.tasks.items():
+        assert (t is base.tasks.get(tid)) == (tid not in new), tid
 
 
 class FrozenTask(Task):

@@ -59,6 +59,7 @@ def test_seed_env_default(tmp_path, monkeypatch):
         ["--slack-min", "-5", "--slack-max", "-4"],
         ["--arrival", "nan"],
         ["--arrival", "inf"],
+        ["--arrival", "-50"],
     ],
     ids=[
         "zero-rates",
@@ -70,6 +71,7 @@ def test_seed_env_default(tmp_path, monkeypatch):
         "negative-slack",
         "nan-arrival",
         "infinite-arrival",
+        "negative-arrival",
     ],
 )
 def test_generate_writes_only_files_the_loader_reads(tmp_path, capsys, flags):
@@ -245,6 +247,7 @@ def _record(**changed):
         [_record(f10="nan")],
         [_record(f10="inf")],
         [_record(f7="up-up-jump")],
+        [_record(f8="Task6")],
         [_record(), _record(f10="0.75")],
     ],
     ids=[
@@ -255,6 +258,7 @@ def _record(**changed):
         "nan-value",
         "inf-value",
         "unknown-operator",
+        "operator-focal-is-not-signature-focal",
         "repeated-key",
     ],
 )
@@ -265,13 +269,36 @@ def test_corrupt_qstore_record_exits_2(tmp_path, instance_path, capsys, command,
         "repair": ["repair", "--instance", instance_path, "--qstore", str(q)],
         "inspect-q": ["inspect-q", "--qstore", str(q)],
     }[command]
-    q.write_text("\n".join([QSTORE_HEADER, _record(f6="Task9")]) + "\n", encoding="utf-8")
+    q.write_text(
+        "\n".join([QSTORE_HEADER, _record(f6="Task9", f8="Task9")]) + "\n", encoding="utf-8"
+    )
     assert main(args) == 0
     capsys.readouterr()
     q.write_text("\n".join([QSTORE_HEADER, *records]) + "\n", encoding="utf-8")
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {q}:{len(records) + 1}: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["evaluate", "--runs", "0"],
+        ["evaluate", "--runs", "-3"],
+        ["inspect-q", "--top", "0"],
+        ["inspect-q", "--top", "-1"],
+    ],
+    ids=["zero-runs", "negative-runs", "zero-top", "negative-top"],
+)
+def test_count_below_one_exits_1(tmp_path, instance_path, capsys, args):
+    q = tmp_path / "q.txt"
+    assert main(["train", "--instance", instance_path, "--qstore", str(q), "--episodes", "2"]) == 0
+    capsys.readouterr()
+    files = {"evaluate": ["--instance", instance_path], "inspect-q": ["--qstore", str(q)]}
+    assert main([args[0], *files[args[0]], *args[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "must be positive" in err
 
 
 def _nan_quantity(data):
@@ -341,6 +368,7 @@ def _set(*path, value):
         _set("tasks", 0, "due_h", value=-5.0),
         _set("disruption", "order", "due_h", value=-5.0),
         _set("resources", 0, "release_time", value=-1.0),
+        _set("disruption", "arrival_h", value=-1.0),
         _set("tasks", 0, "id", value=None),
         _set("tasks", 0, "name", value={}),
         _set("tasks", 0, "product", value=1),
@@ -369,6 +397,7 @@ def _set(*path, value):
         "negative-task-due",
         "negative-order-due",
         "negative-release-time",
+        "negative-arrival",
         "null-task-id",
         "object-task-name",
         "number-task-product",

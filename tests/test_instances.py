@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from helpers import AGGREGATES, assert_fully_elaborated, frozen
+from helpers import assert_disrupted, assert_fully_elaborated, frozen
 from reskit import instances, schedule
 from reskit.errors import InfeasibleSpec, InstanceFormatError
 from reskit.instances import (
@@ -19,7 +19,7 @@ from reskit.instances import (
     sample_disruption,
     save_instance,
 )
-from reskit.schedule import ScheduleState, elaborate, insert_order, validate
+from reskit.schedule import ScheduleState, elaborate, validate
 
 
 def test_default_spec_generates_valid_instance():
@@ -141,21 +141,6 @@ def test_inject_flags_executing_heads():
             assert not s.tasks[tid].executing
 
 
-def _copying_oracle(instance):
-    """The disrupted state built from a full copy: elaborate the raw plant,
-    flag the started heads in the copy, snapshot, insert."""
-    base = elaborate(instance.state)
-    for r in base.resources:
-        if r.task_chain and base.tasks[r.task_chain[0]].start < instance.arrival_h:
-            base.tasks[r.task_chain[0]].executing = True
-    base.init_tardiness = base.total_tardiness
-    capable = [r for r in base.resources if instance.order.product in r.rates]
-    ends = [base.tasks[r.task_chain[-1]].finish if r.task_chain else r.release_time
-            for r in capable]
-    resource = capable[ends.index(min(ends))]
-    return insert_order(base, instance.order, resource.id, len(resource.task_chain))
-
-
 def test_inject_disruption_matches_a_full_copy_and_shares_what_it_leaves():
     for seed in range(40):
         generated = generate_instance(InstanceSpec(seed=seed))
@@ -163,27 +148,8 @@ def test_inject_disruption_matches_a_full_copy_and_shares_what_it_leaves():
             inst = Instance(frozen(generated.state), generated.order, arrival)
             snapshot = copy.deepcopy(inst)
             s = inject_disruption(inst)
-            oracle = _copying_oracle(inst)
-            assert inst == snapshot
-
-            where = (seed, arrival)
-            assert list(s.tasks) == list(oracle.tasks), where
-            for tid, t in s.tasks.items():
-                assert vars(t) == vars(oracle.tasks[tid]), (where, tid)
-            for r, o in zip(s.resources, oracle.resources, strict=True):
-                assert vars(r) == vars(o), (where, r.id)
-            for attr in (*AGGREGATES, "init_tardiness", "focal_task"):
-                assert getattr(s, attr) == getattr(oracle, attr), (where, attr)
-
-            # Only the flagged heads and the target chain from the order on are new.
-            target = s.resource_of(inst.order.id)
-            chain = target.task_chain
-            new = set(chain[chain.index(inst.order.id):])
-            new.update(tid for tid, t in s.tasks.items() if t.executing)
-            for i, r in enumerate(s.resources):
-                assert (r is inst.state.resources[i]) == (r is not target), (where, r.id)
-            for tid, t in s.tasks.items():
-                assert (t is inst.state.tasks.get(tid)) == (tid not in new), (where, tid)
+            assert inst == snapshot, (seed, arrival)
+            assert_disrupted(inst, s)
 
 
 def test_inject_disruption_neither_copies_nor_elaborates_the_plant(tmp_path, monkeypatch):

@@ -17,7 +17,7 @@ from reskit.operators import (
     apply,
     propose,
 )
-from reskit.schedule import Resource, ScheduleState, Task, elaborate, insert_order, validate
+from reskit.schedule import Resource, ScheduleState, Task, elaborate, validate
 
 from helpers import (
     PRODUCTS,
@@ -450,7 +450,7 @@ def oracle_starts():
     then fresh orders on two 500 x 20 plants."""
     rng = Random(31)
     for _ in range(150):
-        base = elaborate(random_state(rng, max_resources=4, max_tasks=12))
+        raw = random_state(rng, max_resources=4, max_tasks=12)
         order = Task(
             id="t99",
             name="Task99",
@@ -458,11 +458,13 @@ def oracle_starts():
             quantity=round(rng.uniform(1.0, 60.0), 1),
             due_date=round(rng.uniform(0.0, 30.0), 2),
         )
-        capable = [r for r in base.resources if order.product in r.rates]
+        capable = [r for r in raw.resources if order.product in r.rates]
         if capable:
             target = rng.choice(capable)
-            position = rng.randint(0, len(target.task_chain))
-            yield insert_order(base, order, target.id, position)
+            target.task_chain.insert(rng.randint(0, len(target.task_chain)), order.id)
+            raw.tasks[order.id] = order
+            raw.focal_task = order.id
+            yield elaborate(raw)
     for seed in range(2):
         inst = generate_instance(InstanceSpec(seed=700 + seed, task_count=500, resource_count=20))
         for _ in range(3):
@@ -470,7 +472,7 @@ def oracle_starts():
 
 
 def test_steps_match_independent_oracles():
-    # after every insert_order and every random apply: each task's resource
+    # after every order placement and every random apply: each task's resource
     # slot is its holder by a chain scan, and the aggregates match exact sums
     rng = Random(37)
     steps = across = 0

@@ -4,20 +4,20 @@ from random import Random
 
 import pytest
 
-from reskit.errors import BrokenChain, PositionOutOfRange, UnprocessableProduct
+from reskit.errors import BrokenChain, UnprocessableProduct
+from reskit.instances import Instance, inject_disruption
 from reskit.schedule import (
     Resource,
     ScheduleState,
     Task,
     elaborate,
-    insert_order,
     task_tardiness,
     validate,
 )
 
 from helpers import (
     PRODUCTS,
-    assert_prefixes_shared,
+    assert_disrupted,
     frozen,
     naive_aggregates,
     naive_timing,
@@ -124,34 +124,32 @@ def order(id="t9", product="A", quantity=10.0, due=50.0):
 
 
 def test_insert_order_into_empty_resource():
+    # the arrival is after the release, but the order is no started head
     base = elaborate(
         ScheduleState(resources=[Resource(id="r1", rates={"A": 10.0}, release_time=1.5)])
     )
-    base.init_tardiness = base.total_tardiness
-    s = insert_order(base, order(), "r1", 0)
+    s = inject_disruption(Instance(base, order(), arrival_h=2.0))
     assert s.resources[0].task_chain == ["t9"]
     assert s.focal_task == "t9"
     assert s.tasks["t9"].start == 1.5
+    assert not s.tasks["t9"].executing
     assert s.init_tardiness == 0.0
 
 
 def test_insert_order_at_end_keeps_upstream_timing():
     base = elaborate(two_task_state())
-    base.init_tardiness = base.total_tardiness
     before = naive_timing(base)
-    s = insert_order(base, order(), "r1", 2)
+    s = inject_disruption(Instance(base, order()))
     assert s.resources[0].task_chain == ["t1", "t2", "t9"]
     for tid in ("t1", "t2"):
         assert s.tasks[tid].start == pytest.approx(before[tid]["start"], abs=TOL)
         assert s.tasks[tid].finish == pytest.approx(before[tid]["finish"], abs=TOL)
-    assert s.init_tardiness == 1.0  # snapshot untouched by the insertion
+    assert s.init_tardiness == 1.0  # the pre-insertion total
 
 
 def test_insert_order_snapshot_then_rise():
     # the pre-insertion total stays recorded while the post-insertion total grows
-    base = elaborate(two_task_state())
-    base.init_tardiness = base.total_tardiness
-    s = insert_order(base, order(due=0.0), "r1", 2)
+    s = inject_disruption(Instance(elaborate(two_task_state()), order(due=0.0)))
     assert s.init_tardiness == 1.0
     assert s.total_tardiness > s.init_tardiness
 
@@ -172,55 +170,46 @@ def test_elaborate_shares_nothing_with_its_input():
 
 
 def test_insert_order_equals_full_elaboration_and_leaves_input_alone():
-    # every capable resource x position of random states, some with an
-    # executing head that anchors its chain
+    # random states, some with an executing head that anchors its chain, at
+    # arrivals before and after chain heads start
     rng = Random(13)
-    checked = 0
+    checked = refused = 0
     for _ in range(100):
         raw = random_state(rng)
         for r in raw.resources:
             if r.task_chain and rng.random() < 0.3:
                 head = raw.tasks[r.task_chain[0]]
                 head.executing, head.start = True, round(rng.uniform(0.0, 5.0), 1)
-        base = elaborate(raw)
-        base.init_tardiness = base.total_tardiness
         # the input's tasks refuse writes, so re-timing a shared task raises
-        base = frozen(base)
+        base = frozen(elaborate(raw))
         the_order = order(
             product=rng.choice(PRODUCTS),
             quantity=round(rng.uniform(1.0, 60.0), 1),
             due=round(rng.uniform(0.0, 30.0), 2),
         )
         snapshot, order_snapshot = copy.deepcopy(base), copy.deepcopy(the_order)
-        for i, target in enumerate(base.resources):
-            if the_order.product not in target.rates:
+        for arrival in (0.0, *(round(rng.uniform(0.0, 8.0), 1) for _ in range(4))):
+            inst = Instance(base, the_order, arrival)
+            if not any(the_order.product in r.rates for r in base.resources):
+                with pytest.raises(UnprocessableProduct):
+                    inject_disruption(inst)
+                refused += 1
                 continue
-            for position in range(len(target.task_chain) + 1):
-                out = insert_order(base, the_order, target.id, position)
-                # only the target chain gets new objects, and of its tasks
-                # only those from the order's slot on
-                assert assert_prefixes_shared(base, out) == 1
-                chain = list(target.task_chain)
-                chain.insert(position, the_order.id)
-                assert out.resources[i].task_chain == chain
-                assert (out.focal_task, out.init_tardiness) == (the_order.id, base.init_tardiness)
-                assert out.tasks[the_order.id] is not the_order
-                checked += 1
+            out = inject_disruption(inst)
+            assert_disrupted(inst, out)
+            assert out.tasks[the_order.id] is not the_order
+            checked += 1
         assert base == snapshot
         assert the_order == order_snapshot
-    assert checked > 400
+    assert checked > 400 and refused > 0
 
 
 def test_insert_order_errors():
     base = elaborate(two_task_state())
-    with pytest.raises(UnprocessableProduct):
-        insert_order(base, order(product="Z"), "r1", 0)
-    with pytest.raises(PositionOutOfRange):
-        insert_order(base, order(), "r1", 3)
-    with pytest.raises(KeyError):
-        insert_order(base, order(), "rX", 0)
-    with pytest.raises(ValueError):
-        insert_order(base, order(id="t1"), "r1", 0)
+    with pytest.raises(UnprocessableProduct, match="no resource can process Z"):
+        inject_disruption(Instance(base, order(product="Z")))
+    with pytest.raises(ValueError, match="task id t1 already present"):
+        inject_disruption(Instance(base, order(id="t1")))
 
 
 def test_validate_clean_state():
