@@ -343,10 +343,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceFormatError, CorruptQStoreError, QStoreVersionError, InfeasibleSpec) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (
+        InstanceFormatError, CorruptQStoreError, QStoreVersionError, InfeasibleSpec, OSError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ReskitError as exc:

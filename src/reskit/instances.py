@@ -69,13 +69,11 @@ def _draw_capabilities(spec: InstanceSpec, rng: Random) -> list[set[str]]:
     )
 
 
-def _draw_order(
-    spec: InstanceSpec, rng: Random, best_rate: dict[str, float], index: int, offset: float = 0.0
-) -> Task:
+def _draw_order(spec: InstanceSpec, rng: Random, best_rate: dict[str, float], index: int) -> Task:
     product = rng.choice(spec.products)
     quantity = round(rng.uniform(*spec.quantity_range), 1)
     slack = rng.uniform(*spec.slack_range)
-    ready = offset + rng.uniform(0.0, spec.ready_cap())
+    ready = rng.uniform(0.0, spec.ready_cap())
     due = round(ready + slack * quantity / best_rate[product], 2)
     return Task(id=f"t{index}", name=f"Task{index}", product=product, quantity=quantity, due_date=due)
 
@@ -380,8 +378,9 @@ def save_instance(instance: Instance, path: str | Path) -> None:
 
 
 def load_instance(path: str | Path) -> Instance:
+    # ValueError: bad syntax, non-UTF-8 bytes, an int past the digit limit.
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InstanceFormatError(f"{path}: not valid JSON: {exc}") from exc
     return instance_from_dict(data)

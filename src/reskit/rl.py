@@ -1,10 +1,13 @@
 """Tabular SARSA(lambda) over (state signature, operator) keys.
 
 Preferences live in a lazily grown table keyed by the quantized state
-signature plus the operator's name and its focal/auxiliary task names, the
-in-memory analogue of per-situation preference rules. Eligibility traces are
-replacing (bumped to 1 on visit), decay by gamma*lambda per step, and are
-cleared between episodes.
+signature plus the operator's name and its auxiliary task's name (its focal
+is the one the signature names), the in-memory analogue of per-situation
+preference rules. Eligibility traces are replacing (bumped to 1 on visit),
+decay by gamma*lambda per step, and are cleared between episodes.
+
+A Q-store file holds one ``_record`` line per entry, and the loader takes a
+line only if ``_record`` writes it back unchanged.
 
 Rewards are hours of tardiness removed (negative when a step makes things
 worse), plus a +1 terminal bonus when a step lands at or below the
@@ -68,16 +71,19 @@ class Hyperparams:
 
 
 class QKey(NamedTuple):
-    """A preference-table key; a tuple, so it hashes and compares in C."""
+    """A preference-table key: signature, operator name and aux task name.
+
+    Every operator moves the focal the signature names, so the key holds it
+    once. A tuple, so it hashes and compares in C.
+    """
 
     sig: StateSignature
     op_name: str
-    op_focal: str
     op_aux: str
 
 
 def _key(sig: StateSignature, state: ScheduleState, op: RepairOperator) -> QKey:
-    return QKey(sig, op.kind.value, state.tasks[op.focal].name, state.tasks[op.aux].name)
+    return QKey(sig, op.kind.value, state.tasks[op.aux].name)
 
 
 def qkey(state: ScheduleState, op: RepairOperator) -> QKey:
@@ -168,22 +174,24 @@ def _sig_to_fields(sig: StateSignature) -> list[str]:
     ]
 
 
+def _record(key: QKey, value: float) -> str:
+    """An entry's one Q-store line; ``load_qstore`` takes only what this writes."""
+    fields = [*_sig_to_fields(key.sig), key.op_name, key.sig.focal_task, key.op_aux, repr(value)]
+    return "\t".join(fields)
+
+
 def save_qstore(store: QStore, path: str | Path) -> int:
     """Write the store as versioned line-oriented text; returns entry count.
 
     Records are sorted for byte-stable output. Traces are transient and not
-    persisted. Preference values use the shortest round-trip decimal.
+    persisted. Each entry is one ``_record`` line.
     """
     h = store.hyper
     lines = [
         f"{QSTORE_VERSION} alpha={h.alpha!r} gamma={h.gamma!r} "
         f"lambda={h.lam!r} epsilon={h.epsilon!r}"
     ]
-    records = []
-    for key, value in store.entries.items():
-        fields = _sig_to_fields(key.sig) + [key.op_name, key.op_focal, key.op_aux, repr(value)]
-        records.append("\t".join(fields))
-    records.sort()
+    records = sorted(_record(key, value) for key, value in store.entries.items())
     lines.extend(records)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     return len(records)
@@ -204,10 +212,18 @@ def _finite(text: str) -> float:
 
 def load_qstore(path: str | Path) -> QStore:
     """Read a store ``save_qstore`` wrote; raise ``CorruptQStoreError`` on
-    anything it would not write: a malformed line, a number that is not
-    finite, a negative task count, an unknown operator name, an operator
-    focal that is not the signature's focal, or a key given twice."""
-    text = Path(path).read_text(encoding="utf-8")
+    anything it would not write.
+
+    A record loads only if ``_record`` gives back the very line read from
+    its parsed key and value, so each figure is spelled as the saver spells
+    it and the two focal columns agree. What a round trip cannot catch is
+    checked on its own: text that is not UTF-8, the header, the field
+    count, a number that is not finite, a negative task count, an unknown
+    operator and a key given twice."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorruptQStoreError(f"{path}: not UTF-8 text: {exc}") from exc
     lines = text.splitlines()
     if not lines:
         raise CorruptQStoreError(f"{path}: empty file")
@@ -217,31 +233,19 @@ def load_qstore(path: str | Path) -> QStore:
     if m.group(1) != QSTORE_VERSION:
         raise QStoreVersionError(f"{path}: version {m.group(1)}, expected {QSTORE_VERSION}")
     try:
-        hyper = Hyperparams(
-            alpha=float(m.group(2)),
-            gamma=float(m.group(3)),
-            lam=float(m.group(4)),
-            epsilon=float(m.group(5)),
-        )
+        hyper = Hyperparams(*map(float, m.group(2, 3, 4, 5)))  # alpha, gamma, lambda, epsilon
     except (ValueError, InvalidConfig) as exc:
         raise CorruptQStoreError(f"{path}: bad hyperparameters: {exc}") from exc
 
     store = QStore(hyper)
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         fields = line.split("\t")
         if len(fields) != 11:
             raise CorruptQStoreError(f"{path}:{lineno}: expected 11 fields, got {len(fields)}")
         try:
+            # Columns 0-6 in ``StateSignature`` order, as ``_sig_to_fields`` writes them.
             sig = StateSignature(
-                total_wip=_finite(fields[0]),
-                task_number=int(fields[1]),
-                max_tardiness=_finite(fields[2]),
-                avg_tardiness=_finite(fields[3]),
-                total_tardiness=_finite(fields[4]),
-                init_tardiness=_finite(fields[5]),
-                focal_task=fields[6],
+                _finite(fields[0]), int(fields[1]), *map(_finite, fields[2:6]), fields[6]
             )
             value = _finite(fields[10])
         except ValueError as exc:
@@ -250,12 +254,10 @@ def load_qstore(path: str | Path) -> QStore:
             raise CorruptQStoreError(f"{path}:{lineno}: negative task count {sig.task_number}")
         if fields[7] not in _OPERATOR_NAMES:
             raise CorruptQStoreError(f"{path}:{lineno}: unknown operator {fields[7]!r}")
-        if fields[8] != sig.focal_task:
-            raise CorruptQStoreError(
-                f"{path}:{lineno}: operator focal {fields[8]!r} is not the "
-                f"signature's focal {sig.focal_task!r}"
-            )
-        key = QKey(sig, fields[7], fields[8], fields[9])
+        key = QKey(sig, fields[7], fields[9])
+        record = _record(key, value)
+        if record != line:
+            raise CorruptQStoreError(f"{path}:{lineno}: save_qstore would write {record!r}")
         if key in store.entries:
             raise CorruptQStoreError(f"{path}:{lineno}: key repeated from an earlier line")
         store.entries[key] = value

@@ -124,8 +124,8 @@ def test_criterion_3_sarsa_golden_transcript():
         return StateSignature(46.83, 16, 15.0, 2.5, total, 28.5, "Task16")
 
     store = QStore(Hyperparams(alpha=0.1, gamma=0.9, lam=0.1, epsilon=0.1))
-    k1 = QKey(sig(40.0), "up-right-jump", "Task16", "Task3")
-    k2 = QKey(sig(44.0), "down-right-jump", "Task16", "Task2")
+    k1 = QKey(sig(40.0), "up-right-jump", "Task3")
+    k2 = QKey(sig(44.0), "down-right-jump", "Task2")
     store.bump_trace(k1)
     store.sarsa_update(k1, -4.0, k2)
     store.bump_trace(k2)

@@ -1,7 +1,11 @@
 import copy
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,8 @@ from reskit.instances import (
     instance_to_dict,
     save_instance,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -249,6 +255,12 @@ def _record(**changed):
         [_record(f7="up-up-jump")],
         [_record(f8="Task6")],
         [_record(), _record(f10="0.75")],
+        [_record(f0="43.174")],
+        [_record(f1="1_6")],
+        [_record(f1="+16")],
+        [_record(f4="40.0")],
+        [_record(f10="0.50")],
+        [_record(), ""],
     ],
     ids=[
         "nan-max-tardiness",
@@ -260,6 +272,12 @@ def _record(**changed):
         "unknown-operator",
         "operator-focal-is-not-signature-focal",
         "repeated-key",
+        "three-decimal-wip",
+        "underscore-in-task-count",
+        "plus-sign-on-task-count",
+        "one-decimal-total-tardiness",
+        "trailing-zero-on-value",
+        "trailing-blank-line",
     ],
 )
 def test_corrupt_qstore_record_exits_2(tmp_path, instance_path, capsys, command, records):
@@ -278,6 +296,52 @@ def test_corrupt_qstore_record_exits_2(tmp_path, instance_path, capsys, command,
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {q}:{len(records) + 1}: ")
+
+
+# Bytes no loader can decode: not UTF-8, nested past the parser's recursion
+# limit, or an integer past Python's digit limit.
+UNREADABLE = {
+    "not-utf8": b"\xff",
+    "nested-too-deep": b"[" * 100_000,
+    "int-past-digit-limit": b"1" * 5_000,
+}
+READERS = {
+    "inst.json": ["validate", "repair", "train", "evaluate", "render"],
+    "q.txt": ["validate", "repair", "evaluate", "inspect-q"],
+}
+
+
+@pytest.mark.parametrize(
+    "name, command, content",
+    [
+        (name, command, content)
+        for name, commands in READERS.items()
+        for command in commands
+        for content in (UNREADABLE if name == "inst.json" else ["not-utf8"])
+    ],
+)
+def test_unreadable_file_exits_2_without_traceback(tmp_path, instance_path, name, command, content):
+    bad = tmp_path / name
+    if name == "q.txt":
+        bad.write_bytes(f"{QSTORE_HEADER}\n{_record()}\n".encode() + UNREADABLE[content])
+    else:
+        bad.write_bytes(UNREADABLE[content])
+    args = [command]
+    if command != "inspect-q":
+        args += ["--instance", str(bad) if name == "inst.json" else instance_path]
+    if name == "q.txt":
+        args += ["--qstore", str(bad)]
+    elif command == "train":
+        args += ["--qstore", str(tmp_path / "out.txt")]
+    done = subprocess.run(
+        [sys.executable, "-m", "reskit.cli", *args],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize(

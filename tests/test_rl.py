@@ -4,12 +4,14 @@ from random import Random
 
 import pytest
 
+from reskit.episode import EpisodeConfig, train
 from reskit.errors import (
     CorruptQStoreError,
     EmptyProposalSet,
     InvalidConfig,
     QStoreVersionError,
 )
+from reskit.instances import InstanceSpec, generate_instance, inject_disruption
 from reskit.operators import propose
 from reskit.rl import (
     GOAL_BONUS,
@@ -67,7 +69,7 @@ def sig(total=40.0, focal="Task5"):
 
 def test_bump_trace_replacing():
     store = QStore()
-    k = QKey(sig(), "up-right-jump", "Task5", "Task10")
+    k = QKey(sig(), "up-right-jump", "Task10")
     store.bump_trace(k)
     assert store.traces[k] == 1.0
     assert store.entries[k] == 0.0
@@ -79,7 +81,7 @@ def test_bump_trace_replacing():
 
 def test_sarsa_single_terminal_step():
     store = QStore(Hyperparams(alpha=0.1, gamma=0.9, lam=0.1, epsilon=0.1))
-    k = QKey(sig(), "up-right-jump", "Task5", "Task10")
+    k = QKey(sig(), "up-right-jump", "Task10")
     store.bump_trace(k)
     store.sarsa_update(k, 1.0, None)
     assert store.entries[k] == pytest.approx(0.1, abs=1e-15)
@@ -87,8 +89,8 @@ def test_sarsa_single_terminal_step():
 
 def test_sarsa_lambda_zero_touches_only_current_key():
     store = QStore(Hyperparams(alpha=0.5, gamma=0.9, lam=0.0, epsilon=0.0))
-    k1 = QKey(sig(40.0), "up-right-jump", "Task5", "Task10")
-    k2 = QKey(sig(44.0), "down-right-jump", "Task5", "Task16")
+    k1 = QKey(sig(40.0), "up-right-jump", "Task10")
+    k2 = QKey(sig(44.0), "down-right-jump", "Task16")
     store.bump_trace(k1)
     store.sarsa_update(k1, -4.0, k2)
     q1_after_first = store.entries[k1]
@@ -123,8 +125,8 @@ def test_sarsa_two_step_golden_transcript():
     assert oracle["k2"] == Fraction(31, 20)  # 1.55
 
     store = QStore(Hyperparams(alpha=0.1, gamma=0.9, lam=0.1, epsilon=0.1))
-    k1 = QKey(sig(40.0), "up-right-jump", "Task16", "Task3")
-    k2 = QKey(sig(44.0), "down-right-jump", "Task16", "Task16b")
+    k1 = QKey(sig(40.0), "up-right-jump", "Task3")
+    k2 = QKey(sig(44.0), "down-right-jump", "Task16b")
     store.bump_trace(k1)
     store.sarsa_update(k1, -4.0, k2)
     store.bump_trace(k2)
@@ -138,7 +140,7 @@ def test_sarsa_two_step_golden_transcript():
 def test_traces_stay_in_unit_interval():
     rng = Random(47)
     store = QStore(Hyperparams(alpha=0.2, gamma=0.9, lam=0.8, epsilon=0.1))
-    keys = [QKey(sig(float(i)), "up-right-jump", "Task1", f"Task{i}") for i in range(6)]
+    keys = [QKey(sig(float(i)), "up-right-jump", f"Task{i}") for i in range(6)]
     for _ in range(300):
         k = rng.choice(keys)
         store.bump_trace(k)
@@ -249,12 +251,26 @@ def test_qstore_roundtrip_many_entries(tmp_path):
     store = QStore()
     rng = Random(53)
     for i in range(2520):
-        k = QKey(sig(float(i % 97), focal=f"Task{i % 17}"), "up-right-jump", f"Task{i % 17}", f"Task{i}")
+        k = QKey(sig(float(i % 97), focal=f"Task{i % 17}"), "up-right-jump", f"Task{i}")
         store.entries[k] = rng.uniform(-3, 3)
     assert save_qstore(store, path) == 2520
     loaded = load_qstore(path)
     assert len(loaded.entries) == 2520
     assert loaded.entries == store.entries  # full-precision values survive
+
+
+@pytest.mark.parametrize("seed, tasks, resources", [(3, 15, 3), (7, 15, 3), (8, 15, 3), (19, 200, 10)])
+def test_trained_store_resaves_byte_for_byte(tmp_path, seed, tasks, resources):
+    spec = InstanceSpec(seed=seed, task_count=tasks, resource_count=resources)
+    store = QStore()
+    train(inject_disruption(generate_instance(spec)), store, 20, EpisodeConfig(seed=seed))
+    assert store.entries
+    first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+    save_qstore(store, first)
+    loaded = load_qstore(first)
+    assert loaded.entries == store.entries and loaded.hyper == store.hyper
+    save_qstore(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_keys_are_values_built_by_position_or_keyword(tmp_path):
@@ -270,15 +286,15 @@ def test_keys_are_values_built_by_position_or_keyword(tmp_path):
         "init_tardiness",
         "focal_task",
     )
-    k = QKey(by_position, "up-right-jump", "Task5", "Task10")
-    by_keyword = QKey(sig=sig(), op_name="up-right-jump", op_focal="Task5", op_aux="Task10")
+    k = QKey(by_position, "up-right-jump", "Task10")
+    by_keyword = QKey(sig=sig(), op_name="up-right-jump", op_aux="Task10")
     assert k == by_keyword and hash(k) == hash(by_keyword)
-    assert QKey._fields == ("sig", "op_name", "op_focal", "op_aux")
-    assert k != QKey(sig(41.0), "up-right-jump", "Task5", "Task10")
+    assert QKey._fields == ("sig", "op_name", "op_aux")
+    assert k != QKey(sig(41.0), "up-right-jump", "Task10")
     store = QStore()
     store.entries[k] = 0.5
     assert store.q(by_keyword) == 0.5
-    store.entries[QKey(sig(41.0), "down-left-swap", "Task5", "Task9")] = -1.25
+    store.entries[QKey(sig(41.0), "down-left-swap", "Task9")] = -1.25
     path = tmp_path / "q.txt"
     save_qstore(store, path)
     assert load_qstore(path).entries == store.entries
@@ -287,7 +303,7 @@ def test_keys_are_values_built_by_position_or_keyword(tmp_path):
 def test_qstore_hand_edited_value(tmp_path):
     path = tmp_path / "q.txt"
     store = QStore()
-    k = QKey(sig(), "up-right-jump", "Task5", "Task10")
+    k = QKey(sig(), "up-right-jump", "Task10")
     store.entries[k] = -0.25
     save_qstore(store, path)
     text = path.read_text(encoding="utf-8").replace("-0.25", "-0.1498")
@@ -334,7 +350,7 @@ def test_signature_quantization_survives_roundtrip(tmp_path):
         init_tardiness=28.5,
         focal_task="Task5",
     )
-    k = QKey(messy, "down-left-swap", "Task5", "Task7")
+    k = QKey(messy, "down-left-swap", "Task7")
     store.entries[k] = 1.0 / 3.0
     save_qstore(store, path)
     loaded = load_qstore(path)
