@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
 from .errors import InfeasibleSpec, InstanceFormatError, UnprocessableProduct
-from .schedule import Resource, ScheduleState, Task, _splice, elaborate
+from .schedule import Resource, ScheduleState, Task, _copy_state, _copy_task, _splice, elaborate
 
 _CAPABILITY_REDRAWS = 32
 # Order ready times scatter over this fraction of the expected makespan;
@@ -156,9 +156,9 @@ def inject_disruption(instance: Instance) -> ScheduleState:
     tasks = dict(base.tasks)
     for r in base.resources:
         if r.task_chain and tasks[r.task_chain[0]].start < instance.arrival_h:
-            head = tasks[r.task_chain[0]]
-            # Copied as _splice copies a task; replace() would keep a subclass.
-            tasks[head.id] = Task(**{**vars(head), "executing": True})
+            head = _copy_task(tasks[r.task_chain[0]])
+            head.executing = True
+            tasks[head.id] = head
     tasks[order.id] = order
 
     def chain_end(i: int) -> float:
@@ -166,10 +166,10 @@ def inject_disruption(instance: Instance) -> ScheduleState:
         return tasks[r.task_chain[-1]].finish if r.task_chain else r.release_time
 
     target = min(capable, key=chain_end)
-    disrupted = _splice(
-        replace(base, tasks=tasks, focal_task=order.id, init_tardiness=base.total_tardiness),
-        {target: [*base.resources[target].task_chain, order.id]},
-    )
+    shallow = _copy_state(base)
+    shallow.tasks, shallow.focal_task = tasks, order.id
+    shallow.init_tardiness = base.total_tardiness
+    disrupted = _splice(shallow, {target: [*base.resources[target].task_chain, order.id]})
     if not math.isfinite(disrupted.total_tardiness):
         raise InstanceFormatError(
             f"post-insertion tardiness is {disrupted.total_tardiness}, not a finite number"

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import schedule
 from .errors import NoFocalTask, OperatorNotApplicable
@@ -50,8 +50,7 @@ class OperatorKind(str, Enum):
 _KIND = {(k.vertical, k.horizontal, k.action): k for k in OperatorKind}
 
 
-@dataclass(frozen=True)
-class RepairOperator:
+class RepairOperator(NamedTuple):
     kind: OperatorKind
     focal: str
     aux: str

@@ -180,20 +180,26 @@ def _record(key: QKey, value: float) -> str:
     return "\t".join(fields)
 
 
+def _header(hyper: Hyperparams) -> str:
+    """A Q-store's first line; ``load_qstore`` takes only what this writes.
+
+    Each figure is written as a float, as the loader reads it back.
+    """
+    return (
+        f"{QSTORE_VERSION} alpha={float(hyper.alpha)!r} gamma={float(hyper.gamma)!r} "
+        f"lambda={float(hyper.lam)!r} epsilon={float(hyper.epsilon)!r}"
+    )
+
+
 def save_qstore(store: QStore, path: str | Path) -> int:
     """Write the store as versioned line-oriented text; returns entry count.
 
     Records are sorted for byte-stable output. Traces are transient and not
-    persisted. Each entry is one ``_record`` line.
+    persisted. The ``_header`` line comes first, then one ``_record`` line
+    per entry, each ended by ``"\\n"``.
     """
-    h = store.hyper
-    lines = [
-        f"{QSTORE_VERSION} alpha={h.alpha!r} gamma={h.gamma!r} "
-        f"lambda={h.lam!r} epsilon={h.epsilon!r}"
-    ]
     records = sorted(_record(key, value) for key, value in store.entries.items())
-    lines.extend(records)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join([_header(store.hyper), *records]) + "\n", encoding="utf-8")
     return len(records)
 
 
@@ -214,17 +220,23 @@ def load_qstore(path: str | Path) -> QStore:
     """Read a store ``save_qstore`` wrote; raise ``CorruptQStoreError`` on
     anything it would not write.
 
-    A record loads only if ``_record`` gives back the very line read from
+    The header loads only if ``_header`` gives back the very line read from
+    its parsed hyperparameters, and a record only if ``_record`` does from
     its parsed key and value, so each figure is spelled as the saver spells
-    it and the two focal columns agree. What a round trip cannot catch is
-    checked on its own: text that is not UTF-8, the header, the field
-    count, a number that is not finite, a negative task count, an unknown
-    operator and a key given twice."""
+    it and the two focal columns agree. Lines end at ``"\\n"`` alone, as
+    the saver ends them, so a ``"\\r"`` before it fails the round trip.
+    What a round trip cannot catch is checked on its own: text that is not
+    UTF-8, a last line with no line end, the version, the field count, a
+    number that is not finite, a negative task count, an unknown operator
+    and a key given twice."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # Bytes, then decoded: text mode would turn "\r\n" into "\n".
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorruptQStoreError(f"{path}: not UTF-8 text: {exc}") from exc
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if lines.pop():
+        raise CorruptQStoreError(f"{path}:{len(lines) + 1}: no line end")
     if not lines:
         raise CorruptQStoreError(f"{path}: empty file")
     m = _HEADER_RE.match(lines[0])
@@ -236,6 +248,8 @@ def load_qstore(path: str | Path) -> QStore:
         hyper = Hyperparams(*map(float, m.group(2, 3, 4, 5)))  # alpha, gamma, lambda, epsilon
     except (ValueError, InvalidConfig) as exc:
         raise CorruptQStoreError(f"{path}: bad hyperparameters: {exc}") from exc
+    if _header(hyper) != lines[0]:
+        raise CorruptQStoreError(f"{path}:1: save_qstore would write {_header(hyper)!r}")
 
     store = QStore(hyper)
     for lineno, line in enumerate(lines[1:], start=2):

@@ -21,12 +21,24 @@ the first changed slot on: unchanged chain prefixes and every other ``Task``
 and ``Resource`` are shared, so ``clone()`` a state before mutating it.
 ``elaborate`` returns a state that shares nothing with its input.
 ``Resource.task_chain`` is the only record of task order.
+
+Every copy of a ``Task``, ``Resource`` or ``ScheduleState`` is a call of
+its class's constructor, through the copier built for the class from its
+dataclass fields (``_copy_task``, ``_copy_resource``, ``_copy_state``): a
+field added later is copied without editing them, and the copy is always
+of the base class. No copy goes through the source's attribute dict, as
+``vars``, a dict update or the ``copy`` module would. On CPython 3.11 that
+builds the dict, and from then on every read and write of the object is
+several times slower; the sources are the plant's shared tasks, which
+every later step reads. The ``dataclasses`` ``replace`` helper is left out
+too: it costs several constructor calls.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 from .errors import BrokenChain, UnprocessableProduct
 
@@ -90,18 +102,32 @@ class ScheduleState:
 
     def clone(self) -> "ScheduleState":
         """Deep copy: the result shares no object with this state."""
-        return replace(
-            self,
-            resources=[
-                replace(r, rates=dict(r.rates), task_chain=list(r.task_chain))
-                for r in self.resources
-            ],
-            tasks={tid: Task(**vars(t)) for tid, t in self.tasks.items()},
-        )
+        s = _copy_state(self)
+        s.resources = [_copy_resource(r) for r in self.resources]
+        for r in s.resources:
+            r.rates, r.task_chain = dict(r.rates), list(r.task_chain)
+        s.tasks = {tid: _copy_task(t) for tid, t in self.tasks.items()}
+        return s
 
     def resource_of(self, task_id: str) -> Resource:
         """Resource whose chain holds ``task_id``; the state must be elaborated."""
         return self.resources[self.tasks[task_id].resource_index]
+
+
+def _copier(cls: type) -> Callable:
+    """A function copying a ``cls`` through ``cls(*fields)``, positionally.
+
+    The field list is read once from ``dataclasses.fields``. The copy is a
+    plain ``cls`` even when the source is of a subclass, and it shares each
+    field's value with the source.
+    """
+    values = attrgetter(*(f.name for f in fields(cls)))
+    return lambda obj: cls(*values(obj))
+
+
+_copy_task = _copier(Task)
+_copy_resource = _copier(Resource)
+_copy_state = _copier(ScheduleState)
 
 
 @dataclass(frozen=True)
@@ -230,7 +256,8 @@ def _splice(state: ScheduleState, chains: dict[int, list[str]]) -> ScheduleState
     its timing is already final. Only the tasks from that slot on are copied
     and re-timed; every other chain and task is shared with ``state``.
     """
-    s = replace(state, resources=list(state.resources), tasks=dict(state.tasks))
+    s = _copy_state(state)
+    s.resources, s.tasks = list(state.resources), dict(state.tasks)
     firsts: dict[int, int] = {}
     for i, chain in chains.items():
         old = s.resources[i].task_chain
@@ -238,9 +265,11 @@ def _splice(state: ScheduleState, chains: dict[int, list[str]]) -> ScheduleState
         while first < n and old[first] == chain[first]:
             first += 1
         firsts[i] = first
-        s.resources[i] = replace(s.resources[i], task_chain=chain)
+        r = _copy_resource(s.resources[i])
+        r.task_chain = chain
+        s.resources[i] = r
         for tid in chain[first:]:
-            s.tasks[tid] = Task(**vars(s.tasks[tid]))
+            s.tasks[tid] = _copy_task(s.tasks[tid])
     _retime(s, firsts)
     return s
 

@@ -298,6 +298,31 @@ def test_corrupt_qstore_record_exits_2(tmp_path, instance_path, capsys, command,
     assert err.startswith(f"error: {q}:{len(records) + 1}: ")
 
 
+@pytest.mark.parametrize("command", ["validate", "repair", "inspect-q"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"v1 alpha=0.10 gamma=9e-1 lambda=+0.1 epsilon=0.1\n{_record()}\n",
+        f"{QSTORE_HEADER}\r\n{_record()}\r\n",
+        f"{QSTORE_HEADER}\n{_record()}",
+    ],
+    ids=["header-spelled-differently", "crlf-line-ends", "no-last-line-end"],
+)
+def test_qstore_text_save_would_not_write_exits_2(tmp_path, instance_path, capsys, command, text):
+    q = tmp_path / "q.txt"
+    args = {
+        "validate": ["validate", "--qstore", str(q)],
+        "repair": ["repair", "--instance", instance_path, "--qstore", str(q)],
+        "inspect-q": ["inspect-q", "--qstore", str(q)],
+    }[command]
+    q.write_bytes(f"{QSTORE_HEADER}\n{_record()}\n".encode())
+    assert main(args) == 0
+    capsys.readouterr()
+    q.write_bytes(text.encode())
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith(f"error: {q}")
+
+
 # Bytes no loader can decode: not UTF-8, nested past the parser's recursion
 # limit, or an integer past Python's digit limit.
 UNREADABLE = {

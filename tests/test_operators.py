@@ -336,6 +336,37 @@ def test_apply_rejects_stale_operator():
         apply(s, RepairOperator(OperatorKind.DOWN_RIGHT_JUMP, "q", "a", "r2"))
 
 
+def test_repair_operator_is_a_hashable_immutable_value():
+    op = RepairOperator(OperatorKind.DOWN_RIGHT_JUMP, "f", "a", "r2")
+    same = RepairOperator(OperatorKind("down-right-jump"), "f", "a", "r2")
+    assert op == same and op is not same
+    assert hash(op) == hash(same)
+    assert {op: 1}[same] == 1 and len({op, same}) == 1
+    assert op != op._replace(target_resource="r1")
+    assert op != op._replace(kind=OperatorKind.DOWN_RIGHT_SWAP)
+    for name in RepairOperator._fields:
+        with pytest.raises(AttributeError):
+            setattr(op, name, None)
+    assert op == same
+
+
+def test_apply_refuses_each_proposal_with_its_side_flipped():
+    # the side of an aux follows from the starts, so each proposal with the
+    # other horizontal is one that propose would never offer
+    flipped = {"left": "right", "right": "left"}
+    tried = 0
+    for seed in range(10):
+        s = inject_disruption(generate_instance(InstanceSpec(seed=seed, task_count=12)))
+        for op in propose(s):
+            k = op.kind
+            bad = op._replace(kind=OperatorKind(f"{k.vertical}-{flipped[k.horizontal]}-{k.action}"))
+            with pytest.raises(OperatorNotApplicable):
+                apply(s, bad)
+            apply(s, op)
+            tried += 1
+    assert tried == 92
+
+
 def test_apply_accepts_exactly_the_oracle_operators():
     # every kind x aux (each task plus an unknown id) x target resource
     tried = accepted = 0

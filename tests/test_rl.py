@@ -336,6 +336,31 @@ def test_qstore_corrupt_files(tmp_path):
         load_qstore(empty)
 
 
+def test_qstore_loads_only_the_header_and_line_ends_it_saves(tmp_path):
+    path = tmp_path / "q.txt"
+    store = QStore(Hyperparams(alpha=1, gamma=0, lam=0.25, epsilon=0.5))
+    store.entries[QKey(sig(), "up-right-jump", "Task10")] = -0.25
+    save_qstore(store, path)
+    saved = path.read_text(encoding="utf-8")
+    assert saved.startswith("v1 alpha=1.0 gamma=0.0 lambda=0.25 epsilon=0.5\n")
+    loaded = load_qstore(path)
+    assert (loaded.hyper, loaded.entries) == (store.hyper, store.entries)
+    header, rest = saved.split("\n", 1)
+    for text in [
+        header.replace("alpha=1.0", "alpha=1") + "\n" + rest,
+        header.replace("lambda=0.25", "lambda=+0.25") + "\n" + rest,
+        header.replace("epsilon=0.5", "epsilon=5e-1") + "\n" + rest,
+        header.replace(" gamma", "  gamma") + "\n" + rest,
+        saved.replace("\n", "\r\n"),
+        saved.replace("\n", "\r\n", 1),
+        saved[:-1],
+        saved + "\n",
+    ]:
+        path.write_bytes(text.encode())
+        with pytest.raises(CorruptQStoreError):
+            load_qstore(path)
+
+
 def test_signature_quantization_survives_roundtrip(tmp_path):
     # stored at 2 decimals; a key built from a quantized signature must come
     # back exactly equal

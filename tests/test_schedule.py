@@ -1,15 +1,31 @@
 import copy
+import dataclasses
+import gc
 import math
+import sys
 from random import Random
 
 import pytest
 
 from reskit.errors import BrokenChain, UnprocessableProduct
-from reskit.instances import Instance, inject_disruption
+from reskit.episode import EpisodeConfig, run_episode
+from reskit.instances import (
+    Instance,
+    InstanceSpec,
+    generate_instance,
+    inject_disruption,
+    load_instance,
+    sample_disruption,
+    save_instance,
+)
+from reskit.rl import Hyperparams, QStore
 from reskit.schedule import (
     Resource,
     ScheduleState,
     Task,
+    _copy_resource,
+    _copy_state,
+    _copy_task,
     elaborate,
     task_tardiness,
     validate,
@@ -380,3 +396,74 @@ def test_executing_head_keeps_start():
     assert s.tasks["t1"].start == 0.75
     assert s.tasks["t2"].start == s.tasks["t1"].finish
     assert elaborate(s) == s
+
+
+def _defaults(cls: type) -> dict:
+    return {
+        f.name: f.default if f.default is not dataclasses.MISSING else f.default_factory()
+        for f in dataclasses.fields(cls)
+        if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
+    }
+
+
+@pytest.mark.parametrize(
+    "copy_of, obj",
+    [
+        (_copy_task, Task("t1", "Task1", "B", 40.0, 7.5, 2.5, 1.0, 3.5, True, 2)),
+        (_copy_resource, Resource("r1", "mixer", {"A": 10.0}, ["t1"], 0.5, 1.5, 2.5, 0.75)),
+        (
+            _copy_state,
+            ScheduleState(
+                [Resource("r1")], {"t1": Task("t1", "Task1", "A", 1.0, 2.0)},
+                "t1", 1.0, 2.0, 1.5, 0.5, 3.0, 4,
+            ),
+        ),
+    ],
+    ids=["task", "resource", "state"],
+)
+def test_copier_keeps_every_field(copy_of, obj):
+    # every field that has a default is set to something else, so a field
+    # the copier dropped would come back at its default and fail the ==
+    for name, default in _defaults(type(obj)).items():
+        assert getattr(obj, name) != default, name
+    out = copy_of(obj)
+    assert out == obj
+    assert out is not obj
+    assert type(out) is type(obj)
+
+
+def test_copier_turns_a_frozen_task_into_a_plain_one():
+    src = frozen(elaborate(two_task_state())).tasks["t1"]
+    out = _copy_task(src)
+    assert type(src) is not Task and type(out) is Task
+    assert dataclasses.astuple(out) == dataclasses.astuple(src)
+    out.executing = True  # a FrozenTask would refuse this write
+
+
+def _has_attribute_dict(obj: object) -> bool:
+    # Since CPython 3.11 an instance keeps its attributes inline until
+    # something asks for its __dict__; only then does a dict appear among
+    # its referents. No Task field holds a dict.
+    return any(type(ref) is dict for ref in gc.get_referents(obj))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="attributes are inline from 3.11 on")
+def test_repairs_build_no_attribute_dict_on_any_task(tmp_path):
+    # a built dict slows every later read and write of the task, and the
+    # loaded plant's tasks are shared by every state a repair builds
+    path = tmp_path / "plant.json"
+    save_instance(generate_instance(InstanceSpec(resource_count=5, task_count=40, seed=4)), path)
+    loaded = load_instance(path)
+    store, cfg = QStore(Hyperparams()), EpisodeConfig()
+    for i in range(10):
+        start = inject_disruption(sample_disruption(loaded, Random(i)))
+        final = run_episode(start, store, cfg, learning=False).final_state
+    assert final is not start
+    with_dict = [
+        tid for s in (loaded.state, final) for tid, t in s.tasks.items() if _has_attribute_dict(t)
+    ]
+    assert with_dict == []
+    # the check sees a dict once one is built
+    probe = final.tasks[final.focal_task]
+    vars(probe)
+    assert _has_attribute_dict(probe)
