@@ -16,7 +16,16 @@ from pathlib import Path
 from random import Random
 
 from .errors import InfeasibleSpec, InstanceFormatError, UnprocessableProduct
-from .schedule import Resource, ScheduleState, Task, _copy_state, _copy_task, _splice, elaborate
+from .schedule import (
+    Resource,
+    ScheduleState,
+    Task,
+    _copy_state,
+    _copy_task,
+    _elaborate_in_place,
+    _splice,
+    elaborate,
+)
 
 _CAPABILITY_REDRAWS = 32
 # Order ready times scatter over this fraction of the expected makespan;
@@ -365,7 +374,8 @@ def instance_from_dict(data: dict) -> Instance:
         names.add(t.name)
     arrival = _non_negative(data["disruption"]["arrival_h"], "disruption.arrival_h")
 
-    state = elaborate(ScheduleState(resources=resources, tasks=tasks))
+    state = ScheduleState(resources=resources, tasks=tasks)
+    _elaborate_in_place(state)
     return Instance(state=state, order=order, arrival_h=arrival)
 
 

@@ -41,8 +41,11 @@ class OperatorKind(str, Enum):
     DOWN_RIGHT_SWAP = ("down", "right", "swap")
 
     def __new__(cls, vertical: str, horizontal: str, action: str) -> "OperatorKind":
-        kind = str.__new__(cls, f"{vertical}-{horizontal}-{action}")
-        kind._value_ = str(kind)
+        label = f"{vertical}-{horizontal}-{action}"
+        kind = str.__new__(cls, label)
+        # ``label`` is ``value`` as a plain attribute: the Enum property costs
+        # a descriptor call, and Q keys read it for every proposal.
+        kind._value_ = kind.label = label
         kind.vertical, kind.horizontal, kind.action = vertical, horizontal, action
         return kind
 

@@ -83,7 +83,7 @@ class QKey(NamedTuple):
 
 
 def _key(sig: StateSignature, state: ScheduleState, op: RepairOperator) -> QKey:
-    return QKey(sig, op.kind.value, state.tasks[op.aux].name)
+    return QKey(sig, op.kind.label, state.tasks[op.aux].name)
 
 
 def qkey(state: ScheduleState, op: RepairOperator) -> QKey:
@@ -121,10 +121,14 @@ class QStore:
         h = self.hyper
         delta = reward_value + h.gamma * self.q(next_key) - self.q(key)
         step = h.alpha * delta
-        for k, e in self.traces.items():
-            self.entries[k] = self.entries.get(k, 0.0) + step * e
         decay = h.gamma * h.lam
-        decayed = {k: e * decay for k, e in self.traces.items() if e * decay > TRACE_FLOOR}
+        entries = self.entries
+        decayed = {}
+        for k, e in self.traces.items():
+            entries[k] = entries.get(k, 0.0) + step * e
+            e *= decay
+            if e > TRACE_FLOOR:
+                decayed[k] = e
         self.traces = decayed
 
     def clear_traces(self) -> None:
@@ -143,6 +147,10 @@ def select(
     Greedy ties resolve to the earliest proposal in the list's deterministic
     order; unseen keys read as 0. ``epsilon`` overrides the store's value
     (evaluation passes 0).
+
+    The greedy pick computes the signature once and makes one ``QStore.q``
+    lookup per proposal, with a plain tuple that hashes and compares equal
+    to its ``QKey``; it builds one ``QKey``, the winner's.
     """
     if not proposals:
         raise EmptyProposalSet("no proposals to select from")
@@ -150,16 +158,16 @@ def select(
     if rng.random() < eps:
         op = proposals[rng.randrange(len(proposals))]
         return op, qkey(state, op)
-    sig = signature(state)  # once per call, shared by every proposal's key
+    sig = signature(state)
+    tasks = state.tasks
+    q = store.q
     best = proposals[0]
-    best_key = _key(sig, state, best)
-    best_q = store.q(best_key)
+    best_q = q((sig, best.kind.label, tasks[best.aux].name))
     for op in proposals[1:]:
-        key = _key(sig, state, op)
-        q = store.q(key)
-        if q > best_q:
-            best, best_key, best_q = op, key, q
-    return best, best_key
+        value = q((sig, op.kind.label, tasks[op.aux].name))
+        if value > best_q:
+            best, best_q = op, value
+    return best, _key(sig, state, best)
 
 
 def _sig_to_fields(sig: StateSignature) -> list[str]:

@@ -180,11 +180,20 @@ def elaborate(state: ScheduleState) -> ScheduleState:
     over the partials in resource order, exactly as ``_retime`` does after
     a splice, so a state re-timed in part equals its elaboration.
     """
-    for defect in _structure_defects(state):
-        raise BrokenChain(str(defect))
     s = state.clone()
-    _retime(s, dict.fromkeys(range(len(s.resources)), 0))
+    _elaborate_in_place(s)
     return s
+
+
+def _elaborate_in_place(s: ScheduleState) -> None:
+    """``elaborate`` without the copy, for a state the caller owns outright.
+
+    The instance loader builds every ``Task``, ``Resource``, chain and rate
+    table of its state itself, so it re-times the state in place.
+    """
+    for defect in _structure_defects(s):
+        raise BrokenChain(str(defect))
+    _retime(s, dict.fromkeys(range(len(s.resources)), 0))
 
 
 def _retime(s: ScheduleState, chains: dict[int, int]) -> None:

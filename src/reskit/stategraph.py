@@ -3,13 +3,19 @@
 The signature is what learning sees of a state: the aggregate figures, the
 pre-disruption tardiness and the focal task's name. Quantization is decimal
 round-half-even at two places, applied to the float's shortest round-trip
-decimal form.
+decimal form. ``quantize`` takes ``round(value, 2)``, which rounds the
+float's exact binary value, when the value is below 2**30 in magnitude and
+farther than 1e-4 hundredths from a rounding midpoint. There the exact
+value and the shortest decimal form lie too close together for a midpoint
+to fall between them, so both round to the same two places. Every other
+value is rounded on its shortest decimal form with ``Decimal``.
 
 Everything here is a pure function of the state.
 """
 
 from __future__ import annotations
 
+import math
 from decimal import ROUND_HALF_EVEN, Decimal
 from typing import NamedTuple
 
@@ -34,8 +40,27 @@ class StateSignature(NamedTuple):
     focal_task: str
 
 
+# ``quantize``'s fast path: the magnitude it takes values below, and how
+# near (in hundredths) to a rounding midpoint it hands them to ``Decimal``.
+FAST_BOUND = 2.0**30
+MIDPOINT_GUARD = 1e-4
+
+
 def quantize(value: float) -> float:
-    """Round to 2 decimals, half-even, on the shortest decimal form."""
+    """Round a float to 2 decimals, half-even, on its shortest decimal form.
+
+    For ``abs(value) < FAST_BOUND`` it returns ``round(value, 2)`` unless
+    ``value * 100.0`` lies within ``MIDPOINT_GUARD`` of a half. Python's
+    ``round`` rounds the exact binary value, and the shortest decimal form
+    differs from it by at most half an ulp, about 6e-6 hundredths below the
+    bound; with the 8e-6 error of the product, neither can cross a midpoint
+    that lies farther away than the guard, so both round to the same two
+    places. Every other value takes the ``Decimal`` path below.
+    """
+    if -FAST_BOUND < value < FAST_BOUND:
+        scaled = value * 100.0
+        if abs(scaled - math.floor(scaled) - 0.5) > MIDPOINT_GUARD:
+            return round(value, 2)
     # From 2**52 up floats are whole, and the 28-digit context cannot hold the
     # largest of them; these, infinities and NaN are returned as they are.
     if not abs(value) < 2**52:
@@ -48,12 +73,11 @@ def signature(state: ScheduleState) -> StateSignature:
         raise NoFocalTask("signature requires a focal task")
     focal = state.tasks[state.focal_task]
     return StateSignature(
-        total_wip=quantize(state.total_wip),
-        task_number=state.task_number,
-        max_tardiness=quantize(state.max_tardiness),
-        avg_tardiness=quantize(state.avg_tardiness),
-        total_tardiness=quantize(state.total_tardiness),
-        init_tardiness=quantize(state.init_tardiness),
-        focal_task=focal.name,
+        quantize(state.total_wip),
+        state.task_number,
+        quantize(state.max_tardiness),
+        quantize(state.avg_tardiness),
+        quantize(state.total_tardiness),
+        quantize(state.init_tardiness),
+        focal.name,
     )
-

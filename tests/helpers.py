@@ -9,14 +9,19 @@ the package's own full elaboration, and ``assert_prefixes_shared`` checks
 which task objects a splice copied. ``disruption_oracle`` builds the
 disrupted state with a full elaboration of a raw copy, and
 ``assert_disrupted`` checks ``inject_disruption`` against it.
+``quantize_oracle`` and ``sarsa_two_pass`` are the plain forms of
+``quantize`` and ``QStore.sarsa_update`` that the fast ones must match bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import ROUND_HALF_EVEN, Decimal
 from random import Random
 
 from reskit.instances import Instance
+from reskit.rl import TRACE_FLOOR, QKey, QStore
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
 
 PRODUCTS = ["A", "B", "C", "D"]
@@ -236,3 +241,27 @@ def two_task_state() -> ScheduleState:
         "t2": Task(id="t2", name="Task2", product="A", quantity=30.0, due_date=10.0),
     }
     return ScheduleState(resources=[r], tasks=tasks)
+
+
+def quantize_oracle(value: float) -> float:
+    """Decimal round-half-even at two places on the shortest decimal form.
+
+    From 2**52 up floats are whole and the 28-digit context cannot hold the
+    largest of them; these, infinities and NaN come back as they are.
+    """
+    if not abs(value) < 2**52:
+        return float(value)
+    return float(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN))
+
+
+def sarsa_two_pass(store: QStore, key: QKey, reward_value: float, next_key: QKey | None) -> None:
+    """One TD step as two passes over the traces: first every traced key
+    moves by alpha * delta * trace, then every trace decays by gamma *
+    lambda and those not above ``TRACE_FLOOR`` are dropped."""
+    h = store.hyper
+    delta = reward_value + h.gamma * store.q(next_key) - store.q(key)
+    step = h.alpha * delta
+    for k, e in store.traces.items():
+        store.entries[k] = store.entries.get(k, 0.0) + step * e
+    decay = h.gamma * h.lam
+    store.traces = {k: e * decay for k, e in store.traces.items() if e * decay > TRACE_FLOOR}

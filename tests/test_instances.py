@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from helpers import assert_disrupted, assert_fully_elaborated, frozen
+from helpers import AGGREGATES, assert_disrupted, assert_fully_elaborated, frozen
 from reskit import instances, schedule
 from reskit.errors import InfeasibleSpec, InstanceFormatError
 from reskit.instances import (
@@ -19,7 +19,7 @@ from reskit.instances import (
     sample_disruption,
     save_instance,
 )
-from reskit.schedule import ScheduleState, elaborate, validate
+from reskit.schedule import Resource, ScheduleState, Task, elaborate, validate
 
 
 def test_default_spec_generates_valid_instance():
@@ -164,12 +164,52 @@ def test_inject_disruption_neither_copies_nor_elaborates_the_plant(tmp_path, mon
     monkeypatch.setattr(ScheduleState, "clone", refuse)
     monkeypatch.setattr(schedule, "elaborate", refuse)
     monkeypatch.setattr(instances, "elaborate", refuse)
+    monkeypatch.setattr(instances, "_elaborate_in_place", refuse)
     rng = Random(5)
     for _ in range(5):
         fresh = sample_disruption(inst, rng)
         s = inject_disruption(fresh)
         assert s.focal_task == fresh.order.id
         assert any(t.executing for t in s.tasks.values())
+
+
+def raw_state(data: dict) -> ScheduleState:
+    """The state a file-format dict describes, built field by field and not
+    elaborated: only the fields the file holds are set."""
+    chains: dict[str, list[tuple[int, str]]] = {rd["id"]: [] for rd in data["resources"]}
+    tasks = {}
+    for td in data["tasks"]:
+        chains[td["resource"]].append((td["chain_position"], td["id"]))
+        tasks[td["id"]] = Task(
+            id=td["id"], name=td["name"], product=td["product"],
+            quantity=td["quantity_kg"], due_date=td["due_h"],
+        )
+    resources = [
+        Resource(
+            id=rd["id"], kind=rd["kind"], rates=dict(rd["rates"]),
+            task_chain=[tid for _, tid in sorted(chains[rd["id"]])],
+            release_time=rd["release_time"],
+        )
+        for rd in data["resources"]
+    ]
+    return ScheduleState(resources=resources, tasks=tasks)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 11])
+def test_loaded_state_equals_elaboration_of_its_raw_state(seed):
+    data = instance_to_dict(
+        generate_instance(InstanceSpec(seed=seed, resource_count=4, task_count=30))
+    )
+    data["resources"][seed % 4]["release_time"] = 2.5
+    loaded = instance_from_dict(data).state
+    fresh = elaborate(raw_state(data))
+    assert list(loaded.tasks) == list(fresh.tasks)
+    for tid, t in loaded.tasks.items():
+        assert type(t) is Task and vars(t) == vars(fresh.tasks[tid]), tid
+    for r, f in zip(loaded.resources, fresh.resources, strict=True):
+        assert type(r) is Resource and vars(r) == vars(f), r.id
+    for attr in ("focal_task", "init_tardiness", *AGGREGATES):
+        assert getattr(loaded, attr) == getattr(fresh, attr), attr
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11, 19])

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import islice
 from random import Random
 
 import pytest
@@ -12,9 +13,10 @@ from reskit.errors import (
     QStoreVersionError,
 )
 from reskit.instances import InstanceSpec, generate_instance, inject_disruption
-from reskit.operators import propose
+from reskit.operators import apply, propose
 from reskit.rl import (
     GOAL_BONUS,
+    TRACE_FLOOR,
     Hyperparams,
     QKey,
     QStore,
@@ -27,6 +29,8 @@ from reskit.rl import (
 )
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
 from reskit.stategraph import StateSignature, signature
+
+from helpers import sarsa_two_pass
 
 
 def state_with_total(total: float, init: float) -> ScheduleState:
@@ -150,6 +154,42 @@ def test_traces_stay_in_unit_interval():
     assert store.traces == {}
 
 
+def test_sarsa_update_matches_two_pass_oracle():
+    rng = Random(67)
+    keys = [QKey(sig(float(i)), "up-right-jump", f"Task{j}") for i in range(4) for j in range(3)]
+    near_floor = {True: 0, False: 0}  # decayed traces next to the floor: kept, dropped
+    for _ in range(400):
+        hyper = Hyperparams(
+            alpha=rng.random(), gamma=rng.uniform(0.05, 1), lam=rng.uniform(0.05, 1), epsilon=0.1
+        )
+        decay = hyper.gamma * hyper.lam
+        store = QStore(hyper)
+        for k in rng.sample(keys, rng.randint(0, len(keys))):
+            store.entries[k] = rng.uniform(-3, 3)
+        for k in rng.sample(keys, rng.randint(0, len(keys))):
+            e = rng.random()
+            if rng.random() < 0.5:
+                # A trace whose decayed value lands within a few ulps of the floor.
+                e = TRACE_FLOOR / decay
+                for _ in range(rng.randint(0, 3)):
+                    e = math.nextafter(e, rng.choice([0.0, 1.0]))
+                near_floor[e * decay > TRACE_FLOOR] += 1
+            store.traces[k] = e
+        key = rng.choice(keys)
+        if rng.random() < 0.8:
+            store.bump_trace(key)
+        oracle = QStore(hyper)
+        oracle.entries, oracle.traces = dict(store.entries), dict(store.traces)
+        args = (key, rng.uniform(-5, 5), rng.choice([*keys, None]))
+        store.sarsa_update(*args)
+        sarsa_two_pass(oracle, *args)
+        for got, want in ((store.entries, oracle.entries), (store.traces, oracle.traces)):
+            assert [(k, v.hex()) for k, v in got.items()] == [
+                (k, v.hex()) for k, v in want.items()
+            ]
+    assert near_floor[True] > 20 and near_floor[False] > 20
+
+
 def selection_state():
     resources = [
         Resource(id="r1", rates={"A": 10.0}, release_time=4.0, task_chain=["a1", "a2"]),
@@ -228,6 +268,82 @@ def test_uniform_shift_leaves_argmax_unchanged():
         for k in store.entries:
             store.entries[k] += shift
         assert select(store, s, proposals, Random(7)) == baseline
+
+
+class CountingStore(QStore):
+    """A store that counts its ``q`` lookups."""
+
+    lookups = 0
+
+    def q(self, key):
+        self.lookups += 1
+        return super().q(key)
+
+
+def selection_cases():
+    """(state, proposals) on disrupted random plants, up to three steps in."""
+    rng = Random(53)
+    for seed in range(12):
+        spec = InstanceSpec(
+            seed=seed, resource_count=rng.randint(2, 5), task_count=rng.randint(6, 25)
+        )
+        s = inject_disruption(generate_instance(spec))
+        for _ in range(4):
+            proposals = propose(s)
+            if not proposals:
+                break
+            yield s, proposals
+            s = apply(s, rng.choice(proposals))
+
+
+def test_greedy_select_matches_first_maximum_oracle():
+    rng = Random(59)
+    draws = {
+        "empty": None,
+        "ties": lambda: rng.choice([-0.5, 0.0, 0.5]),
+        "negative": lambda: -rng.random(),
+        "uniform": lambda: rng.uniform(-2, 2),
+    }
+    cases = tied = 0
+    for state, proposals in selection_cases():
+        keys = [qkey(state, op) for op in proposals]
+        for kind, draw in draws.items():
+            store = CountingStore(Hyperparams(epsilon=1.0))
+            if draw is not None:
+                for key in keys:
+                    if rng.random() < 0.8:
+                        store.entries[key] = draw()
+                # A key of another signature: it must not count for this state.
+                other = keys[0].sig._replace(task_number=keys[0].sig.task_number + 1)
+                store.entries[QKey(other, keys[0].op_name, keys[0].op_aux)] = 99.0
+            values = [store.q(qkey(state, op)) for op in proposals]
+            best = values.index(max(values))
+            tied += values.count(max(values)) > 1 and best > 0
+            store.lookups = 0
+            op, key = select(store, state, proposals, Random(1), epsilon=0.0)
+            assert store.lookups == len(proposals)
+            assert op is proposals[best]
+            assert key == keys[best] and type(key) is QKey
+            cases += 1
+    assert cases > 100 and tied > 10
+
+
+def test_select_draws_the_same_random_numbers():
+    """A call draws one ``random()``; an exploratory call then draws one
+    ``randrange`` over the proposal count, and returns that proposal."""
+    for state, proposals in islice(selection_cases(), 10):
+        store = QStore(Hyperparams(epsilon=0.5))
+        store.entries[qkey(state, proposals[-1])] = 1.0
+        rng, replay = Random(61), Random(61)
+        for _ in range(50):
+            op, key = select(store, state, proposals, rng)
+            if replay.random() < 0.5:
+                expected = proposals[replay.randrange(len(proposals))]
+            else:
+                expected = proposals[-1]
+            assert op is expected
+            assert key == qkey(state, expected) and type(key) is QKey
+            assert rng.getstate() == replay.getstate()
 
 
 def test_hyperparams_range_check():

@@ -6,9 +6,9 @@ import pytest
 
 from reskit.errors import NoFocalTask
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
-from reskit.stategraph import StateSignature, quantize, signature
+from reskit.stategraph import FAST_BOUND, StateSignature, quantize, signature
 
-from helpers import random_state, two_task_state
+from helpers import quantize_oracle, random_state, two_task_state
 
 
 def paper_like_state() -> ScheduleState:
@@ -110,3 +110,53 @@ def test_quantize_stable_within_bucket():
         y = bucket + rng.uniform(-0.004, 0.004)
         assert quantize(x) == quantize(y) == quantize(bucket)
 
+
+
+def assert_quantize_matches_oracle(values) -> None:
+    """``quantize`` returns the oracle's float, its sign included, for every
+    value; NaN gives NaN."""
+    bad = []
+    for v in values:
+        got, want = quantize(v), quantize_oracle(v)
+        if got != want or math.copysign(1.0, got) != math.copysign(1.0, want):
+            if not (math.isnan(got) and math.isnan(want)):
+                bad.append((v.hex(), got, want))
+        elif type(got) is not float:
+            bad.append((v.hex(), got, want))
+    assert not bad, bad[:5]
+
+
+def with_neighbours(values):
+    """Each value, its two float neighbours, and the negatives of all three."""
+    for x in values:
+        for v in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)):
+            yield v
+            yield -v
+
+
+def test_quantize_matches_decimal_form_on_every_thousandth():
+    # Every k/1000 below 200 holds one two-place midpoint in ten, 2.675 among them.
+    assert_quantize_matches_oracle(with_neighbours(k / 1000 for k in range(200_000)))
+
+
+def test_quantize_matches_decimal_form_in_every_binade():
+    rng = Random(37)
+    values = []
+    for e in range(-20, 53):
+        lo, hi = 2.0**e, 2.0 ** (e + 1)
+        values += [rng.uniform(lo, hi) for _ in range(200)]
+        # Two-place midpoints in the binade, where the fast path must step aside.
+        if hi >= 0.005:
+            first, last = math.ceil(lo * 100 - 0.5), math.floor(hi * 100 - 0.5)
+            values += [(rng.randint(first, last) + 0.5) / 100 for _ in range(200)]
+    assert_quantize_matches_oracle(with_neighbours(values))
+
+
+def test_quantize_matches_decimal_form_at_the_edges():
+    edges = [
+        FAST_BOUND, FAST_BOUND - 0.005, FAST_BOUND + 0.005, FAST_BOUND - 0.01,
+        2.0**52, 2.0**53, 0.0, 5e-324, 2.2250738585072014e-308, 1e-310, 0.005, 0.015,
+    ]
+    assert_quantize_matches_oracle(with_neighbours(edges))
+    assert_quantize_matches_oracle([math.inf, -math.inf, math.nan])
+    assert math.copysign(1.0, quantize(-0.0)) == math.copysign(1.0, quantize(-0.004)) == -1.0

@@ -16,6 +16,9 @@ The file holds every run's info line and result line as ``perfbench``
 printed them, and a summary per workload and trace mode: each metric's
 median on both sides, their ratio, and for the end-to-end metrics the
 number of pairs the head side won and the spread of the base side's runs.
+Beside the metrics, ``passes`` gives each side's median number of passes
+(a faster side fits more into a run, and each pass adds to the peak RSS),
+and ``digests`` the number of pairs whose trajectory digests are equal.
 """
 
 from __future__ import annotations
@@ -82,12 +85,15 @@ def quartile_spread(values: list[float]) -> float:
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     out: dict[str, dict] = {}
+    infos: dict[str, dict] = {}
     for run in runs:
-        group = out.setdefault(f"{run['workload']}/trace{run['trace']}", {})
+        key = f"{run['workload']}/trace{run['trace']}"
+        group = out.setdefault(key, {})
         for name, metric in run["result"]["metrics"].items():
             group.setdefault(name, {"base": {}, "head": {}})[run["side"]][run["pair"]] = (
                 metric["value"]
             )
+        infos.setdefault(key, {"base": {}, "head": {}})[run["side"]][run["pair"]] = run["info"]
     summary: dict[str, dict] = {}
     for group, metrics in out.items():
         rows = summary[group] = {}
@@ -103,6 +109,17 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 row["pairs"] = len(pairs)
                 row["base_quartile_spread"] = quartile_spread([base[i] for i in pairs])
             rows[name] = row
+        base, head = infos[group]["base"], infos[group]["head"]
+        pairs = sorted(set(base) & set(head))
+        if all("passes" in base[i] and "passes" in head[i] for i in pairs):  # not traced
+            rows["passes"] = {
+                "base_median": statistics.median(base[i]["passes"] for i in pairs),
+                "head_median": statistics.median(head[i]["passes"] for i in pairs),
+            }
+        rows["digests"] = {
+            "equal_pairs": sum(base[i]["digest"] == head[i]["digest"] for i in pairs),
+            "pairs": len(pairs),
+        }
     return summary
 
 
@@ -144,7 +161,8 @@ def main(argv: list[str] | None = None) -> int:
                     })
                     metric = lines["result"]["metrics"].get("steps_per_s", {}).get("value")
                     print(f"{workload} trace={trace} pair={pair} seed={seed} {side}: "
-                          f"digest {lines['info'].get('digest')} steps_per_s {metric}",
+                          f"digest {lines['info'].get('digest')} steps_per_s {metric} "
+                          f"passes {lines['info'].get('passes')}",
                           file=sys.stderr)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
