@@ -93,13 +93,15 @@ def propose(state: ScheduleState, cap: int = PROPOSAL_CAP) -> list[RepairOperato
     than the cap allows, the closest-start ones survive.
 
     ``state`` must be elaborated, so starts never decrease along a chain.
-    Each chain is bisected at the focal's start into a left and a right
-    run, each ordered by distance, and a heap merges those cursors; a chain
-    other than the focal's own whose resource lacks the focal's product
-    pairs with nothing and is skipped. Auxiliaries are paired in merged
-    order until the cap is met, so no more operators are built than are
-    returned, give or take one swap. The cost is O(R log n + visited x
-    log R) for R resources, chains of length n and the tasks visited.
+    Each chain's ``Resource.starts`` is bisected at the focal's start, in C
+    and with no key function, into a left and a right run, each ordered by
+    distance, and a heap merges those cursors; every distance is read from
+    ``starts``. A chain other than the focal's own whose resource lacks the
+    focal's product pairs with nothing and is skipped. Auxiliaries are
+    paired in merged order until the cap is met, so no more operators are
+    built than are returned, give or take one swap. The cost is O(R log n +
+    visited x log R) for R resources, chains of length n and the tasks
+    visited.
     """
     if state.focal_task is None:
         raise NoFocalTask("propose requires a focal task")
@@ -110,18 +112,18 @@ def propose(state: ScheduleState, cap: int = PROPOSAL_CAP) -> list[RepairOperato
 
     # Cursors walk outward from each chain's split point. A heap entry is
     # (distance, task id, resource index, next slot, its distance, step,
-    # chain); task ids are unique, so the fields after the id never break a
-    # tie, and the merge yields the global ranking order.
+    # chain, starts); task ids are unique, so the fields after the id never
+    # break a tie, and the merge yields the global ranking order.
     pending = []
     for ai, r in enumerate(state.resources):
         if ai != fi and focal.product not in r.rates:
             continue
-        chain = r.task_chain
-        k = bisect_left(chain, at, key=lambda tid: tasks[tid].start)
+        starts = r.starts
+        k = bisect_left(starts, at)
         if k:
-            pending.append((k - 1, at - tasks[chain[k - 1]].start, ai, -1, chain))
-        if k < len(chain):
-            pending.append((k, tasks[chain[k]].start - at, ai, 1, chain))
+            pending.append((k - 1, at - starts[k - 1], ai, -1, r.task_chain, starts))
+        if k < len(starts):
+            pending.append((k, starts[k] - at, ai, 1, r.task_chain, starts))
 
     heap: list = []
     found: list[RepairOperator] = []
@@ -129,20 +131,20 @@ def propose(state: ScheduleState, cap: int = PROPOSAL_CAP) -> list[RepairOperato
         # Push each pending cursor's next task. Tasks at an equal distance
         # further along (starts a float sum left unchanged) are pushed with
         # it, so that ids order them; the first carries the cursor on.
-        for i, d, ai, step, chain in pending:
+        for i, d, ai, step, chain, starts in pending:
             j, dj = i + step, 0.0
             while 0 <= j < len(chain):
-                dj = abs(tasks[chain[j]].start - at)
+                dj = abs(starts[j] - at)
                 if dj != d:
                     break
-                heapq.heappush(heap, (d, chain[j], ai, -1, 0.0, step, chain))
+                heapq.heappush(heap, (d, chain[j], ai, -1, 0.0, step, chain, starts))
                 j += step
-            heapq.heappush(heap, (d, chain[i], ai, j, dj, step, chain))
+            heapq.heappush(heap, (d, chain[i], ai, j, dj, step, chain, starts))
         if not heap or len(found) >= cap:
             break
-        _, tid, ai, j, dj, step, chain = heapq.heappop(heap)
+        _, tid, ai, j, dj, step, chain, starts = heapq.heappop(heap)
         found += _pairings(state, focal, fi, tasks[tid], ai)
-        pending = [(j, dj, ai, step, chain)] if 0 <= j < len(chain) else []
+        pending = [(j, dj, ai, step, chain, starts)] if 0 <= j < len(chain) else []
     return found[:cap]
 
 
@@ -155,7 +157,8 @@ def apply(state: ScheduleState, op: RepairOperator) -> ScheduleState:
     Durations follow from the new resources; the task multiset is unchanged.
 
     ``state`` must be elaborated. Only the one or two spliced chains are
-    copied, and only from their first changed slot on, which is also where
+    copied, and their tasks are rebuilt only from the first changed slot
+    on, which ``_splice`` finds from the focal's slots and is also where
     re-timing starts; the new state shares every other ``Task`` and
     ``Resource`` with ``state`` and equals ``elaborate`` of itself.
     """

@@ -5,12 +5,16 @@ ordered chain of tasks. Products are plain string codes. All timing is
 derived: a task's duration follows from its quantity and the assigned
 resource's rate for its product, starts follow from chain order, and the
 aggregate figures (total/max/avg tardiness, work in process) follow from the
-task fields in two levels. Each resource carries its chain's partials,
-summed left to right in chain order; the state's totals are the sums of
-those partials in resource order, and its max tardiness is their max. So a
-repair step re-sums only the chains it splices, plus one pass over the
-resources. ``elaborate`` recomputes every derived field the same way and is
-idempotent.
+task fields in two levels. Each task carries its chain's running
+partials, summed left to right in chain order up to and including it, and
+each resource carries its chain's partials, which are its last task's; the
+state's totals are the sums of those partials in resource order, and its
+max tardiness is their max. Each resource also carries the start of every
+slot of its chain, in chain order (``Resource.starts``). So a repair step
+re-times and re-sums only the spliced chains from their first changed slot
+on, resuming from the running partials of the task before it, plus one pass
+over the resources. ``elaborate`` recomputes every derived field the same
+way and is idempotent.
 
 States are values: every operation returns a new state and leaves its input
 untouched, so states can be archived for episode rollback and compared after
@@ -26,7 +30,9 @@ Every copy of a ``Task``, ``Resource`` or ``ScheduleState`` is a call of
 its class's constructor, through the copier built for the class from its
 dataclass fields (``_copy_task``, ``_copy_resource``, ``_copy_state``): a
 field added later is copied without editing them, and the copy is always
-of the base class. No copy goes through the source's attribute dict, as
+of the base class. A re-timed task is not copied and then written: ``_retime``
+builds it with one ``Task(...)`` call from its input fields and its new
+timing and partials. No copy goes through the source's attribute dict, as
 ``vars``, a dict update or the ``copy`` module would. On CPython 3.11 that
 builds the dict, and from then on every read and write of the object is
 several times slower; the sources are the plant's shared tasks, which
@@ -50,9 +56,11 @@ AGG_TOL = 1e-9
 class Task:
     """An order operation: what to make, how much, and by when.
 
-    ``duration``, ``start``, ``finish`` and ``resource_index`` (the index in
+    ``duration``, ``start``, ``finish``, ``resource_index`` (the index in
     ``ScheduleState.resources`` of the resource whose chain holds the task)
-    are derived; they are only meaningful after :func:`elaborate`.
+    and the ``run_*`` fields (the chain's total tardiness, max tardiness and
+    WIP over the slots up to and including this task) are derived; they are
+    only meaningful after :func:`elaborate`.
     """
 
     id: str
@@ -65,6 +73,9 @@ class Task:
     finish: float = 0.0
     executing: bool = False
     resource_index: int | None = None
+    run_tardiness: float = 0.0
+    run_max_tardiness: float = 0.0
+    run_wip: float = 0.0
 
 
 @dataclass
@@ -75,7 +86,9 @@ class Resource:
     cannot process that product. ``release_time`` is the earliest start for
     movable (non-executing) work. ``total_tardiness``, ``total_wip`` and
     ``max_tardiness`` are derived: the chain's partials of the state's
-    aggregates, only meaningful after :func:`elaborate`.
+    aggregates. ``starts`` is derived too: the start of each task of
+    ``task_chain``, slot for slot. They are only meaningful after
+    :func:`elaborate`.
     """
 
     id: str
@@ -86,6 +99,7 @@ class Resource:
     total_tardiness: float = 0.0
     total_wip: float = 0.0
     max_tardiness: float = 0.0
+    starts: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -105,7 +119,7 @@ class ScheduleState:
         s = _copy_state(self)
         s.resources = [_copy_resource(r) for r in self.resources]
         for r in s.resources:
-            r.rates, r.task_chain = dict(r.rates), list(r.task_chain)
+            r.rates, r.task_chain, r.starts = dict(r.rates), list(r.task_chain), list(r.starts)
         s.tasks = {tid: _copy_task(t) for tid, t in self.tasks.items()}
         return s
 
@@ -119,7 +133,8 @@ def _copier(cls: type) -> Callable:
 
     The field list is read once from ``dataclasses.fields``. The copy is a
     plain ``cls`` even when the source is of a subclass, and it shares each
-    field's value with the source.
+    field's value with the source. A task that is re-timed is not copied:
+    ``_retime`` builds its successor with one ``Task(...)`` call.
     """
     values = attrgetter(*(f.name for f in fields(cls)))
     return lambda obj: cls(*values(obj))
@@ -200,47 +215,58 @@ def _retime(s: ScheduleState, chains: dict[int, int]) -> None:
     """Re-time each chain at ``chains``' resource indices from its slot on.
 
     ``chains`` maps a resource index to the first slot to re-time; the task
-    before that slot must already carry its final timing. The re-timed
-    resources and tasks must be ``s``'s own copies. Each re-timed task
-    records the index of its resource, and each re-timed chain's partials
-    are summed anew over the whole chain, left to right; every other task
-    and resource keeps what it carries. The aggregates are then summed over
-    the partials in resource order, so a step costs the spliced chains plus
-    O(resources), and a state re-timed in part carries the same floats as
-    one elaborated in full.
+    before that slot must already carry its final timing and running
+    partials. The re-timed resources must be ``s``'s own copies, and
+    ``s.tasks`` its own dict. Each re-timed task is replaced in ``s.tasks``
+    by one ``Task(...)`` built from its input fields, its new timing, the
+    index of its resource and its running partials, summed on from the task
+    before the slot in the same loop; every other task and resource keeps
+    what it carries. A chain's partials are its last task's running ones,
+    and its ``starts`` keeps its slice before the slot. The aggregates are
+    then summed over the partials in resource order, so a step costs the
+    re-timed slots plus O(resources), and a state re-timed in part carries
+    the same floats as one elaborated in full.
     """
     tasks = s.tasks
     for i, first in chains.items():
         r = s.resources[i]
-        chain = r.task_chain
-        prev_task: Task | None = tasks[chain[first - 1]] if first else None
+        chain, rates = r.task_chain, r.rates
+        starts = r.starts[:first]
+        if first:
+            prev = tasks[chain[first - 1]]
+            finish = prev.finish
+            total, max_t, wip = prev.run_tardiness, prev.run_max_tardiness, prev.run_wip
+        else:
+            finish = None
+            total = max_t = wip = 0.0
         for tid in chain[first:]:
             t = tasks[tid]
-            rate = r.rates.get(t.product)
+            rate = rates.get(t.product)
             if rate is None:
                 raise UnprocessableProduct(
                     f"resource {r.id} has no rate for product {t.product} (task {tid})"
                 )
-            t.duration = t.quantity / rate
-            if prev_task is None:
-                if not t.executing:
-                    t.start = max(r.release_time, 0.0)
+            duration = t.quantity / rate
+            if finish is not None:
+                start = finish
+            elif t.executing:  # a frozen head anchors its chain
+                start = t.start
             else:
-                t.start = prev_task.finish
-            t.finish = t.start + t.duration
-            t.resource_index = i
-            prev_task = t
-
-        total = max_t = wip = 0.0
-        for tid in chain:
-            t = tasks[tid]
+                start = max(r.release_time, 0.0)
+            finish = start + duration
             # task_tardiness, inlined; adding a zero lateness would change nothing.
-            lateness = t.finish - t.due_date
+            lateness = finish - t.due_date
             if lateness > 0.0:
                 total += lateness
                 if lateness > max_t:
                     max_t = lateness
-            wip += t.duration
+            wip += duration
+            starts.append(start)
+            tasks[tid] = Task(
+                tid, t.name, t.product, t.quantity, t.due_date, duration, start, finish,
+                t.executing, i, total, max_t, wip,
+            )
+        r.starts = starts
         r.total_tardiness, r.max_tardiness, r.total_wip = total, max_t, wip
 
     total = max_t = wip = 0.0
@@ -259,28 +285,44 @@ def _retime(s: ScheduleState, chains: dict[int, int]) -> None:
 def _splice(state: ScheduleState, chains: dict[int, list[str]]) -> ScheduleState:
     """``state`` with the chains at those resource indices replaced and re-timed.
 
-    ``state`` must be elaborated. A spliced chain keeps the ``Task`` objects
-    of its unchanged prefix: up to the first slot where it differs from the
-    old chain, each task has the same resource, predecessor and inputs, so
-    its timing is already final. Only the tasks from that slot on are copied
-    and re-timed; every other chain and task is shared with ``state``.
+    ``state`` must be elaborated, and its focal task must be the only task
+    the splice moves, except that a swap moves its other task into the
+    focal's old slot: so ``operators.apply`` splices, and so does
+    ``instances.inject_disruption``, whose focal is the arriving order.
+    Under that rule a chain first differs from its old self at the focal's
+    slot in the old chain or in the new one, whichever comes first, taking
+    a chain without the focal as its length. Up to that slot each task has
+    the same resource, predecessor and inputs, so its timing is already
+    final and its ``Task`` is kept; from it on, ``_retime`` builds new ones.
+    Every other chain and task is shared with ``state``.
     """
     s = _copy_state(state)
     s.resources, s.tasks = list(state.resources), dict(state.tasks)
+    focal = state.focal_task
     firsts: dict[int, int] = {}
     for i, chain in chains.items():
-        old = s.resources[i].task_chain
-        first, n = 0, min(len(old), len(chain))
-        while first < n and old[first] == chain[first]:
-            first += 1
-        firsts[i] = first
         r = _copy_resource(s.resources[i])
+        old = r.task_chain
+        firsts[i] = min(
+            old.index(focal) if focal in old else len(old),
+            chain.index(focal) if focal in chain else len(chain),
+        )
         r.task_chain = chain
         s.resources[i] = r
-        for tid in chain[first:]:
-            s.tasks[tid] = _copy_task(s.tasks[tid])
     _retime(s, firsts)
     return s
+
+
+# A task's derived floats and how far each may stray from a fresh
+# elaboration's; the running partials are sums, like the aggregates.
+_TIMING_TOLERANCES = (
+    ("start", 0.0),
+    ("duration", AGG_TOL),
+    ("finish", AGG_TOL),
+    ("run_tardiness", AGG_TOL),
+    ("run_max_tardiness", AGG_TOL),
+    ("run_wip", AGG_TOL),
+)
 
 
 def validate(state: ScheduleState) -> list[Violation]:
@@ -319,12 +361,13 @@ def validate(state: ScheduleState) -> list[Violation]:
     if out:
         return out
 
-    # Starts are compared exactly: elaborate assigns start(k+1) = finish(k)
-    # rather than recomputing it. ``not <=`` counts a NaN as a difference;
-    # equal values, an infinite sum of finite inputs included, are fresh.
+    # Starts, of tasks and of ``Resource.starts``, are compared exactly:
+    # elaborate assigns start(k+1) = finish(k) rather than recomputing it.
+    # ``not <=`` counts a NaN as a difference; equal values, an infinite sum
+    # of finite inputs included, are fresh.
     fresh = elaborate(state)
     for tid, t in state.tasks.items():
-        for attr, tol in (("start", 0.0), ("duration", AGG_TOL), ("finish", AGG_TOL)):
+        for attr, tol in _TIMING_TOLERANCES:
             stored, derived = getattr(t, attr), getattr(fresh.tasks[tid], attr)
             if stored != derived and not abs(stored - derived) <= tol:
                 out.append(Violation("StaleTiming", tid, f"{attr} {stored} != {derived}"))
@@ -332,6 +375,8 @@ def validate(state: ScheduleState) -> list[Violation]:
         if stored != derived:
             out.append(Violation("StaleResourceIndex", tid, f"{stored} != {derived}"))
     for r, f in zip(state.resources, fresh.resources):
+        if len(r.starts) != len(f.starts) or any(a != b for a, b in zip(r.starts, f.starts)):
+            out.append(Violation("StaleStarts", r.id, f"{r.starts} != {f.starts}"))
         for attr in ("total_tardiness", "max_tardiness", "total_wip"):
             stored, derived = getattr(r, attr), getattr(f, attr)
             if stored != derived and not abs(stored - derived) <= AGG_TOL:

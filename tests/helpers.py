@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from decimal import ROUND_HALF_EVEN, Decimal
 from random import Random
+from types import SimpleNamespace
 
 from reskit.instances import Instance
 from reskit.rl import TRACE_FLOOR, QKey, QStore
@@ -69,7 +70,7 @@ def naive_holders(state: ScheduleState) -> dict[str, int]:
     return {tid: i for i, r in enumerate(state.resources) for tid in r.task_chain}
 
 
-def _assert_sums(holder: ScheduleState | Resource, timing: list[dict[str, float]]) -> None:
+def _assert_sums(holder: object, timing: list[dict[str, float]]) -> None:
     """``holder``'s total tardiness and WIP are within 1e-12 relative of
     ``math.fsum`` over ``timing``, and its max tardiness is the largest
     lateness there exactly."""
@@ -86,28 +87,45 @@ def _assert_sums(holder: ScheduleState | Resource, timing: list[dict[str, float]
 def assert_matches_oracles(state: ScheduleState) -> None:
     """Each task's ``resource_index`` is its holder by a chain scan, and the
     tardiness and WIP figures of each chain and of the state match exact
-    sums over their tasks' forward-sweep timing."""
+    sums over their tasks' forward-sweep timing. Each chain's ``starts``
+    are the sweep's starts exactly, and each task's running partials match
+    exact sums over its chain's slots up to and including it."""
     assert {tid: t.resource_index for tid, t in state.tasks.items()} == naive_holders(state)
     timing = naive_timing(state)
     for r in state.resources:
-        _assert_sums(r, [timing[tid] for tid in r.task_chain])
+        chain = [timing[tid] for tid in r.task_chain]
+        _assert_sums(r, chain)
+        assert r.starts == [v["start"] for v in chain], r.id
+        for slot, tid in enumerate(r.task_chain):
+            t = state.tasks[tid]
+            running = SimpleNamespace(
+                total_tardiness=t.run_tardiness,
+                max_tardiness=t.run_max_tardiness,
+                total_wip=t.run_wip,
+            )
+            _assert_sums(running, chain[: slot + 1])
     _assert_sums(state, list(timing.values()))
 
 
 AGGREGATES = ("total_tardiness", "max_tardiness", "avg_tardiness", "total_wip", "task_number")
 PARTIALS = ("total_tardiness", "max_tardiness", "total_wip")
+RUNNING = ("run_tardiness", "run_max_tardiness", "run_wip")
 
 
 def assert_fully_elaborated(state: ScheduleState) -> None:
     """Every derived field equals a full re-elaboration's, floats bit for
-    bit: task timing and resource index, resource partials, aggregates."""
+    bit: task timing, resource index and running partials, resource starts
+    and partials, aggregates."""
     fresh = elaborate(state)
     assert list(state.tasks) == list(fresh.tasks)
     for tid, t in state.tasks.items():
         f = fresh.tasks[tid]
         assert (t.start, t.duration, t.finish) == (f.start, f.duration, f.finish), tid
         assert t.resource_index == f.resource_index, tid
+        for attr in RUNNING:
+            assert getattr(t, attr) == getattr(f, attr), (tid, attr)
     for r, f in zip(state.resources, fresh.resources, strict=True):
+        assert r.starts == f.starts, r.id
         for attr in PARTIALS:
             assert getattr(r, attr) == getattr(f, attr), (r.id, attr)
     for attr in AGGREGATES:

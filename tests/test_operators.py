@@ -4,7 +4,9 @@ from random import Random
 import pytest
 
 from reskit.errors import NoFocalTask, OperatorNotApplicable
+from reskit import schedule
 from reskit.instances import (
+    Instance,
     InstanceSpec,
     generate_instance,
     inject_disruption,
@@ -24,6 +26,7 @@ from helpers import (
     assert_fully_elaborated,
     assert_matches_oracles,
     assert_prefixes_shared,
+    first_changed_slot,
     frozen,
     naive_timing,
     random_state,
@@ -474,6 +477,53 @@ def test_successive_applies_leave_every_earlier_state_alone():
         for state, snapshot in history:
             assert state == snapshot
     assert steps > 60
+
+
+def test_splice_retimes_from_the_first_changed_slot(monkeypatch):
+    # ``_splice`` takes the slot from the focal's old and new positions; on
+    # every proposal of random plants up to 40 x 5 and on every disruption
+    # it must be the first slot where the old and new chains differ
+    recorded: list[dict[int, int]] = []
+    retime = schedule._retime
+
+    def recording_retime(s: ScheduleState, chains: dict[int, int]) -> None:
+        recorded.append(dict(chains))
+        retime(s, chains)
+
+    monkeypatch.setattr(schedule, "_retime", recording_retime)
+
+    def check(before: ScheduleState, after: ScheduleState) -> None:
+        (firsts,) = recorded
+        recorded.clear()
+        assert firsts == {
+            i: first_changed_slot(old.task_chain, new.task_chain)
+            for i, (old, new) in enumerate(zip(before.resources, after.resources))
+            if old.task_chain != new.task_chain
+        }
+
+    rng = Random(17)
+    splices = 0
+    for _ in range(150):
+        raw = random_state(rng, max_resources=5, max_tasks=40)
+        if not raw.tasks:
+            continue
+        raw.focal_task = rng.choice(sorted(raw.tasks))
+        s = elaborate(raw)
+        recorded.clear()
+        for op in propose(s, cap=2 * len(s.tasks)):
+            check(s, apply(s, op))
+            splices += 1
+    for seed in range(40):
+        spec = InstanceSpec(
+            seed=900 + seed, task_count=rng.randint(0, 40), resource_count=rng.randint(1, 5)
+        )
+        inst = generate_instance(spec)
+        recorded.clear()
+        arrival = rng.uniform(0.0, 10.0)
+        fresh = Instance(inst.state, sample_disruption(inst, rng).order, arrival)
+        check(inst.state, inject_disruption(fresh))
+        splices += 1
+    assert splices > 3000
 
 
 def oracle_starts():

@@ -26,6 +26,7 @@ from reskit.schedule import (
     _copy_resource,
     _copy_state,
     _copy_task,
+    _splice,
     elaborate,
     task_tardiness,
     validate,
@@ -288,6 +289,35 @@ def test_validate_flags_a_stale_partial():
         assert hits == [("StalePartial", f"r{i + 1}", attr)]
 
 
+def test_validate_flags_stale_starts():
+    s = split_state()
+    assert [r.starts for r in s.resources] == [[0.0], [0.0]]
+    for starts in ([0.5], [], [0.0, 2.0], [math.nan]):
+        stale = s.clone()
+        stale.resources[0].starts = starts
+        assert [(v.code, v.subject) for v in validate(stale)] == [("StaleStarts", "r1")]
+
+
+def test_validate_flags_a_stale_running_partial():
+    s = split_state()
+    # t1 finishes at 2 h, due 1 h; t2 on r2 finishes at 3 h, due 10 h
+    assert [
+        (t.run_tardiness, t.run_max_tardiness, t.run_wip) for t in s.tasks.values()
+    ] == [(1.0, 1.0, 2.0), (0.0, 0.0, 3.0)]
+    for tid, attr, value in [
+        ("t1", "run_tardiness", 0.0),
+        ("t2", "run_max_tardiness", 1.0),
+        ("t2", "run_wip", 3.0 + 1e-6),
+    ]:
+        stale = s.clone()
+        setattr(stale.tasks[tid], attr, value)
+        hits = [(v.code, v.subject, v.detail.split()[0]) for v in validate(stale)]
+        assert hits == [("StaleTiming", tid, attr)]
+    within = s.clone()
+    within.tasks["t1"].run_wip += 1e-12  # inside AGG_TOL, as for the other sums
+    assert validate(within) == []
+
+
 def test_resource_of_fails_on_a_task_never_elaborated():
     raw = two_task_state()
     with pytest.raises(TypeError):
@@ -409,8 +439,11 @@ def _defaults(cls: type) -> dict:
 @pytest.mark.parametrize(
     "copy_of, obj",
     [
-        (_copy_task, Task("t1", "Task1", "B", 40.0, 7.5, 2.5, 1.0, 3.5, True, 2)),
-        (_copy_resource, Resource("r1", "mixer", {"A": 10.0}, ["t1"], 0.5, 1.5, 2.5, 0.75)),
+        (_copy_task, Task("t1", "Task1", "B", 40.0, 7.5, 2.5, 1.0, 3.5, True, 2, 0.5, 0.25, 4.0)),
+        (
+            _copy_resource,
+            Resource("r1", "mixer", {"A": 10.0}, ["t1"], 0.5, 1.5, 2.5, 0.75, [0.5]),
+        ),
         (
             _copy_state,
             ScheduleState(
@@ -430,6 +463,39 @@ def test_copier_keeps_every_field(copy_of, obj):
     assert out == obj
     assert out is not obj
     assert type(out) is type(obj)
+
+
+# Fields ``_retime`` computes; every other Task field is an input it must carry.
+DERIVED_TASK_FIELDS = {
+    "duration", "start", "finish", "resource_index",
+    "run_tardiness", "run_max_tardiness", "run_wip",
+}
+
+
+def test_retime_keeps_every_input_field():
+    # every input field is listed and, where it has a default, set to
+    # something else, so a field the ``Task(...)`` call in ``_retime`` left
+    # out would come back at its default; a field added later fails the
+    # first assert until it is listed here
+    inputs = dict(id="t1", name="Task1", product="B", quantity=40.0, due_date=7.5, executing=True)
+    assert set(inputs) == {f.name for f in dataclasses.fields(Task)} - DERIVED_TASK_FIELDS
+    for name, default in _defaults(Task).items():
+        if name in inputs:
+            assert inputs[name] != default, name
+    raw = ScheduleState(
+        resources=[Resource("r1", rates={"B": 10.0}, task_chain=["t1"])],
+        tasks={"t1": Task(**inputs, start=1.25)},
+        focal_task="t1",
+    )
+    s = elaborate(raw)
+    # a splice re-times from the focal's slot, here the head
+    spliced = _splice(s, {0: ["t1"]})
+    for out in (s, spliced):
+        t = out.tasks["t1"]
+        assert type(t) is Task and t is not raw.tasks["t1"]
+        assert {name: getattr(t, name) for name in inputs} == inputs
+        assert (t.start, t.finish) == (1.25, 5.25)  # an executing head keeps its start
+    assert spliced.tasks["t1"] is not s.tasks["t1"]
 
 
 def test_copier_turns_a_frozen_task_into_a_plain_one():

@@ -14,8 +14,11 @@ its untracked files that ``.gitignore`` does not exclude.
 
 The file holds every run's info line and result line as ``perfbench``
 printed them, and a summary per workload and trace mode: each metric's
-median on both sides, their ratio, and for the end-to-end metrics the
-number of pairs the head side won and the spread of the base side's runs.
+median on both sides, their ratio, and for every metric ``BENCHMARK.json``
+gives a ``better`` direction (the end-to-end ones and the per-layer ones
+of a traced run alike) the number of pairs the head side won and the
+spread of the base side's runs. One traced pair cannot show a layer saving
+of a few per cent; several pairs and these columns can.
 Beside the metrics, ``passes`` gives each side's median number of passes
 (a faster side fits more into a run, and each pass adds to the peak RSS),
 and ``digests`` the number of pairs whose trajectory digests are equal.
@@ -140,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
         workload, trace, pairs = spec.split(":")
         plan.append((workload, int(trace), int(pairs)))
     config = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in config["end_to_end"]}
+    better = {m["name"]: m["better"] for m in [*config["end_to_end"], *config["per_layer"]]}
     seconds = config["run_seconds"]
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-pair-"))
