@@ -1,10 +1,10 @@
 """Command-line surface: generate, train, repair, evaluate, render, validate,
 inspect-q.
 
-Exit codes: 0 success, 1 validation failure, 2 file/format errors. Status
-messages go to stderr; command output (traces, charts, tables) to stdout.
-Artifacts written by seeded commands are byte-reproducible: reports embed no
-paths, timestamps or wall-clock figures.
+Exit codes: 0 success, 1 validation failure, 2 usage and file/format
+errors. Status messages go to stderr; command output (traces, charts,
+tables) to stdout. Artifacts written by seeded commands are
+byte-reproducible: reports embed no paths, timestamps or wall-clock figures.
 """
 
 from __future__ import annotations
@@ -220,8 +220,11 @@ def cmd_render(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.instance is None and args.qstore is None:
+        print("error: validate needs --instance, --qstore or both", file=sys.stderr)
+        return 2
     failures = 0
-    if args.instance:
+    if args.instance is not None:
         # Check the state repair starts from, not the base plant: a file then
         # validates only if repair can run it, and the order's placement and
         # the executing flags set at its arrival are checked with the rest.
@@ -233,7 +236,7 @@ def cmd_validate(args) -> int:
         for v in validate(disrupted):
             print(f"{args.instance}: {v}", file=sys.stderr)
             failures += 1
-    if args.qstore:
+    if args.qstore is not None:
         store = load_qstore(args.qstore)
         print(f"{args.qstore}: {len(store.entries)} entries", file=sys.stderr)
     if failures:

@@ -6,6 +6,14 @@ step limit hits, or nothing is proposable. With learning on, each step bumps
 the visited key's trace and applies one SARSA update; traces are cleared
 when the episode ends. With learning off the run is pure greedy (epsilon 0)
 and the store is left untouched.
+
+The loop keeps one step of history: the state before the current one, its
+proposal list and the operator that left it. A step that ``undoes`` the
+last one goes back to that state and reuses its proposals, with no
+``apply`` and no ``propose``; the state just left becomes the history, so a
+loop between two states costs neither on any later step. States are
+values, and every derived field is a function of the chains, so the
+episode takes the same choices and yields the same floats either way.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from enum import Enum
 from random import Random
 
 from .errors import InvalidConfig
-from .operators import RepairOperator, apply, propose
+from .operators import RepairOperator, apply, propose, undoes
 from .rl import QStore, goal_reached, reward, select
 from .schedule import ScheduleState
 
@@ -63,8 +71,10 @@ def run_episode(
 ) -> EpisodeResult:
     """Run one repair episode from ``state``; mutates ``store`` iff learning.
 
-    ``state`` must be elaborated and is left as it is; with no step taken,
-    it is the result's ``final_state``.
+    ``state`` must be elaborated and is left as it is. The result's
+    ``final_state`` may be an earlier state object of the episode: a step
+    that undoes the last one returns to the state before it, and that may
+    be ``state`` itself, as it is when no step is taken.
     """
     if rng is None:
         rng = Random(cfg.seed)
@@ -72,6 +82,10 @@ def run_episode(
 
     steps: list[StepRecord] = []
     prev_key = r = None  # the last step's key and reward
+    proposals = None  # the current state's, when known
+    # One step of history: the state before the current one, the operator
+    # that left it and its proposals.
+    before = before_op = before_proposals = None
     while True:
         if goal_reached(state):
             outcome = Outcome.GOAL_REACHED
@@ -79,7 +93,8 @@ def run_episode(
         if len(steps) == cfg.max_steps:
             outcome = Outcome.STEP_LIMIT
             break
-        proposals = propose(state)
+        if proposals is None:
+            proposals = propose(state)
         if not proposals:
             outcome = Outcome.NO_PROPOSALS
             break
@@ -89,7 +104,10 @@ def run_episode(
                 store.sarsa_update(prev_key, r, key)
             store.bump_trace(key)
         source = state.resource_of(op.focal).id
-        nxt = apply(state, op)
+        if before_op is not None and undoes(before, before_op, state, op):
+            nxt, nxt_proposals = before, before_proposals
+        else:
+            nxt, nxt_proposals = apply(state, op), None
         r = reward(state, nxt)
         steps.append(
             StepRecord(
@@ -102,7 +120,8 @@ def run_episode(
                 proposal_count=len(proposals),
             )
         )
-        state, prev_key = nxt, key
+        before, before_op, before_proposals = state, op, proposals
+        state, proposals, prev_key = nxt, nxt_proposals, key
 
     # An episode that took a step ends the same way: bootstrap 0, drop traces.
     if learning and steps:

@@ -100,6 +100,13 @@ def test_validate_ok_and_violation_exit_codes(tmp_path, instance_path, capsys):
     assert "rate" in capsys.readouterr().err
 
 
+def test_validate_with_nothing_to_check_is_a_usage_error(capsys):
+    assert main(["validate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--instance" in err
+    assert "ok" not in err
+
+
 def test_validate_format_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"resources": []}', encoding="utf-8")

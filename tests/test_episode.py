@@ -1,9 +1,11 @@
 import copy
 import re
+from collections import Counter
 from random import Random
 
 import pytest
 
+from reskit import episode
 from reskit.episode import (
     EpisodeConfig,
     Outcome,
@@ -17,6 +19,8 @@ from reskit.instances import InstanceSpec, generate_instance, inject_disruption
 from reskit.operators import propose
 from reskit.rl import GOAL_BONUS, Hyperparams, QStore, qkey
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
+
+from helpers import assert_fully_elaborated
 
 TOL = 1e-9
 
@@ -225,3 +229,62 @@ def test_run_episode_and_train_leave_their_input_alone():
         assert s == snapshot
     train(s, store, 5, EpisodeConfig(seed=3))
     assert s == snapshot
+
+
+def learn_and_repair(disrupted, seed):
+    """Twenty training episodes, then a greedy run with the trained store."""
+    store = QStore()
+    results = train(disrupted, store, 20, EpisodeConfig(seed=seed))
+    results.append(run_episode(disrupted, store, EpisodeConfig(seed=seed), learning=False))
+    return results, store
+
+
+def test_stepping_back_takes_the_same_trajectories(monkeypatch):
+    # a step that undoes the last one returns to the state before it; with
+    # that shortcut turned off every step applies and proposes, and the
+    # traces, the store and the final states must come out the same
+    plants = [disrupted_instance(seed) for seed in range(10)]
+    plants.append(
+        inject_disruption(generate_instance(InstanceSpec(seed=5, task_count=40, resource_count=5)))
+    )
+    hits = Counter()
+    undoes = episode.undoes
+
+    def counting_undoes(*args):
+        hit = undoes(*args)
+        hits[hit] += 1
+        return hit
+
+    for seed, s in enumerate(plants):
+        monkeypatch.setattr(episode, "undoes", counting_undoes)
+        fast, fast_store = learn_and_repair(s, seed)
+        monkeypatch.setattr(episode, "undoes", lambda *args: False)
+        slow, slow_store = learn_and_repair(s, seed)
+        assert [trace_dict(r) for r in fast] == [trace_dict(r) for r in slow]
+        assert fast_store.entries == slow_store.entries
+        for a, b in zip(fast, slow, strict=True):
+            assert [r.task_chain for r in a.final_state.resources] == [
+                r.task_chain for r in b.final_state.resources
+            ]
+            assert_fully_elaborated(a.final_state)
+    assert hits[True] > 500
+
+
+def test_undo_steps_neither_apply_nor_propose(monkeypatch):
+    # seed 6 trains into two-state loops: most steps step back, so the
+    # shortcut must leave apply and propose fewer calls than steps
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(episode, "apply", counting("apply", episode.apply))
+    monkeypatch.setattr(episode, "propose", counting("propose", episode.propose))
+    results = train(disrupted_instance(seed=6), QStore(), 20, EpisodeConfig(seed=6))
+    steps = sum(len(r.steps) for r in results)
+    assert calls["apply"] < steps
+    assert calls["propose"] < steps
