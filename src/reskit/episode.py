@@ -14,6 +14,23 @@ last one goes back to that state and reuses its proposals, with no
 loop between two states costs neither on any later step. States are
 values, and every derived field is a function of the chains, so the
 episode takes the same choices and yields the same floats either way.
+
+With learning off the loop also skips the rest of a greedy cycle. The
+store is frozen, so the pick, the next state and the step's record are
+functions of the state; once a state repeats, the steps since its first
+visit repeat until the episode ends (a goal or a state with no proposals
+ends it, so neither lies on a cycle). An index from each state's ``QKey``
+(its signature and its pick) to the step count at its first visit and its
+``resources`` list finds the repeat with one dict lookup a step; the
+chains of two states are compared only when their keys are equal. Chains
+and the episode's fixed inputs determine a state, so equal chains are the
+same state. The pick in the key keeps apart states that share a signature
+but not a move, which could otherwise hold a cycle state's entry and hide
+the cycle. Whole periods are appended up to the step limit and the
+ordinary loop takes the fewer steps that remain, so the final state, the
+outcome and the undo history come out as a step-by-step run leaves them.
+The index keeps each greedy state's ``resources`` list alive until the
+episode ends. Training never builds it: its store changes every step.
 """
 
 from __future__ import annotations
@@ -75,6 +92,14 @@ def run_episode(
     ``final_state`` may be an earlier state object of the episode: a step
     that undoes the last one returns to the state before it, and that may
     be ``state`` itself, as it is when no step is taken.
+
+    With ``learning`` off, a state that repeats an earlier one (equal
+    ``QKey``, then equal chains) starts a cycle whose records are already
+    in ``steps``: whole periods are copied up to ``cfg.max_steps`` with new
+    indices, and ``rng`` draws one number per copied step, as ``select``
+    would, so a caller's generator ends where a step-by-step run leaves it.
+    Greedy picks are exact functions of the state under a frozen store, so
+    the records, the outcome and the final chains are those of that run.
     """
     if rng is None:
         rng = Random(cfg.seed)
@@ -86,6 +111,8 @@ def run_episode(
     # One step of history: the state before the current one, the operator
     # that left it and its proposals.
     before = before_op = before_proposals = None
+    # Greedy only: a state's key -> (steps taken at its first visit, resources).
+    seen = None if learning else {}
     while True:
         if goal_reached(state):
             outcome = Outcome.GOAL_REACHED
@@ -103,6 +130,31 @@ def run_episode(
             if steps:
                 store.sarsa_update(prev_key, r, key)
             store.bump_trace(key)
+        elif seen is not None:
+            n = len(steps)
+            j, resources = seen.setdefault(key, (n, state.resources))
+            if j < n and _chains(resources) == _chains(state.resources):
+                # This state is the one after step j: steps[j:] repeat from here.
+                seen = None
+                cycle = steps[j:]
+                whole = (cfg.max_steps - n) // len(cycle) * len(cycle)
+                if whole:
+                    for i in range(whole):
+                        rec = cycle[i % len(cycle)]
+                        steps.append(
+                            StepRecord(
+                                n + i + 1,
+                                rec.operator,
+                                rec.source_resource,
+                                rec.tardiness_before,
+                                rec.tardiness_after,
+                                rec.reward,
+                                rec.proposal_count,
+                            )
+                        )
+                    for _ in range(whole - 1):  # this select drew the first
+                        rng.random()
+                    continue
         source = state.resource_of(op.focal).id
         if before_op is not None and undoes(before, before_op, state, op):
             nxt, nxt_proposals = before, before_proposals
@@ -128,6 +180,10 @@ def run_episode(
         store.sarsa_update(prev_key, r, None)
         store.clear_traces()
     return EpisodeResult(outcome, steps, state)
+
+
+def _chains(resources: list) -> list[list[str]]:
+    return [r.task_chain for r in resources]
 
 
 def train(

@@ -1,14 +1,17 @@
 """Gantt renderings of a schedule state: SVG (canonical) and plain text.
 
 Both renderers are pure functions of the state, with fixed-precision
-coordinates, so output is stable enough for golden-file tests. The focal
-task is drawn white with a dark border, executing tasks orange, everything
-else takes a color from a fixed per-product palette.
+coordinates, so output is stable enough for golden-file tests. The SVG
+escapes every name and the caption, so any name the loader accepts gives
+well-formed XML. The focal task is drawn white with a dark border,
+executing tasks orange, everything else takes a color from a fixed
+per-product palette.
 """
 
 from __future__ import annotations
 
 import math
+from html import escape
 
 from .errors import InvalidConfig
 from .schedule import ScheduleState, Task
@@ -77,7 +80,7 @@ def render_svg(state: ScheduleState, caption: str = "") -> str:
     ]
     if caption:
         parts.append(
-            f'<text x="{_LEFT}" y="20" font-size="13" fill="#111111">{caption}</text>'
+            f'<text x="{_LEFT}" y="20" font-size="13" fill="#111111">{escape(caption)}</text>'
         )
 
     chart_bottom = _TOP + rows * _ROW_H
@@ -98,7 +101,7 @@ def render_svg(state: ScheduleState, caption: str = "") -> str:
         y = _TOP + row * _ROW_H
         parts.append(
             f'<text x="{_LEFT - 8}" y="{y + _ROW_H / 2 + 4:.2f}" font-size="12" '
-            f'fill="#111111" text-anchor="end">{r.id}</text>'
+            f'fill="#111111" text-anchor="end">{escape(r.id)}</text>'
         )
         for tid in r.task_chain:
             t = state.tasks[tid]
@@ -106,16 +109,17 @@ def render_svg(state: ScheduleState, caption: str = "") -> str:
             bw = max(t.duration * scale, 1.0)
             by = y + (_ROW_H - _BAR_H) / 2
             css, fill = _bar_style(state, t, colors)
+            name = escape(t.name)
             parts.append(
                 f'<rect class="{css}" x="{bx:.2f}" y="{by:.2f}" '
                 f'width="{bw:.2f}" height="{_BAR_H}" fill="{fill}" '
-                f'stroke="#222222" stroke-width="1"><title>{t.name} ({t.product} '
+                f'stroke="#222222" stroke-width="1"><title>{name} ({escape(t.product)} '
                 f'{t.quantity:g} kg, due {t.due_date:g} h)</title></rect>'
             )
             if bw >= 34:
                 parts.append(
                     f'<text x="{bx + bw / 2:.2f}" y="{by + _BAR_H / 2 + 4:.2f}" '
-                    f'font-size="10" fill="#111111" text-anchor="middle">{t.name}</text>'
+                    f'font-size="10" fill="#111111" text-anchor="middle">{name}</text>'
                 )
     parts.append("</svg>")
     return "\n".join(parts)

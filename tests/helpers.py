@@ -11,7 +11,8 @@ disrupted state with a full elaboration of a raw copy, and
 ``assert_disrupted`` checks ``inject_disruption`` against it.
 ``quantize_oracle`` and ``sarsa_two_pass`` are the plain forms of
 ``quantize`` and ``QStore.sarsa_update`` that the fast ones must match bit
-for bit.
+for bit, and ``greedy_oracle`` is the plain form of a greedy
+``run_episode``.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from decimal import ROUND_HALF_EVEN, Decimal
 from random import Random
 from types import SimpleNamespace
 
+from reskit.episode import EpisodeConfig, EpisodeResult, Outcome, StepRecord
 from reskit.instances import Instance
-from reskit.rl import TRACE_FLOOR, QKey, QStore
+from reskit.operators import apply, propose
+from reskit.rl import TRACE_FLOOR, QKey, QStore, goal_reached, reward, select
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
 
 PRODUCTS = ["A", "B", "C", "D"]
@@ -283,3 +286,42 @@ def sarsa_two_pass(store: QStore, key: QKey, reward_value: float, next_key: QKey
         store.entries[k] = store.entries.get(k, 0.0) + step * e
     decay = h.gamma * h.lam
     store.traces = {k: e * decay for k, e in store.traces.items() if e * decay > TRACE_FLOOR}
+
+
+def greedy_oracle(
+    state: ScheduleState, store: QStore, cfg: EpisodeConfig, rng: Random | None = None
+) -> tuple[EpisodeResult, list[list[list[str]]]]:
+    """A greedy repair as a plain propose, select, apply loop: no undo
+    shortcut and no revisit index. Returns the result and the chains of
+    every state it visited, the start first."""
+    if rng is None:
+        rng = Random(cfg.seed)
+    steps: list[StepRecord] = []
+    visited = [[r.task_chain for r in state.resources]]
+    while True:
+        if goal_reached(state):
+            outcome = Outcome.GOAL_REACHED
+            break
+        if len(steps) == cfg.max_steps:
+            outcome = Outcome.STEP_LIMIT
+            break
+        proposals = propose(state)
+        if not proposals:
+            outcome = Outcome.NO_PROPOSALS
+            break
+        op, _ = select(store, state, proposals, rng, epsilon=0.0)
+        nxt = apply(state, op)
+        steps.append(
+            StepRecord(
+                index=len(steps) + 1,
+                operator=op,
+                source_resource=state.resource_of(op.focal).id,
+                tardiness_before=state.total_tardiness,
+                tardiness_after=nxt.total_tardiness,
+                reward=reward(state, nxt),
+                proposal_count=len(proposals),
+            )
+        )
+        visited.append([r.task_chain for r in nxt.resources])
+        state = nxt
+    return EpisodeResult(outcome, steps, state), visited

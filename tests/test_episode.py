@@ -1,6 +1,7 @@
 import copy
 import re
 from collections import Counter
+from itertools import islice
 from random import Random
 
 import pytest
@@ -15,12 +16,12 @@ from reskit.episode import (
     train,
 )
 from reskit.errors import InvalidConfig
-from reskit.instances import InstanceSpec, generate_instance, inject_disruption
+from reskit.instances import InstanceSpec, generate_instance, inject_disruption, sample_disruption
 from reskit.operators import propose
 from reskit.rl import GOAL_BONUS, Hyperparams, QStore, qkey
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
 
-from helpers import assert_fully_elaborated
+from helpers import assert_fully_elaborated, greedy_oracle
 
 TOL = 1e-9
 
@@ -288,3 +289,120 @@ def test_undo_steps_neither_apply_nor_propose(monkeypatch):
     steps = sum(len(r.steps) for r in results)
     assert calls["apply"] < steps
     assert calls["propose"] < steps
+
+
+def counting_select(monkeypatch):
+    """Patch ``episode.select`` to count its calls; returns the counter."""
+    calls = Counter()
+    select = episode.select
+
+    def wrapper(*args, **kwargs):
+        calls["select"] += 1
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(episode, "select", wrapper)
+    return calls
+
+
+def greedy_cases():
+    """(start, store, seed) of greedy repairs: 15x3 plants after twenty
+    training episodes, 40x5 plants with an empty store, and fresh orders on
+    a trained 200x10 plant whose chain heads have started."""
+    for seed in range(30):
+        disrupted = disrupted_instance(seed)
+        store = QStore()
+        train(disrupted, store, 20, EpisodeConfig(seed=seed))
+        yield disrupted, store, seed
+    for seed in range(100, 110):
+        spec = InstanceSpec(seed=seed, task_count=40, resource_count=5)
+        yield inject_disruption(generate_instance(spec)), QStore(), seed
+    plant = generate_instance(InstanceSpec(seed=1, task_count=200, resource_count=10))
+    plant.arrival_h = 1.0
+    store = QStore()
+    train(inject_disruption(plant), store, 20, EpisodeConfig(seed=1))
+    for order in range(12):
+        yield inject_disruption(sample_disruption(plant, Random(order))), store, order
+
+
+def first_repeat(visited):
+    """(step of the first revisit, its period), or None for a path with no revisit."""
+    first = {}
+    for n, chains in enumerate(visited):
+        seen = first.setdefault(repr(chains), n)
+        if seen < n:
+            return n, n - seen
+    return None
+
+
+def test_greedy_repairs_match_the_plain_loop(monkeypatch):
+    # a greedy run skips the rest of a cycle once a state repeats; a plain
+    # propose, select, apply loop must take the same steps to the same end,
+    # with the limit on whole periods and inside one
+    calls = counting_select(monkeypatch)
+    periods = Counter()
+    for start, store, seed in greedy_cases():
+        for max_steps in (7, 50, 51):
+            cfg = EpisodeConfig(max_steps=max_steps, seed=seed)
+            calls.clear()
+            rng, oracle_rng = Random(seed), Random(seed)
+            res = run_episode(start, store, cfg, learning=False, rng=rng)
+            oracle, visited = greedy_oracle(start, store, cfg, rng=oracle_rng)
+            assert trace_dict(res) == trace_dict(oracle)
+            assert [r.task_chain for r in res.final_state.resources] == visited[-1]
+            assert_fully_elaborated(res.final_state)
+            assert rng.getstate() == oracle_rng.getstate()
+            skipped = calls["select"] < len(res.steps)
+            repeat = first_repeat(visited)
+            if repeat is None:
+                assert not skipped
+            else:
+                # every cycle is caught at its first revisit; skipping one
+                # step saves nothing, as the loop selects again after it
+                n, period = repeat
+                assert skipped == ((max_steps - n) // period * period > 1)
+                periods[period] += skipped
+    assert periods[2] > 0
+    assert any(period > 2 for period in periods)
+
+
+def test_greedy_repairs_leave_a_shared_generator_where_the_plain_loop_does():
+    # one caller's generator drives several repairs in a row, each ending on
+    # the step limit inside a loop; it must advance one draw per step taken
+    # or skipped, as in a plain loop
+    disrupted = disrupted_instance(seed=6)
+    store = QStore()
+    train(disrupted, store, 20, EpisodeConfig(seed=6))
+    rng, oracle_rng = Random(11), Random(11)
+    for max_steps in (7, 50, 51, 8):
+        cfg = EpisodeConfig(max_steps=max_steps)
+        res = run_episode(disrupted, store, cfg, learning=False, rng=rng)
+        oracle, _ = greedy_oracle(disrupted, store, cfg, rng=oracle_rng)
+        assert len(res.steps) == len(oracle.steps) == max_steps
+        assert rng.getstate() == oracle_rng.getstate()
+    assert rng.random() == oracle_rng.random()
+
+
+def test_greedy_loops_are_not_re_decided(monkeypatch):
+    # seed 6's greedy repair falls into a two-state loop early and runs to
+    # the step limit: select must run on the steps before the loop, not on
+    # every step of it
+    disrupted = disrupted_instance(seed=6)
+    store = QStore()
+    train(disrupted, store, 20, EpisodeConfig(seed=6))
+    calls = counting_select(monkeypatch)
+    res = run_episode(disrupted, store, EpisodeConfig(seed=6), learning=False)
+    assert res.outcome is Outcome.STEP_LIMIT
+    assert calls["select"] < len(res.steps) / 2
+
+
+def test_equal_keys_alone_are_not_a_revisit(monkeypatch):
+    # the revisit index is keyed by the pick's key, and only equal chains
+    # make a revisit: with every state given one key, the runs must still
+    # take the plain loop's steps
+    select = episode.select
+    monkeypatch.setattr(episode, "select", lambda *a, **kw: (select(*a, **kw)[0], "one key"))
+    for start, store, seed in islice(greedy_cases(), 40):
+        cfg = EpisodeConfig(max_steps=20, seed=seed)
+        res = run_episode(start, store, cfg, learning=False)
+        oracle, _ = greedy_oracle(start, store, cfg)
+        assert trace_dict(res) == trace_dict(oracle)

@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from xml.dom import minidom
 
 import pytest
 
@@ -65,6 +66,26 @@ def test_render_is_pure():
 def test_caption_appears():
     state = elaborate(two_task_state())
     assert "totTard 1 h" in render_svg(state, caption="totTard 1 h")
+
+
+def test_markup_in_names_is_escaped():
+    # names, products and resource ids are free text in an instance file
+    state = two_task_state()
+    state.resources[0] = Resource(
+        id='r<1> & "x"', rates={"A&B": 10.0}, task_chain=["t1", "t2"]
+    )
+    for t, name in zip(state.tasks.values(), ["A&B <x>", "it's </title>"]):
+        t.name, t.product = name, "A&B"
+    state = elaborate(state)
+    svg = render_svg(state, caption="totTard <1 h & rising")
+    minidom.parseString(svg)  # well-formed
+    root = ET.fromstring(svg)
+    texts = [el.text for el in root.iter(f"{SVG_NS}text")]
+    assert "totTard <1 h & rising" in texts
+    assert 'r<1> & "x"' in texts
+    assert "A&B <x>" in texts
+    titles = [el.text for el in root.iter(f"{SVG_NS}title")]
+    assert titles == ["A&B <x> (A&B 20 kg, due 1 h)", "it's </title> (A&B 30 kg, due 10 h)"]
 
 
 def test_text_rendering_golden():
