@@ -2,10 +2,10 @@
 
 An episode starts from an elaborated state (focal task set, pre-disruption
 tardiness snapshotted) and runs repair steps until the goal is reached, the
-step limit hits, or nothing is proposable. With learning on, each step bumps
-the visited key's trace and applies one SARSA update; traces are cleared
-when the episode ends. With learning off the run is pure greedy (epsilon 0)
-and the store is left untouched.
+step limit hits, or nothing is proposable. With learning on, each step
+makes an epsilon-greedy pick, bumps the visited key's trace and applies one
+SARSA update; traces are cleared when the episode ends. With learning off
+each pick is greedy and the store is left untouched.
 
 The loop keeps one step of history: the state before the current one, its
 proposal list and the operator that left it. A step that ``undoes`` the
@@ -15,21 +15,22 @@ loop between two states costs neither on any later step. States are
 values, and every derived field is a function of the chains, so the
 episode takes the same choices and yields the same floats either way.
 
-With learning off the loop also skips the rest of a greedy cycle. The
-store is frozen, so the pick, the next state and the step's record are
-functions of the state; once a state repeats, the steps since its first
-visit repeat until the episode ends (a goal or a state with no proposals
-ends it, so neither lies on a cycle). An index from each state's ``QKey``
-(its signature and its pick) to the step count at its first visit and its
-``resources`` list finds the repeat with one dict lookup a step; the
-chains of two states are compared only when their keys are equal. Chains
-and the episode's fixed inputs determine a state, so equal chains are the
-same state. The pick in the key keeps apart states that share a signature
-but not a move, which could otherwise hold a cycle state's entry and hide
-the cycle. Whole periods are appended up to the step limit and the
-ordinary loop takes the fewer steps that remain, so the final state, the
-outcome and the undo history come out as a step-by-step run leaves them.
-The index keeps each greedy state's ``resources`` list alive until the
+A greedy run draws no random number: ``select`` gets no generator, so
+with the store frozen the pick, the next state and the step's record are
+functions of the state. The loop uses this to skip the rest of a greedy
+cycle: once a state repeats, the steps since its first visit repeat until
+the episode ends (a goal or a state with no proposals ends it, so neither
+lies on a cycle). An index from each state's ``QKey`` (its signature and
+its pick) to the step count at its first visit and its ``resources`` list
+finds the repeat with one dict lookup a step; the chains of two states are
+compared only when their keys are equal. Chains and the episode's fixed
+inputs determine a state, so equal chains are the same state. The pick in
+the key keeps apart states that share a signature but not a move, which
+could otherwise hold a cycle state's entry and hide the cycle. Whole
+periods of the cycle's records, the same record objects again, are
+appended up to the step limit and the ordinary loop takes the fewer steps
+that remain, so the final state, the outcome and the undo history come out
+as a step-by-step run leaves them. The index keeps each greedy state's ``resources`` list alive until the
 episode ends. Training never builds it: its store changes every step.
 """
 
@@ -63,7 +64,9 @@ class EpisodeConfig:
 
 @dataclass
 class StepRecord:
-    index: int  # 1-based step number
+    """One step of an episode; read-only, as a greedy cycle's copied
+    period shares its records with the period before."""
+
     operator: RepairOperator
     source_resource: str
     tardiness_before: float
@@ -93,17 +96,19 @@ def run_episode(
     that undoes the last one returns to the state before it, and that may
     be ``state`` itself, as it is when no step is taken.
 
-    With ``learning`` off, a state that repeats an earlier one (equal
-    ``QKey``, then equal chains) starts a cycle whose records are already
-    in ``steps``: whole periods are copied up to ``cfg.max_steps`` with new
-    indices, and ``rng`` draws one number per copied step, as ``select``
-    would, so a caller's generator ends where a step-by-step run leaves it.
-    Greedy picks are exact functions of the state under a frozen store, so
-    the records, the outcome and the final chains are those of that run.
+    With ``learning`` on, ``rng`` drives the epsilon-greedy picks; when it
+    is None a ``Random(cfg.seed)`` does. With ``learning`` off every pick
+    is greedy, ``rng`` is ignored and left as it is, and a state that
+    repeats an earlier one (equal ``QKey``, then equal chains) starts a
+    cycle whose records are already in ``steps``: whole periods of them are
+    appended up to ``cfg.max_steps``. Greedy picks are exact functions of
+    the state under a frozen store, so the records, the outcome and the
+    final chains are those of a step-by-step run.
     """
-    if rng is None:
+    if not learning:
+        rng = None  # a greedy pick draws nothing
+    elif rng is None:
         rng = Random(cfg.seed)
-    eps_override = None if learning else 0.0
 
     steps: list[StepRecord] = []
     prev_key = r = None  # the last step's key and reward
@@ -125,7 +130,7 @@ def run_episode(
         if not proposals:
             outcome = Outcome.NO_PROPOSALS
             break
-        op, key = select(store, state, proposals, rng, epsilon=eps_override)
+        op, key = select(store, state, proposals, rng)
         if learning:
             if steps:
                 store.sarsa_update(prev_key, r, key)
@@ -137,23 +142,9 @@ def run_episode(
                 # This state is the one after step j: steps[j:] repeat from here.
                 seen = None
                 cycle = steps[j:]
-                whole = (cfg.max_steps - n) // len(cycle) * len(cycle)
-                if whole:
-                    for i in range(whole):
-                        rec = cycle[i % len(cycle)]
-                        steps.append(
-                            StepRecord(
-                                n + i + 1,
-                                rec.operator,
-                                rec.source_resource,
-                                rec.tardiness_before,
-                                rec.tardiness_after,
-                                rec.reward,
-                                rec.proposal_count,
-                            )
-                        )
-                    for _ in range(whole - 1):  # this select drew the first
-                        rng.random()
+                periods = (cfg.max_steps - n) // len(cycle)
+                if periods:
+                    steps += cycle * periods
                     continue
         source = state.resource_of(op.focal).id
         if before_op is not None and undoes(before, before_op, state, op):
@@ -163,7 +154,6 @@ def run_episode(
         r = reward(state, nxt)
         steps.append(
             StepRecord(
-                index=len(steps) + 1,
                 operator=op,
                 source_resource=source,
                 tardiness_before=state.total_tardiness,
@@ -225,7 +215,7 @@ def trace_dict(result: EpisodeResult) -> dict:
         "final_tardiness": final.total_tardiness,
         "steps": [
             {
-                "step": s.index,
+                "step": i,
                 "kind": s.operator.kind.value,
                 "focal": final.tasks[s.operator.focal].name,
                 "aux": final.tasks[s.operator.aux].name,
@@ -236,6 +226,6 @@ def trace_dict(result: EpisodeResult) -> dict:
                 "reward": s.reward,
                 "proposal_count": s.proposal_count,
             }
-            for s in result.steps
+            for i, s in enumerate(result.steps, start=1)
         ],
     }

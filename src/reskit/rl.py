@@ -139,14 +139,15 @@ def select(
     store: QStore,
     state: ScheduleState,
     proposals: list[RepairOperator],
-    rng: Random,
-    epsilon: float | None = None,
+    rng: Random | None,
 ) -> tuple[RepairOperator, QKey]:
-    """Epsilon-greedy pick over the proposal list; returns it with its key.
+    """Pick from the proposal list; returns the pick with its key.
 
-    Greedy ties resolve to the earliest proposal in the list's deterministic
-    order; unseen keys read as 0. ``epsilon`` overrides the store's value
-    (evaluation passes 0).
+    With ``rng`` the pick is epsilon-greedy at the store's epsilon: one
+    ``random()``, then one ``randrange`` over the proposals when it
+    explores. With ``rng`` None the pick is greedy and draws nothing.
+    Greedy ties resolve to the earliest proposal in the list's
+    deterministic order; unseen keys read as 0.
 
     The greedy pick computes the signature once and makes one ``QStore.q``
     lookup per proposal, with a plain tuple that hashes and compares equal
@@ -154,8 +155,7 @@ def select(
     """
     if not proposals:
         raise EmptyProposalSet("no proposals to select from")
-    eps = store.hyper.epsilon if epsilon is None else epsilon
-    if rng.random() < eps:
+    if rng is not None and rng.random() < store.hyper.epsilon:
         op = proposals[rng.randrange(len(proposals))]
         return op, qkey(state, op)
     sig = signature(state)

@@ -338,7 +338,7 @@ def validate(state: ScheduleState) -> list[Violation]:
     if state.focal_task is not None and state.focal_task not in state.tasks:
         out.append(Violation("UnknownFocal", state.focal_task, "focal id has no task"))
     for r in state.resources:
-        if r.release_time < 0:
+        if not r.release_time >= 0:
             out.append(Violation("NegativeRelease", r.id, f"release_time {r.release_time}"))
         for p, rate in r.rates.items():
             if not rate > 0:

@@ -289,13 +289,11 @@ def sarsa_two_pass(store: QStore, key: QKey, reward_value: float, next_key: QKey
 
 
 def greedy_oracle(
-    state: ScheduleState, store: QStore, cfg: EpisodeConfig, rng: Random | None = None
+    state: ScheduleState, store: QStore, cfg: EpisodeConfig
 ) -> tuple[EpisodeResult, list[list[list[str]]]]:
     """A greedy repair as a plain propose, select, apply loop: no undo
     shortcut and no revisit index. Returns the result and the chains of
     every state it visited, the start first."""
-    if rng is None:
-        rng = Random(cfg.seed)
     steps: list[StepRecord] = []
     visited = [[r.task_chain for r in state.resources]]
     while True:
@@ -309,11 +307,10 @@ def greedy_oracle(
         if not proposals:
             outcome = Outcome.NO_PROPOSALS
             break
-        op, _ = select(store, state, proposals, rng, epsilon=0.0)
+        op, _ = select(store, state, proposals, None)
         nxt = apply(state, op)
         steps.append(
             StepRecord(
-                index=len(steps) + 1,
                 operator=op,
                 source_resource=state.resource_of(op.focal).id,
                 tardiness_before=state.total_tardiness,

@@ -244,15 +244,18 @@ def test_select_uniform_when_fully_exploring():
         assert abs(c - expected) <= 3 * sigma
 
 
-def test_select_epsilon_override_and_empty():
+def test_select_without_a_generator_is_greedy_and_refuses_empty():
     s = selection_state()
     proposals = propose(s)
     store = QStore(Hyperparams(epsilon=1.0))
     store.entries[qkey(s, proposals[2])] = 5.0
-    # override forces greedy despite the stored epsilon
-    assert select(store, s, proposals, Random(4), epsilon=0.0)[0] == proposals[2]
+    # no generator: greedy despite the stored epsilon of 1
+    for _ in range(20):
+        assert select(store, s, proposals, None) == (proposals[2], qkey(s, proposals[2]))
     with pytest.raises(EmptyProposalSet):
         select(store, s, [], Random(5))
+    with pytest.raises(EmptyProposalSet):
+        select(store, s, [], None)
 
 
 def test_uniform_shift_leaves_argmax_unchanged():
@@ -320,7 +323,7 @@ def test_greedy_select_matches_first_maximum_oracle():
             best = values.index(max(values))
             tied += values.count(max(values)) > 1 and best > 0
             store.lookups = 0
-            op, key = select(store, state, proposals, Random(1), epsilon=0.0)
+            op, key = select(store, state, proposals, None)
             assert store.lookups == len(proposals)
             assert op is proposals[best]
             assert key == keys[best] and type(key) is QKey

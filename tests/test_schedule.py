@@ -369,6 +369,16 @@ def test_validate_accepts_an_overflowed_total():
     assert validate(s) == []
 
 
+def test_validate_flags_a_nan_release_as_a_domain_violation():
+    # a NaN release passes a ``< 0`` check, and re-elaborating cannot make
+    # the timings it yields fresh, so it must be reported as itself
+    s = generate_instance(InstanceSpec(seed=0, task_count=15, resource_count=3)).state
+    s.resources[0].release_time = math.nan
+    assert [(v.code, v.subject) for v in validate(s)] == [
+        ("NegativeRelease", s.resources[0].id)
+    ]
+
+
 def test_aggregates_match_bruteforce_oracle():
     rng = Random(7)
     for _ in range(300):

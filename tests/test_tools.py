@@ -1,0 +1,38 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pair_refuses_a_repeated_workload_and_trace(monkeypatch, tmp_path, capsys):
+    # the summary keys runs by workload, trace mode and pair index, so a
+    # second spec of one workload and trace would overwrite the first's
+    # pairs; it must be refused before either revision is exported
+    bench_pair = load_tool("bench_pair")
+    exported = []
+    monkeypatch.setattr(bench_pair, "export", lambda rev, dest: exported.append(rev))
+    out = tmp_path / "bench.json"
+    runs = ["campaign:0:2", "repair-500x20:0:1", "campaign:00:3"]
+    argv = ["--base", "HEAD", *(f"--run={run}" for run in runs), "--out", str(out)]
+    with pytest.raises(SystemExit) as exc:
+        bench_pair.main(argv)
+    assert exc.value.code == 2
+    assert "--run campaign:00 is given twice" in capsys.readouterr().err
+    assert exported == [] and not out.exists()
+
+
+def test_bench_pair_takes_one_workload_in_both_trace_modes():
+    bench_pair = load_tool("bench_pair")
+    args = bench_pair.parse_args(
+        ["--base", "HEAD", "--run", "campaign:0:5", "--run", "campaign:1:2", "--out", "x.json"]
+    )
+    assert args.plan == [("campaign", 0, 5), ("campaign", 1, 2)]

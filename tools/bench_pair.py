@@ -5,7 +5,9 @@
 
 Each ``--run WORKLOAD:TRACE:PAIRS`` runs ``perfbench/run.py`` PAIRS times on
 each side, a pair at a time; pair ``i`` uses seed ``--seed + i`` on both
-sides, and the side that runs first alternates from pair to pair. Every
+sides, and the side that runs first alternates from pair to pair. A
+``WORKLOAD:TRACE`` may be given once: the summary keys runs by it and the
+pair index, so a second ``--run`` would overwrite the first's pairs. Every
 run lasts ``run_seconds`` of ``BENCHMARK.json``, as the benchmark does. Both
 revisions are exported with ``git archive`` into a scratch directory, so
 each side runs the benchmark of its own checkout on its own sources.
@@ -133,15 +135,18 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     p.add_argument("--run", action="append", required=True, metavar="WORKLOAD:TRACE:PAIRS")
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     p.add_argument("--out", required=True)
-    return p.parse_args(argv)
+    args = p.parse_args(argv)
+    args.plan = []
+    for spec in args.run:
+        workload, trace, pairs = spec.split(":")
+        if any((workload, int(trace)) == (w, t) for w, t, _ in args.plan):
+            p.error(f"--run {workload}:{trace} is given twice")
+        args.plan.append((workload, int(trace), int(pairs)))
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
-    plan = []
-    for spec in args.run:
-        workload, trace, pairs = spec.split(":")
-        plan.append((workload, int(trace), int(pairs)))
     config = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in [*config["end_to_end"], *config["per_layer"]]}
     seconds = config["run_seconds"]
@@ -152,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
         revs = {side: export(rev, roots[side]) for side, rev in
                 (("base", args.base), ("head", args.head))}
         runs = []
-        for workload, trace, pairs in plan:
+        for workload, trace, pairs in args.plan:
             for pair in range(pairs):
                 seed = args.seed + pair
                 order = ("base", "head") if pair % 2 == 0 else ("head", "base")
