@@ -30,8 +30,26 @@ could otherwise hold a cycle state's entry and hide the cycle. Whole
 periods of the cycle's records, the same record objects again, are
 appended up to the step limit and the ordinary loop takes the fewer steps
 that remain, so the final state, the outcome and the undo history come out
-as a step-by-step run leaves them. The index keeps each greedy state's ``resources`` list alive until the
-episode ends. Training never builds it: its store changes every step.
+as a step-by-step run leaves them. The index keeps each greedy state's
+``resources`` list alive until the episode ends. Training never builds it:
+its store changes every step.
+
+``train`` instead keeps a table of the states its episodes reach, shared by
+all of them: every episode starts from the same state, with the same focal
+and ``init_tardiness``, so later episodes walk much of the ground of earlier
+ones. A state's proposals and signature are functions of its chains and
+those fixed inputs, and a state re-timed in part carries the floats of its
+full elaboration, so a state whose chains are in the table takes its
+proposals and signature from there, with no ``propose`` and no
+``signature``. The table is keyed by the exact ``(total_tardiness,
+total_wip, max_tardiness)``; each key holds a short list of ``(chains,
+proposals, signature)`` entries, and a state finds its own by ``==`` on
+the chain lists, so the floats only pick the bucket (a NaN total misses).
+It holds no ``ScheduleState`` and no ``Resource``, only the chain lists the
+states share, and it lives as long as the ``train`` call. Greedy runs keep
+the ``QKey`` index above instead: it is keyed on the ``QKey`` that
+``select`` returns anyway, so a greedy step builds no chain list to find
+its repeat, and the index is dropped when the episode ends.
 """
 
 from __future__ import annotations
@@ -44,6 +62,7 @@ from .errors import InvalidConfig
 from .operators import RepairOperator, apply, propose, undoes
 from .rl import QStore, goal_reached, reward, select
 from .schedule import ScheduleState
+from .stategraph import StateSignature, signature
 
 
 class Outcome(str, Enum):
@@ -109,13 +128,30 @@ def run_episode(
         rng = None  # a greedy pick draws nothing
     elif rng is None:
         rng = Random(cfg.seed)
+    return _run(state, store, cfg, learning, rng, None)
 
+
+# A state's (total_tardiness, total_wip, max_tardiness) -> its entries.
+_Table = dict[tuple[float, float, float], list[tuple[list, list, StateSignature]]]
+
+
+def _run(
+    state: ScheduleState,
+    store: QStore,
+    cfg: EpisodeConfig,
+    learning: bool,
+    rng: Random | None,
+    table: _Table | None,
+) -> EpisodeResult:
+    """``run_episode``'s loop; ``table``, a learning run's only, holds the
+    proposals and signatures of states reached before."""
     steps: list[StepRecord] = []
     prev_key = r = None  # the last step's key and reward
-    proposals = None  # the current state's, when known
+    # The current state's proposals, when known, and with a table its signature.
+    proposals = sig = None
     # One step of history: the state before the current one, the operator
-    # that left it and its proposals.
-    before = before_op = before_proposals = None
+    # that left it, its proposals and its signature.
+    before = before_op = before_proposals = before_sig = None
     # Greedy only: a state's key -> (steps taken at its first visit, resources).
     seen = None if learning else {}
     while True:
@@ -126,11 +162,14 @@ def run_episode(
             outcome = Outcome.STEP_LIMIT
             break
         if proposals is None:
-            proposals = propose(state)
+            if table is None:
+                proposals = propose(state)
+            else:
+                proposals, sig = _visit(table, state)
         if not proposals:
             outcome = Outcome.NO_PROPOSALS
             break
-        op, key = select(store, state, proposals, rng)
+        op, key = select(store, state, proposals, rng, sig)
         if learning:
             if steps:
                 store.sarsa_update(prev_key, r, key)
@@ -148,9 +187,9 @@ def run_episode(
                     continue
         source = state.resource_of(op.focal).id
         if before_op is not None and undoes(before, before_op, state, op):
-            nxt, nxt_proposals = before, before_proposals
+            nxt, nxt_proposals, nxt_sig = before, before_proposals, before_sig
         else:
-            nxt, nxt_proposals = apply(state, op), None
+            nxt, nxt_proposals, nxt_sig = apply(state, op), None, None
         r = reward(state, nxt)
         steps.append(
             StepRecord(
@@ -162,8 +201,8 @@ def run_episode(
                 proposal_count=len(proposals),
             )
         )
-        before, before_op, before_proposals = state, op, proposals
-        state, proposals, prev_key = nxt, nxt_proposals, key
+        before, before_op, before_proposals, before_sig = state, op, proposals, sig
+        state, proposals, sig, prev_key = nxt, nxt_proposals, nxt_sig, key
 
     # An episode that took a step ends the same way: bootstrap 0, drop traces.
     if learning and steps:
@@ -176,6 +215,21 @@ def _chains(resources: list) -> list[list[str]]:
     return [r.task_chain for r in resources]
 
 
+def _visit(
+    table: _Table, state: ScheduleState
+) -> tuple[list[RepairOperator], StateSignature]:
+    """The state's proposals and signature: its entry's, or made and entered."""
+    chains = _chains(state.resources)
+    bucket = table.setdefault((state.total_tardiness, state.total_wip, state.max_tardiness), [])
+    for known, proposals, sig in bucket:
+        if known == chains:
+            return proposals, sig
+    proposals = propose(state)
+    sig = signature(state)
+    bucket.append((chains, proposals, sig))
+    return proposals, sig
+
+
 def train(
     disrupted: ScheduleState,
     store: QStore,
@@ -185,15 +239,15 @@ def train(
     """Run learning episodes, each from the disrupted state.
 
     Fully deterministic under ``cfg.seed``: one generator drives all
-    episodes in order.
+    episodes in order. The episodes share one table of the states they
+    reach, made for this call and dropped when it returns; each episode
+    takes the steps ``run_episode`` would take from the same generator.
     """
     if episodes <= 0:
         raise InvalidConfig(f"episodes must be positive, got {episodes}")
     rng = Random(cfg.seed)
-    results: list[EpisodeResult] = []
-    for _ in range(episodes):
-        results.append(run_episode(disrupted, store, cfg, learning=True, rng=rng))
-    return results
+    table: _Table = {}
+    return [_run(disrupted, store, cfg, True, rng, table) for _ in range(episodes)]
 
 
 def format_trace(result: EpisodeResult) -> str:

@@ -140,6 +140,7 @@ def select(
     state: ScheduleState,
     proposals: list[RepairOperator],
     rng: Random | None,
+    sig: StateSignature | None = None,
 ) -> tuple[RepairOperator, QKey]:
     """Pick from the proposal list; returns the pick with its key.
 
@@ -149,16 +150,20 @@ def select(
     Greedy ties resolve to the earliest proposal in the list's
     deterministic order; unseen keys read as 0.
 
-    The greedy pick computes the signature once and makes one ``QStore.q``
-    lookup per proposal, with a plain tuple that hashes and compares equal
-    to its ``QKey``; it builds one ``QKey``, the winner's.
+    The greedy pick makes one ``QStore.q`` lookup per proposal, with a
+    plain tuple that hashes and compares equal to its ``QKey``; it builds
+    one ``QKey``, the winner's. It uses ``sig`` as the state's signature
+    when given, which must then equal ``signature(state)``, and otherwise
+    computes it once. An exploratory pick always keys its operator with
+    ``qkey``.
     """
     if not proposals:
         raise EmptyProposalSet("no proposals to select from")
     if rng is not None and rng.random() < store.hyper.epsilon:
         op = proposals[rng.randrange(len(proposals))]
         return op, qkey(state, op)
-    sig = signature(state)
+    if sig is None:
+        sig = signature(state)
     tasks = state.tasks
     q = store.q
     best = proposals[0]

@@ -11,8 +11,9 @@ disrupted state with a full elaboration of a raw copy, and
 ``assert_disrupted`` checks ``inject_disruption`` against it.
 ``quantize_oracle`` and ``sarsa_two_pass`` are the plain forms of
 ``quantize`` and ``QStore.sarsa_update`` that the fast ones must match bit
-for bit, and ``greedy_oracle`` is the plain form of a greedy
-``run_episode``.
+for bit. ``plain_episode`` is the plain form of an episode, and
+``greedy_oracle`` and ``training_oracle`` use it as the plain forms of a
+greedy ``run_episode`` and of ``train``.
 """
 
 from __future__ import annotations
@@ -288,14 +289,17 @@ def sarsa_two_pass(store: QStore, key: QKey, reward_value: float, next_key: QKey
     store.traces = {k: e * decay for k, e in store.traces.items() if e * decay > TRACE_FLOOR}
 
 
-def greedy_oracle(
-    state: ScheduleState, store: QStore, cfg: EpisodeConfig
+def plain_episode(
+    state: ScheduleState, store: QStore, cfg: EpisodeConfig, rng: Random | None
 ) -> tuple[EpisodeResult, list[list[list[str]]]]:
-    """A greedy repair as a plain propose, select, apply loop: no undo
-    shortcut and no revisit index. Returns the result and the chains of
-    every state it visited, the start first."""
+    """An episode as a plain propose, select, apply loop: no undo shortcut,
+    no revisit index and no table. With ``rng`` it learns as ``train``
+    does, bumping each key's trace and making one SARSA update a step;
+    without it every pick is greedy and the store is left alone. Returns
+    the result and the chains of every state it visited, the start first."""
     steps: list[StepRecord] = []
     visited = [[r.task_chain for r in state.resources]]
+    prev_key = gain = None
     while True:
         if goal_reached(state):
             outcome = Outcome.GOAL_REACHED
@@ -307,18 +311,42 @@ def greedy_oracle(
         if not proposals:
             outcome = Outcome.NO_PROPOSALS
             break
-        op, _ = select(store, state, proposals, None)
+        op, key = select(store, state, proposals, rng)
+        if rng is not None:
+            if steps:
+                store.sarsa_update(prev_key, gain, key)
+            store.bump_trace(key)
         nxt = apply(state, op)
+        gain = reward(state, nxt)
         steps.append(
             StepRecord(
                 operator=op,
                 source_resource=state.resource_of(op.focal).id,
                 tardiness_before=state.total_tardiness,
                 tardiness_after=nxt.total_tardiness,
-                reward=reward(state, nxt),
+                reward=gain,
                 proposal_count=len(proposals),
             )
         )
         visited.append([r.task_chain for r in nxt.resources])
-        state = nxt
+        state, prev_key = nxt, key
+    if rng is not None and steps:
+        store.sarsa_update(prev_key, gain, None)
+        store.clear_traces()
     return EpisodeResult(outcome, steps, state), visited
+
+
+def greedy_oracle(
+    state: ScheduleState, store: QStore, cfg: EpisodeConfig
+) -> tuple[EpisodeResult, list[list[list[str]]]]:
+    """A greedy ``run_episode`` as a plain loop; see ``plain_episode``."""
+    return plain_episode(state, store, cfg, None)
+
+
+def training_oracle(
+    disrupted: ScheduleState, store: QStore, episodes: int, cfg: EpisodeConfig
+) -> tuple[list[EpisodeResult], Random]:
+    """``train`` as plain learning loops, each from ``disrupted`` and driven
+    by one ``Random(cfg.seed)``; returns the results and the generator."""
+    rng = Random(cfg.seed)
+    return [plain_episode(disrupted, store, cfg, rng)[0] for _ in range(episodes)], rng

@@ -21,7 +21,8 @@ from reskit.operators import propose
 from reskit.rl import GOAL_BONUS, Hyperparams, QStore, qkey
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
 
-from helpers import assert_fully_elaborated, greedy_oracle
+import helpers
+from helpers import assert_fully_elaborated, greedy_oracle, training_oracle
 
 TOL = 1e-9
 
@@ -409,3 +410,90 @@ def test_equal_keys_alone_are_not_a_revisit(monkeypatch):
         res = run_episode(start, store, cfg, learning=False)
         oracle, _ = greedy_oracle(start, store, cfg)
         assert trace_dict(res) == trace_dict(oracle)
+
+
+def training_cases():
+    """(disrupted, seed) of training runs: 15x3 plants, 40x5 plants and a
+    200x10 plant whose chain heads have started."""
+    for seed in range(30):
+        yield disrupted_instance(seed), seed
+    for seed in range(100, 105):
+        spec = InstanceSpec(seed=seed, task_count=40, resource_count=5)
+        yield inject_disruption(generate_instance(spec)), seed
+    plant = generate_instance(InstanceSpec(seed=1, task_count=200, resource_count=10))
+    plant.arrival_h = 1.0
+    yield inject_disruption(plant), 1
+
+
+def chains(state):
+    return [r.task_chain for r in state.resources]
+
+
+def test_training_matches_the_plain_loop(monkeypatch):
+    # train's episodes share a table of the states they reach and step
+    # back without applying; a plain loop that proposes, signs and applies
+    # on every step must take the same steps, learn the same floats and
+    # leave the generator in the same state
+    made = []
+
+    class Recorded(Random):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(episode, "Random", Recorded)
+    for disrupted, seed in training_cases():
+        cfg = EpisodeConfig(seed=seed)
+        store, oracle_store = QStore(), QStore()
+        results = train(disrupted, store, 20, cfg)
+        expected, rng = training_oracle(disrupted, oracle_store, 20, cfg)
+        assert [trace_dict(r) for r in results] == [trace_dict(r) for r in expected]
+        assert store.entries == oracle_store.entries
+        for a, b in zip(results, expected, strict=True):
+            assert chains(a.final_state) == chains(b.final_state)
+        assert made[-1].getstate() == rng.getstate()
+
+
+def test_a_train_call_leaves_no_table_to_the_next():
+    # the second start has the first one's chains and floats but a lower
+    # pre-disruption tardiness, so its states sign differently: a table
+    # kept from the first call would hand it the first call's signatures
+    for disrupted, seed in islice(training_cases(), 10):
+        lowered = disrupted.clone()
+        lowered.init_tardiness = disrupted.init_tardiness / 2
+        cfg = EpisodeConfig(seed=seed)
+        store, oracle_store = QStore(), QStore()
+        for start in (disrupted, lowered):
+            results = train(start, store, 20, cfg)
+            expected, _ = training_oracle(start, oracle_store, 20, cfg)
+            assert [trace_dict(r) for r in results] == [trace_dict(r) for r in expected]
+            assert store.entries == oracle_store.entries
+
+
+def test_train_proposes_once_per_distinct_state(monkeypatch):
+    # a state reached again, in the same episode or a later one, takes its
+    # proposals from the table: propose runs once for each distinct chain
+    # list, and for every chain list the plain loop proposes for
+    proposed = []
+
+    def recording(fn):
+        def wrapper(state, *args):
+            proposed.append(repr(chains(state)))
+            return fn(state, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(episode, "propose", recording(episode.propose))
+    monkeypatch.setattr(helpers, "propose", recording(helpers.propose))
+    saved = 0
+    for disrupted, seed in islice(training_cases(), 35):
+        cfg = EpisodeConfig(seed=seed)
+        proposed.clear()
+        train(disrupted, QStore(), 20, cfg)
+        once = proposed[:]
+        proposed.clear()
+        training_oracle(disrupted, QStore(), 20, cfg)
+        assert len(once) == len(set(once))
+        assert set(once) == set(proposed)
+        saved += len(proposed) - len(once)
+    assert saved > 1000

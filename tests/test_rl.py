@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from reskit import rl
 from reskit.episode import EpisodeConfig, train
 from reskit.errors import (
     CorruptQStoreError,
@@ -347,6 +348,34 @@ def test_select_draws_the_same_random_numbers():
             assert op is expected
             assert key == qkey(state, expected) and type(key) is QKey
             assert rng.getstate() == replay.getstate()
+
+
+def test_select_given_the_signature_picks_and_draws_as_without(monkeypatch):
+    """``select`` given ``signature(state)`` returns what it returns without
+    it and draws the same numbers; an exploratory pick still keys its
+    operator with ``qkey``."""
+    qkeys = 0
+
+    def counting_qkey(*args):
+        nonlocal qkeys
+        qkeys += 1
+        return qkey(*args)
+
+    monkeypatch.setattr(rl, "qkey", counting_qkey)
+    explored = 0
+    for n, (state, proposals) in enumerate(selection_cases()):
+        trained = QStore(Hyperparams(epsilon=0.3))
+        train(state, trained, 5, EpisodeConfig(seed=n))
+        for store in (QStore(Hyperparams(epsilon=0.3)), trained):
+            sig = signature(state)
+            for rng, given in ((None, None), (Random(n), Random(n))):
+                for _ in range(10):
+                    qkeys = 0
+                    picked = select(store, state, proposals, given, sig)
+                    explored += qkeys
+                    assert picked == select(store, state, proposals, rng)
+                    assert given is None or given.getstate() == rng.getstate()
+    assert explored > 20
 
 
 def test_hyperparams_range_check():

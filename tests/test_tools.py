@@ -36,3 +36,30 @@ def test_bench_pair_takes_one_workload_in_both_trace_modes():
         ["--base", "HEAD", "--run", "campaign:0:5", "--run", "campaign:1:2", "--out", "x.json"]
     )
     assert args.plan == [("campaign", 0, 5), ("campaign", 1, 2)]
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("campaign:0", "expected WORKLOAD:TRACE:PAIRS"),
+        ("campaign:0:1:2", "expected WORKLOAD:TRACE:PAIRS"),
+        ("campaign:x:1", "must be integers"),
+        ("campaign:0:1.5", "must be integers"),
+        ("campaign:2:1", "TRACE must be 0 or 1"),
+        ("campaign:-1:1", "TRACE must be 0 or 1"),
+        ("campaign:0:0", "PAIRS must be at least 1"),
+        ("campain:0:1", "names no workload 'campain'"),
+    ],
+)
+def test_bench_pair_refuses_a_malformed_run(monkeypatch, tmp_path, capsys, spec, message):
+    # a malformed --run is a usage error, reported before either revision
+    # is exported, not a traceback from the parse
+    bench_pair = load_tool("bench_pair")
+    exported = []
+    monkeypatch.setattr(bench_pair, "export", lambda rev, dest: exported.append(rev))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pair.main(["--base", "HEAD", f"--run={spec}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert exported == [] and not out.exists()

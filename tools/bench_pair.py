@@ -136,18 +136,33 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     p.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     p.add_argument("--out", required=True)
     args = p.parse_args(argv)
+    args.config = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in args.config["workloads"]}
     args.plan = []
     for spec in args.run:
-        workload, trace, pairs = spec.split(":")
-        if any((workload, int(trace)) == (w, t) for w, t, _ in args.plan):
-            p.error(f"--run {workload}:{trace} is given twice")
-        args.plan.append((workload, int(trace), int(pairs)))
+        fields = spec.split(":")
+        if len(fields) != 3:
+            p.error(f"--run {spec}: expected WORKLOAD:TRACE:PAIRS")
+        workload, trace, pairs = fields
+        try:
+            trace, pairs = int(trace), int(pairs)
+        except ValueError:
+            p.error(f"--run {spec}: TRACE and PAIRS must be integers")
+        if trace not in (0, 1):
+            p.error(f"--run {spec}: TRACE must be 0 or 1")
+        if pairs < 1:
+            p.error(f"--run {spec}: PAIRS must be at least 1")
+        if workload not in workloads:
+            p.error(f"--run {spec}: BENCHMARK.json names no workload {workload!r}")
+        if any((workload, trace) == (w, t) for w, t, _ in args.plan):
+            p.error(f"--run {workload}:{fields[1]} is given twice")
+        args.plan.append((workload, trace, pairs))
     return args
 
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
-    config = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    config = args.config
     better = {m["name"]: m["better"] for m in [*config["end_to_end"], *config["per_layer"]]}
     seconds = config["run_seconds"]
 
