@@ -187,8 +187,14 @@ def inject_disruption(instance: Instance) -> ScheduleState:
 
 
 def sample_disruption(instance: Instance, rng: Random) -> Instance:
-    """Fresh arriving order drawn from ranges observed in the instance."""
+    """Fresh arriving order drawn from ranges observed in the instance.
+
+    A plant where no resource has a rate raises ``UnprocessableProduct``
+    before any number is drawn.
+    """
     products = sorted({p for r in instance.state.resources for p in r.rates})
+    if not products:
+        raise UnprocessableProduct("no resource can process any product")
     quantities = [t.quantity for t in instance.state.tasks.values()]
     qlo, qhi = (min(quantities), max(quantities)) if quantities else (20.0, 60.0)
     product = products[rng.randrange(len(products))]

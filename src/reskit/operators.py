@@ -9,9 +9,10 @@ auxiliary, swap = exchange chain slots with it across resources).
 
 The applicability rule is written once, in ``_pairings``: ``propose`` offers
 its result for every chained task, and ``apply`` accepts only what it yields.
-The one exception is a shortcut: ``propose`` does not visit a chain, other
-than the focal's own, whose resource lacks the focal's product, because
-``_pairings`` returns nothing for any task on it.
+The exceptions are two shortcuts, where ``_pairings`` would return nothing
+for every task: ``propose`` offers nothing for an executing focal, and does
+not visit a chain, other than the focal's own, whose resource lacks the
+focal's product.
 
 ``undoes`` tells, without applying anything, whether a step ``apply`` would
 take returns to the state before the last one, so that a repair loop can
@@ -20,9 +21,9 @@ step back to that state instead of splicing it again.
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_left
 from enum import Enum
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import NamedTuple
 
 from . import schedule
@@ -64,6 +65,12 @@ class RepairOperator(NamedTuple):
     target_resource: str
 
 
+# ``_pairings`` builds each operator as ``_new(RepairOperator, fields)``: the
+# same tuple, without the Python-level ``__new__`` that ``NamedTuple``
+# writes, which takes more than twice as long and runs for every proposal.
+_new = tuple.__new__
+
+
 def _pairings(
     state: ScheduleState, focal: Task, fi: int, aux: Task, ai: int
 ) -> list[RepairOperator]:
@@ -78,13 +85,16 @@ def _pairings(
     horizontal = "right" if aux.start > focal.start else "left"
     target = state.resources[ai]
     if ai == fi:
-        return [RepairOperator(_KIND["same", horizontal, "jump"], focal.id, aux.id, target.id)]
+        kind = _KIND["same", horizontal, "jump"]
+        return [_new(RepairOperator, (kind, focal.id, aux.id, target.id))]
     if focal.product not in target.rates:  # ``propose`` skips such chains
         return []
     vertical = "up" if ai < fi else "down"
-    ops = [RepairOperator(_KIND[vertical, horizontal, "jump"], focal.id, aux.id, target.id)]
+    kind = _KIND[vertical, horizontal, "jump"]
+    ops = [_new(RepairOperator, (kind, focal.id, aux.id, target.id))]
     if aux.product in state.resources[fi].rates:
-        ops.append(RepairOperator(_KIND[vertical, horizontal, "swap"], focal.id, aux.id, target.id))
+        kind = _KIND[vertical, horizontal, "swap"]
+        ops.append(_new(RepairOperator, (kind, focal.id, aux.id, target.id)))
     return ops
 
 
@@ -97,58 +107,80 @@ def propose(state: ScheduleState, cap: int = PROPOSAL_CAP) -> list[RepairOperato
     than the cap allows, the closest-start ones survive.
 
     ``state`` must be elaborated, so starts never decrease along a chain.
-    Each chain's ``Resource.starts`` is bisected at the focal's start, in C
-    and with no key function, into a left and a right run, each ordered by
-    distance, and a heap merges those cursors; every distance is read from
-    ``starts``. A chain other than the focal's own whose resource lacks the
+    An executing focal is frozen and pairs with nothing, so it gets ``[]``
+    at once. Otherwise each chain's ``Resource.starts`` is bisected at the
+    focal's start, in C and with no key function, into a left and a right
+    side, each ordered by distance, and one heap merges the sides. A heap
+    entry is ``(distance, task id, resource index, slot, step)``: step -1
+    or 1 carries a side's cursor on, and 0 marks an entry that carries
+    none. The heap starts with each side's nearest slots, built in a list
+    and ``heapify``'d; popping a cursor enters its side's next slots, and
+    no other side moves. Slots at an equal distance, judged by the
+    distance read from ``starts`` and not by equal starts, are entered
+    together so that ids order them, and the last of them carries the
+    cursor. A chain other than the focal's own whose resource lacks the
     focal's product pairs with nothing and is skipped. Auxiliaries are
-    paired in merged order until the cap is met, so no more operators are
-    built than are returned, give or take one swap. The cost is O(R log n +
-    visited x log R) for R resources, chains of length n and the tasks
-    visited.
+    paired in popped order until the cap is met, so no more operators are
+    built than are returned, give or take one swap. The cost is
+    O(R log n + popped x log R) for R resources, chains of length n and
+    the entries popped.
     """
     if state.focal_task is None:
         raise NoFocalTask("propose requires a focal task")
     tasks = state.tasks
     focal = tasks[state.focal_task]
+    if focal.executing:
+        return []
     fi = focal.resource_index
     at = focal.start
+    product = focal.product
+    resources = state.resources
 
-    # Cursors walk outward from each chain's split point. A heap entry is
-    # (distance, task id, resource index, next slot, its distance, step,
-    # chain, starts); task ids are unique, so the fields after the id never
-    # break a tie, and the merge yields the global ranking order.
-    pending = []
-    for ai, r in enumerate(state.resources):
-        if ai != fi and focal.product not in r.rates:
+    # Task ids are unique and each slot is entered once, so no two entries
+    # tie on (distance, task id) and the pops follow the ranking order.
+    heap = []
+    for ai, r in enumerate(resources):
+        if ai != fi and product not in r.rates:
             continue
-        starts = r.starts
+        starts, chain = r.starts, r.task_chain
         k = bisect_left(starts, at)
+        n = len(starts)
         if k:
-            pending.append((k - 1, at - starts[k - 1], ai, -1, r.task_chain, starts))
-        if k < len(starts):
-            pending.append((k, starts[k] - at, ai, 1, r.task_chain, starts))
+            i = k - 1
+            d = at - starts[i]
+            while i and at - starts[i - 1] == d:
+                heap.append((d, chain[i], ai, i, 0))
+                i -= 1
+            heap.append((d, chain[i], ai, i, -1))
+        if k < n:
+            i = k
+            d = starts[i] - at
+            while i + 1 < n and starts[i + 1] - at == d:
+                heap.append((d, chain[i], ai, i, 0))
+                i += 1
+            heap.append((d, chain[i], ai, i, 1))
+    heapify(heap)
 
-    heap: list = []
     found: list[RepairOperator] = []
-    while True:
-        # Push each pending cursor's next task. Tasks at an equal distance
-        # further along (starts a float sum left unchanged) are pushed with
-        # it, so that ids order them; the first carries the cursor on.
-        for i, d, ai, step, chain, starts in pending:
-            j, dj = i + step, 0.0
-            while 0 <= j < len(chain):
-                dj = abs(starts[j] - at)
-                if dj != d:
-                    break
-                heapq.heappush(heap, (d, chain[j], ai, -1, 0.0, step, chain, starts))
-                j += step
-            heapq.heappush(heap, (d, chain[i], ai, j, dj, step, chain, starts))
-        if not heap or len(found) >= cap:
-            break
-        _, tid, ai, j, dj, step, chain, starts = heapq.heappop(heap)
+    while heap and len(found) < cap:
+        _, tid, ai, i, step = heap[0]
         found += _pairings(state, focal, fi, tasks[tid], ai)
-        pending = [(j, dj, ai, step, chain, starts)] if 0 <= j < len(chain) else []
+        if step:
+            r = resources[ai]
+            starts = r.starts
+            i += step
+            if 0 <= i < len(starts):
+                # Every entry pushed here lies further than the top, which
+                # the last entry then replaces.
+                chain, n = r.task_chain, len(starts)
+                d = abs(starts[i] - at)
+                j = i + step
+                while 0 <= j < n and abs(starts[j] - at) == d:
+                    heappush(heap, (d, chain[i], ai, i, 0))
+                    i, j = j, j + step
+                heapreplace(heap, (d, chain[i], ai, i, step))
+                continue
+        heappop(heap)
     return found[:cap]
 
 

@@ -607,6 +607,31 @@ def test_unplaceable_order_exits_1(tmp_path, capsys, command):
     assert err.startswith(f"{path}: " if command == "validate" else "error: ")
 
 
+@pytest.mark.parametrize("resources", ["rateless", "none"])
+def test_evaluate_on_a_plant_that_processes_nothing_exits_1(tmp_path, resources):
+    # such a file loads, but no fresh order can be drawn for it; repair
+    # refuses the file's own order the same way
+    data = instance_to_dict(generate_instance(InstanceSpec(seed=7)))
+    data["tasks"] = []
+    if resources == "none":
+        data["resources"] = []
+    for rd in data["resources"]:
+        rd["rates"] = {}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for command in ("evaluate", "repair"):
+        done = subprocess.run(
+            [sys.executable, "-m", "reskit.cli", command, "--instance", str(path)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.startswith("error: no resource can process ")
+        assert "Traceback" not in done.stderr
+
+
 def test_render_row_bound_fails_before_any_file_is_written(tmp_path, capsys):
     data = instance_to_dict(generate_instance(InstanceSpec(seed=3)))
     data["tasks"][0]["quantity_kg"] = 1e9

@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from reskit.errors import NoFocalTask, OperatorNotApplicable
-from reskit import schedule
+from reskit import operators, schedule
 from reskit.instances import (
     Instance,
     InstanceSpec,
@@ -200,6 +200,38 @@ def test_propose_orders_equal_distances_by_id():
     assert propose(s, cap=10_000) == raw
 
 
+def test_propose_orders_equal_distance_runs_next_to_the_focal_by_id():
+    # the nearest slot on each side of the focal opens a run of equal
+    # distances whose ids run backwards, and another chain holds a task at
+    # that distance whose id sorts inside the run: the whole run must be in
+    # the heap before its first pop
+    big = 1e17
+    resources = [
+        # left: 0 and 0.1 h both lie 1e17 + 48 h from f
+        Resource(id="r0", rates={"A": 10.0, "B": 10.0}, task_chain=["u1", "u3"]),
+        Resource(id="r1", rates={"A": 10.0, "B": 10.0}, task_chain=["u2"]),
+        # right: f runs 100 h, then s3 and s1 share a start
+        Resource(
+            id="r2",
+            rates={"A": 10.0, "B": 10.0},
+            release_time=big + 48,
+            task_chain=["f", "s3", "s1"],
+        ),
+        Resource(id="r3", rates={"A": 10.0, "B": 10.0}, release_time=big + 148, task_chain=["s2"]),
+    ]
+    tasks = {
+        tid: mk(tid, "A", 1000.0 if tid == "f" else 1.0, 50.0)
+        for r in resources
+        for tid in r.task_chain
+    }
+    s = elaborate(ScheduleState(resources=resources, tasks=tasks, focal_task="f"))
+    assert s.tasks["s3"].start == s.tasks["s1"].start == s.tasks["s2"].start
+    raw = oracle_enumerate(s)
+    assert list(dict.fromkeys(op.aux for op in raw)) == ["s1", "s2", "s3", "u1", "u2", "u3"]
+    for cap in range(len(raw) + 2):
+        assert propose(s, cap) == raw[:cap]
+
+
 def test_capped_propose_matches_oracle_on_500x20_plants():
     # fresh orders on three 500 x 20 plants, then random repair steps; the
     # sparse capabilities leave chains the focal cannot move to
@@ -222,6 +254,54 @@ def test_capped_propose_matches_oracle_on_500x20_plants():
                 s = apply(s, ops[rng.randrange(len(ops))])
     assert checked > 60
     assert unreachable > 0
+
+
+def test_propose_cap_sweep_matches_the_oracle():
+    # every cap from -1 to 12 on states after random steps: the loop stops
+    # on the cap, so caps that cut a jump from its swap are swept too
+    rng = Random(31)
+    states = []
+    for seed, (tasks, resources) in enumerate([(15, 3)] * 6 + [(40, 5)] * 4):
+        spec = InstanceSpec(seed=700 + seed, task_count=tasks, resource_count=resources)
+        s = inject_disruption(generate_instance(spec))
+        for _ in range(6):
+            states.append(s)
+            ops = propose(s)
+            if not ops:
+                break
+            s = apply(s, ops[rng.randrange(len(ops))])
+    inst = generate_instance(InstanceSpec(seed=509, task_count=500, resource_count=20))
+    states.append(inject_disruption(sample_disruption(inst, rng)))
+    splits = 0
+    for s in states:
+        raw = oracle_enumerate(s)
+        for cap in range(-1, 13):
+            assert propose(s, cap) == raw[: max(cap, 0)]
+            splits += 0 < cap < len(raw) and raw[cap - 1].aux == raw[cap].aux
+    assert len(states) > 40
+    assert splits > 20
+
+
+def test_propose_pairs_nothing_for_an_executing_focal(monkeypatch):
+    # a frozen focal pairs with nothing, so no task is even looked at
+    resources = [
+        Resource(id="r1", rates={"A": 10.0, "B": 10.0}, task_chain=["f", "a1", "a2"]),
+        Resource(id="r2", rates={"A": 10.0, "B": 10.0}, task_chain=["b1", "b2"]),
+    ]
+    tasks = {tid: mk(tid, "A", 20.0, 50.0) for tid in ("f", "a1", "a2", "b1", "b2")}
+    tasks["f"].executing, tasks["f"].start = True, 1.0
+    s = elaborate(ScheduleState(resources=resources, tasks=tasks, focal_task="f"))
+    calls = []
+    pairings = operators._pairings
+    monkeypatch.setattr(
+        operators, "_pairings", lambda *args: calls.append(args) or pairings(*args)
+    )
+    assert oracle_enumerate(s) == []
+    assert propose(s) == [] and propose(s, cap=10_000) == []
+    assert calls == []
+    s.focal_task = "a1"  # the counter sees the calls of a focal that can move
+    assert propose(s) == oracle_enumerate(s) != []
+    assert calls
 
 
 def fig2_state():

@@ -63,3 +63,23 @@ def test_bench_pair_refuses_a_malformed_run(monkeypatch, tmp_path, capsys, spec,
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert exported == [] and not out.exists()
+
+
+@pytest.mark.parametrize("tool", ["bench_pair", "artifact_diff"])
+@pytest.mark.parametrize("option", ["--base", "--head"])
+def test_an_unknown_revision_is_a_usage_error(monkeypatch, tmp_path, capsys, tool, option):
+    # both revisions are resolved before either is exported, so a bad one
+    # is named in a usage error, not a traceback from git archive
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))  # artifact_diff imports bench_pair
+    module = load_tool(tool)
+    exported = []
+    monkeypatch.setattr(module, "export", lambda rev, dest: exported.append(rev))
+    revs = {"--base": "WORKTREE", "--head": "WORKTREE", option: "nosuchrev"}
+    argv = [arg for pair in revs.items() for arg in pair]
+    if tool == "bench_pair":
+        argv += ["--run", "campaign:0:1", "--out", str(tmp_path / "bench.json")]
+    with pytest.raises(SystemExit) as exc:
+        module.main(argv)
+    assert exc.value.code == 2
+    assert f"{option} nosuchrev" in capsys.readouterr().err
+    assert exported == [] and not (tmp_path / "bench.json").exists()

@@ -3,12 +3,12 @@
     python3 tools/artifact_diff.py --base HEAD~1 --head WORKTREE
 
 Both revisions are exported with ``bench_pair.export`` into a scratch
-directory. For each one, the CLI of its own ``src/`` generates an instance
-for each case (seeds 0 and 7, and seed 3 with ``--arrival 6``), trains a
-store on it, repairs it with a trace and SVGs, evaluates the store on fresh
-orders, dumps the store with ``inspect-q`` and renders the disrupted
-instance. Every file a command writes and every command's standard output
-are kept.
+directory, once git resolves both; an unknown one exits 2. For each one,
+the CLI of its own ``src/`` generates an instance for each case (seeds 0
+and 7, and seed 3 with ``--arrival 6``), trains a store on it, repairs it
+with a trace and SVGs, evaluates the store on fresh orders, dumps the store
+with ``inspect-q`` and renders the disrupted instance. Every file a command
+writes and every command's standard output are kept.
 
 Each file is reported as one of:
 
@@ -31,7 +31,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pair import WORKTREE, export
+from bench_pair import WORKTREE, check_revisions, export
 
 REL_TOL = 1e-12
 # Case -> its seed and its extra generate arguments.
@@ -98,6 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--base", required=True, help="git revision of the parent")
     p.add_argument("--head", default=WORKTREE, help=f"git revision or {WORKTREE}")
     args = p.parse_args(argv)
+    check_revisions(args.base, args.head)
 
     scratch = Path(tempfile.mkdtemp(prefix="artifact-diff-"))
     try:

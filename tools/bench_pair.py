@@ -11,6 +11,7 @@ pair index, so a second ``--run`` would overwrite the first's pairs. Every
 run lasts ``run_seconds`` of ``BENCHMARK.json``, as the benchmark does. Both
 revisions are exported with ``git archive`` into a scratch directory, so
 each side runs the benchmark of its own checkout on its own sources.
+A revision git cannot resolve is a usage error before anything is exported.
 ``WORKTREE`` stands for the working tree as it is: its tracked files and
 its untracked files that ``.gitignore`` does not exclude.
 
@@ -69,6 +70,20 @@ def export(rev: str, dest: Path) -> str:
         cwd=REPO, check=True, capture_output=True, text=True,
     ).stdout.strip()
     return f"{commit} with working-tree changes" if rev == WORKTREE else commit
+
+
+def check_revisions(base: str, head: str) -> None:
+    """Exit 2 naming ``--base`` or ``--head`` if git resolves it to no commit."""
+    for option, rev in (("--base", base), ("--head", head)):
+        if rev == WORKTREE:
+            continue
+        found = subprocess.run(
+            ["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+            cwd=REPO, capture_output=True,
+        )
+        if found.returncode:
+            print(f"error: {option} {rev}: git knows no such revision", file=sys.stderr)
+            raise SystemExit(2)
 
 
 def run_once(root: Path, workload: str, trace: int, seed: int, seconds: int) -> dict:
@@ -162,6 +177,7 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
+    check_revisions(args.base, args.head)
     config = args.config
     better = {m["name"]: m["better"] for m in [*config["end_to_end"], *config["per_layer"]]}
     seconds = config["run_seconds"]
