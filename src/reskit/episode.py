@@ -7,49 +7,30 @@ makes an epsilon-greedy pick, bumps the visited key's trace and applies one
 SARSA update; traces are cleared when the episode ends. With learning off
 each pick is greedy and the store is left untouched.
 
-The loop keeps one step of history: the state before the current one, its
-proposal list and the operator that left it. A step that ``undoes`` the
-last one goes back to that state and reuses its proposals, with no
-``apply`` and no ``propose``; the state just left becomes the history, so a
-loop between two states costs neither on any later step. States are
-values, and every derived field is a function of the chains, so the
-episode takes the same choices and yields the same floats either way.
-
-A greedy run draws no random number: ``select`` gets no generator, so
-with the store frozen the pick, the next state and the step's record are
-functions of the state. The loop uses this to skip the rest of a greedy
-cycle: once a state repeats, the steps since its first visit repeat until
-the episode ends (a goal or a state with no proposals ends it, so neither
-lies on a cycle). An index from each state's ``QKey`` (its signature and
-its pick) to the step count at its first visit and its ``resources`` list
-finds the repeat with one dict lookup a step; the chains of two states are
-compared only when their keys are equal. Chains and the episode's fixed
-inputs determine a state, so equal chains are the same state. The pick in
-the key keeps apart states that share a signature but not a move, which
-could otherwise hold a cycle state's entry and hide the cycle. Whole
-periods of the cycle's records, the same record objects again, are
-appended up to the step limit and the ordinary loop takes the fewer steps
-that remain, so the final state, the outcome and the undo history come out
-as a step-by-step run leaves them. The index keeps each greedy state's
-``resources`` list alive until the episode ends. Training never builds it:
-its store changes every step.
-
-``train`` instead keeps a table of the states its episodes reach, shared by
-all of them: every episode starts from the same state, with the same focal
-and ``init_tardiness``, so later episodes walk much of the ground of earlier
-ones. A state's proposals and signature are functions of its chains and
-those fixed inputs, and a state re-timed in part carries the floats of its
-full elaboration, so a state whose chains are in the table takes its
-proposals and signature from there, with no ``propose`` and no
-``signature``. The table is keyed by the exact ``(total_tardiness,
-total_wip, max_tardiness)``; each key holds a short list of ``(chains,
-proposals, signature)`` entries, and a state finds its own by ``==`` on
-the chain lists, so the floats only pick the bucket (a NaN total misses).
-It holds no ``ScheduleState`` and no ``Resource``, only the chain lists the
-states share, and it lives as long as the ``train`` call. Greedy runs keep
-the ``QKey`` index above instead: it is keyed on the ``QKey`` that
-``select`` returns anyway, so a greedy step builds no chain list to find
-its repeat, and the index is dropped when the episode ends.
+The loop remembers the state before the current one and the operator that
+left it: a step that ``undoes`` the last one goes back to that state, with
+no ``apply``. It records the states it visits in one table, fresh for
+``run_episode`` and shared by all of ``train``'s episodes, which start from
+the same state with the same focal and ``init_tardiness``. States are
+values and every derived field is a function of the chains and those fixed
+inputs (a state re-timed in part carries the floats of its full
+elaboration), so a state found in the table takes its proposals and
+signature from there, with no ``propose`` and no ``signature``. The table
+is keyed by the exact ``(total_tardiness, total_wip, max_tardiness)``; each
+key holds a short list of ``(chains, proposals, signature, first)``
+entries, where ``first`` is the step count at the state's first visit, and
+a state finds its own by ``==`` on the chain lists, so equal chains are the
+only revisit and the floats only pick the bucket (a NaN total misses). It
+holds no ``ScheduleState`` and no ``Resource``, only the chain lists the
+states share. A greedy run draws no random number, so with the store
+frozen its picks are functions of the state: a state found in the table
+starts a cycle, the steps since ``first`` repeat until the episode ends (a
+goal or a state with no proposals ends it, so neither lies on a cycle), and
+whole periods of their records, the same record objects again, are appended
+up to the step limit. The ordinary loop takes the fewer steps that remain,
+so the final state, the outcome and the undo history come out as a
+step-by-step run leaves them. A learning run never reads ``first``: its
+store changes every step.
 """
 
 from __future__ import annotations
@@ -117,79 +98,67 @@ def run_episode(
 
     With ``learning`` on, ``rng`` drives the epsilon-greedy picks; when it
     is None a ``Random(cfg.seed)`` does. With ``learning`` off every pick
-    is greedy, ``rng`` is ignored and left as it is, and a state that
-    repeats an earlier one (equal ``QKey``, then equal chains) starts a
-    cycle whose records are already in ``steps``: whole periods of them are
-    appended up to ``cfg.max_steps``. Greedy picks are exact functions of
-    the state under a frozen store, so the records, the outcome and the
-    final chains are those of a step-by-step run.
+    is greedy, ``rng`` is ignored and left as it is, and a state whose
+    chains equal an earlier one's starts a cycle whose records are
+    already in ``steps``: whole periods of them are appended up to
+    ``cfg.max_steps``. Greedy picks are exact functions of the state
+    under a frozen store, so the records, the outcome and the final chains
+    are those of a step-by-step run.
     """
     if not learning:
         rng = None  # a greedy pick draws nothing
     elif rng is None:
         rng = Random(cfg.seed)
-    return _run(state, store, cfg, learning, rng, None)
+    return _run(state, store, cfg, rng, {})
 
 
-# A state's (total_tardiness, total_wip, max_tardiness) -> its entries.
-_Table = dict[tuple[float, float, float], list[tuple[list, list, StateSignature]]]
+# A state's (total_tardiness, total_wip, max_tardiness) -> its entries:
+# (chains, proposals, signature, steps taken at its first visit).
+_Table = dict[tuple[float, float, float], list[tuple[list, list, StateSignature | None, int]]]
 
 
 def _run(
     state: ScheduleState,
     store: QStore,
     cfg: EpisodeConfig,
-    learning: bool,
     rng: Random | None,
-    table: _Table | None,
+    table: _Table,
 ) -> EpisodeResult:
-    """``run_episode``'s loop; ``table``, a learning run's only, holds the
-    proposals and signatures of states reached before."""
+    """``run_episode``'s loop, learning iff ``rng`` is given; ``table``
+    holds the states visited before, and gains the ones this run visits."""
     steps: list[StepRecord] = []
     prev_key = r = None  # the last step's key and reward
-    # The current state's proposals, when known, and with a table its signature.
-    proposals = sig = None
-    # One step of history: the state before the current one, the operator
-    # that left it, its proposals and its signature.
-    before = before_op = before_proposals = before_sig = None
-    # Greedy only: a state's key -> (steps taken at its first visit, resources).
-    seen = None if learning else {}
+    # One step of history: the state before the current one and the
+    # operator that left it.
+    before = before_op = None
     while True:
         if goal_reached(state):
             outcome = Outcome.GOAL_REACHED
             break
-        if len(steps) == cfg.max_steps:
+        n = len(steps)
+        if n == cfg.max_steps:
             outcome = Outcome.STEP_LIMIT
             break
-        if proposals is None:
-            if table is None:
-                proposals = propose(state)
-            else:
-                proposals, sig = _visit(table, state)
+        proposals, sig, first = _visit(table, state, n)
         if not proposals:
             outcome = Outcome.NO_PROPOSALS
             break
+        if rng is None and first < n:
+            # This state is the one after step first: steps[first:] repeat from here.
+            periods = (cfg.max_steps - n) // (n - first)
+            if periods:
+                steps += steps[first:] * periods
+                continue
         op, key = select(store, state, proposals, rng, sig)
-        if learning:
+        if rng is not None:
             if steps:
                 store.sarsa_update(prev_key, r, key)
             store.bump_trace(key)
-        elif seen is not None:
-            n = len(steps)
-            j, resources = seen.setdefault(key, (n, state.resources))
-            if j < n and _chains(resources) == _chains(state.resources):
-                # This state is the one after step j: steps[j:] repeat from here.
-                seen = None
-                cycle = steps[j:]
-                periods = (cfg.max_steps - n) // len(cycle)
-                if periods:
-                    steps += cycle * periods
-                    continue
         source = state.resource_of(op.focal).id
         if before_op is not None and undoes(before, before_op, state, op):
-            nxt, nxt_proposals, nxt_sig = before, before_proposals, before_sig
+            nxt = before
         else:
-            nxt, nxt_proposals, nxt_sig = apply(state, op), None, None
+            nxt = apply(state, op)
         r = reward(state, nxt)
         steps.append(
             StepRecord(
@@ -201,33 +170,30 @@ def _run(
                 proposal_count=len(proposals),
             )
         )
-        before, before_op, before_proposals, before_sig = state, op, proposals, sig
-        state, proposals, sig, prev_key = nxt, nxt_proposals, nxt_sig, key
+        before, before_op, state, prev_key = state, op, nxt, key
 
     # An episode that took a step ends the same way: bootstrap 0, drop traces.
-    if learning and steps:
+    if rng is not None and steps:
         store.sarsa_update(prev_key, r, None)
         store.clear_traces()
     return EpisodeResult(outcome, steps, state)
 
 
-def _chains(resources: list) -> list[list[str]]:
-    return [r.task_chain for r in resources]
-
-
 def _visit(
-    table: _Table, state: ScheduleState
-) -> tuple[list[RepairOperator], StateSignature]:
-    """The state's proposals and signature: its entry's, or made and entered."""
-    chains = _chains(state.resources)
+    table: _Table, state: ScheduleState, n: int
+) -> tuple[list[RepairOperator], StateSignature | None, int]:
+    """The state's proposals, signature and steps taken at its first visit:
+    its entry's, or made and entered at ``n``. A state with no proposals
+    ends the episode unpicked, so it is not signed."""
+    chains = [r.task_chain for r in state.resources]
     bucket = table.setdefault((state.total_tardiness, state.total_wip, state.max_tardiness), [])
-    for known, proposals, sig in bucket:
+    for known, proposals, sig, first in bucket:
         if known == chains:
-            return proposals, sig
+            return proposals, sig, first
     proposals = propose(state)
-    sig = signature(state)
-    bucket.append((chains, proposals, sig))
-    return proposals, sig
+    sig = signature(state) if proposals else None
+    bucket.append((chains, proposals, sig, n))
+    return proposals, sig, n
 
 
 def train(
@@ -239,15 +205,17 @@ def train(
     """Run learning episodes, each from the disrupted state.
 
     Fully deterministic under ``cfg.seed``: one generator drives all
-    episodes in order. The episodes share one table of the states they
-    reach, made for this call and dropped when it returns; each episode
-    takes the steps ``run_episode`` would take from the same generator.
+    episodes in order. Where ``run_episode`` gives each episode a table
+    of its own, these episodes share one, made for this call and dropped
+    when it returns, so a state an earlier episode reached is neither
+    proposed nor signed again; each episode takes the steps
+    ``run_episode`` would take from the same generator.
     """
     if episodes <= 0:
         raise InvalidConfig(f"episodes must be positive, got {episodes}")
     rng = Random(cfg.seed)
     table: _Table = {}
-    return [_run(disrupted, store, cfg, True, rng, table) for _ in range(episodes)]
+    return [_run(disrupted, store, cfg, rng, table) for _ in range(episodes)]
 
 
 def format_trace(result: EpisodeResult) -> str:

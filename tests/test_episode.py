@@ -40,7 +40,7 @@ def test_already_at_goal_halts_immediately():
     assert res.final_state.total_tardiness <= res.final_state.init_tardiness
 
 
-def test_no_proposals_outcome():
+def test_no_proposals_outcome(monkeypatch):
     t = Task(id="t1", name="Task1", product="A", quantity=10.0, due_date=0.0)
     s = elaborate(
         ScheduleState(
@@ -50,9 +50,15 @@ def test_no_proposals_outcome():
     )
     s.focal_task = "t1"
     s.init_tardiness = 0.0  # tardy single task, nothing to repair with
-    res = run_episode(s, QStore(), EpisodeConfig(seed=1), learning=False)
-    assert res.outcome is Outcome.NO_PROPOSALS
-    assert res.steps == []
+    # the episode ends there with no pick, so the state is not signed
+    signed = []
+    monkeypatch.setattr(episode, "signature", signed.append)
+    assert episode._visit({}, s, 0) == ([], None, 0)
+    for learning in (False, True):
+        res = run_episode(s, QStore(), EpisodeConfig(seed=1), learning=learning)
+        assert res.outcome is Outcome.NO_PROPOSALS
+        assert res.steps == []
+    assert signed == []
 
 
 def test_step_limit_bounds_episode():
@@ -244,8 +250,8 @@ def learn_and_repair(disrupted, seed):
 
 def test_stepping_back_takes_the_same_trajectories(monkeypatch):
     # a step that undoes the last one returns to the state before it; with
-    # that shortcut turned off every step applies and proposes, and the
-    # traces, the store and the final states must come out the same
+    # that shortcut turned off every step applies, and the traces, the
+    # store and the final states must come out the same
     plants = [disrupted_instance(seed) for seed in range(10)]
     plants.append(
         inject_disruption(generate_instance(InstanceSpec(seed=5, task_count=40, resource_count=5)))
@@ -337,9 +343,10 @@ def first_repeat(visited):
 
 
 def test_greedy_repairs_match_the_plain_loop(monkeypatch):
-    # a greedy run skips the rest of a cycle once a state repeats; a plain
-    # propose, select, apply loop must take the same steps to the same end,
-    # with the limit on whole periods and inside one
+    # a greedy run finds a repeated state in its table of visited states
+    # and skips the rest of the cycle; a plain propose, select, apply loop
+    # must take the same steps to the same end, with the limit on whole
+    # periods and inside one
     calls = counting_select(monkeypatch)
     periods = Counter()
     for start, store, seed in greedy_cases():
@@ -358,10 +365,10 @@ def test_greedy_repairs_match_the_plain_loop(monkeypatch):
             if repeat is None:
                 assert not skipped
             else:
-                # every cycle is caught at its first revisit; skipping one
-                # step saves nothing, as the loop selects again after it
+                # every cycle is caught at its first revisit, before select
+                # runs on it, and skipped iff a whole period fits the limit
                 n, period = repeat
-                assert skipped == ((max_steps - n) // period * period > 1)
+                assert skipped == (max_steps - n >= period)
                 periods[period] += skipped
     assert periods[2] > 0
     assert any(period > 2 for period in periods)
@@ -399,17 +406,36 @@ def test_greedy_loops_are_not_re_decided(monkeypatch):
     assert calls["select"] < len(res.steps) / 2
 
 
-def test_equal_keys_alone_are_not_a_revisit(monkeypatch):
-    # the revisit index is keyed by the pick's key, and only equal chains
-    # make a revisit: with every state given one key, the runs must still
-    # take the plain loop's steps
-    select = episode.select
-    monkeypatch.setattr(episode, "select", lambda *a, **kw: (select(*a, **kw)[0], "one key"))
+def poisoned_table(start):
+    """A table whose bucket at ``start``'s floats holds only a stranger:
+    other chains, no proposals, no signature, first visited at step 0."""
+    stranger = [chain[::-1] for chain in chains(start)]
+    assert stranger != chains(start)
+    floats = (start.total_tardiness, start.total_wip, start.max_tardiness)
+    return {floats: [(stranger, [], None, 0)]}
+
+
+def test_equal_floats_alone_are_not_a_revisit():
+    # a state's floats only pick its bucket, and only equal chains make a
+    # revisit: with a stranger entered at the start's floats, greedy and
+    # learning runs must still take the plain loop's steps
+    stepped = 0
     for start, store, seed in islice(greedy_cases(), 40):
         cfg = EpisodeConfig(max_steps=20, seed=seed)
-        res = run_episode(start, store, cfg, learning=False)
+        res = episode._run(start, store, cfg, None, poisoned_table(start))
         oracle, _ = greedy_oracle(start, store, cfg)
         assert trace_dict(res) == trace_dict(oracle)
+        stepped += bool(res.steps)
+    assert stepped > 20
+    for disrupted, seed in islice(training_cases(), 10):
+        cfg = EpisodeConfig(seed=seed)
+        store, oracle_store = QStore(), QStore()
+        rng, table = Random(seed), poisoned_table(disrupted)
+        results = [episode._run(disrupted, store, cfg, rng, table) for _ in range(3)]
+        expected, oracle_rng = training_oracle(disrupted, oracle_store, 3, cfg)
+        assert [trace_dict(r) for r in results] == [trace_dict(r) for r in expected]
+        assert store.entries == oracle_store.entries
+        assert rng.getstate() == oracle_rng.getstate()
 
 
 def training_cases():
@@ -430,10 +456,11 @@ def chains(state):
 
 
 def test_training_matches_the_plain_loop(monkeypatch):
-    # train's episodes share a table of the states they reach and step
-    # back without applying; a plain loop that proposes, signs and applies
-    # on every step must take the same steps, learn the same floats and
-    # leave the generator in the same state
+    # train's episodes share one table of the states they visit, which
+    # gives a state found there, a step back's among them, its proposals
+    # and signature; a plain loop that proposes, signs and applies on
+    # every step must take the same steps, learn the same floats and leave
+    # the generator in the same state
     made = []
 
     class Recorded(Random):
@@ -471,9 +498,10 @@ def test_a_train_call_leaves_no_table_to_the_next():
 
 
 def test_train_proposes_once_per_distinct_state(monkeypatch):
-    # a state reached again, in the same episode or a later one, takes its
-    # proposals from the table: propose runs once for each distinct chain
-    # list, and for every chain list the plain loop proposes for
+    # a state reached again, by a step back, in the same episode or a
+    # later one, takes its proposals from the table: in train and in a
+    # greedy run alike propose runs once for each distinct chain list, and
+    # for every chain list the plain loop proposes for
     proposed = []
 
     def recording(fn):
@@ -497,3 +525,15 @@ def test_train_proposes_once_per_distinct_state(monkeypatch):
         assert set(once) == set(proposed)
         saved += len(proposed) - len(once)
     assert saved > 1000
+    stepped_back = 0
+    for start, store, seed in greedy_cases():
+        cfg = EpisodeConfig(seed=seed)
+        proposed.clear()
+        run_episode(start, store, cfg, learning=False)
+        once = proposed[:]
+        proposed.clear()
+        _, visited = greedy_oracle(start, store, cfg)
+        assert len(once) == len(set(once))
+        assert set(once) == set(proposed)
+        stepped_back += any(visited[k] == visited[k + 2] for k in range(len(visited) - 2))
+    assert stepped_back > 10
