@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappop, heapreplace
 from typing import NamedTuple
 
 from . import schedule
@@ -110,20 +110,21 @@ def propose(state: ScheduleState, cap: int = PROPOSAL_CAP) -> list[RepairOperato
     An executing focal is frozen and pairs with nothing, so it gets ``[]``
     at once. Otherwise each chain's ``Resource.starts`` is bisected at the
     focal's start, in C and with no key function, into a left and a right
-    side, each ordered by distance, and one heap merges the sides. A heap
-    entry is ``(distance, task id, resource index, slot, step)``: step -1
-    or 1 carries a side's cursor on, and 0 marks an entry that carries
-    none. The heap starts with each side's nearest slots, built in a list
-    and ``heapify``'d; popping a cursor enters its side's next slots, and
-    no other side moves. Slots at an equal distance, judged by the
-    distance read from ``starts`` and not by equal starts, are entered
-    together so that ids order them, and the last of them carries the
-    cursor. A chain other than the focal's own whose resource lacks the
-    focal's product pairs with nothing and is skipped. Auxiliaries are
-    paired in popped order until the cap is met, so no more operators are
-    built than are returned, give or take one swap. The cost is
-    O(R log n + popped x log R) for R resources, chains of length n and
-    the entries popped.
+    side, each ordered by distance, and one heap merges the sides. A chain
+    other than the focal's own whose resource lacks the focal's product
+    pairs with nothing and is skipped. A heap entry is ``(distance, task
+    id, resource index, slot, step)``, with step -1 on the left and 1 on
+    the right; the heap starts with each side's nearest slot, and each pop
+    moves its side on by one slot. Distances never fall along a side, so
+    the pops come in order of distance, but a move may enter an id below
+    one already popped at the same distance. So entries tied on distance,
+    judged by the distance read from ``starts`` (far from zero, unequal
+    starts can round to one distance), are collected until the heap's top
+    lies further, and then paired in id order; an entry tied with nothing
+    is paired at once. Pairing stops once the cap is met, so no more
+    operators are built than are returned, give or take one swap and the
+    rest of a tie. The cost is O(R log n + popped x log R) for R resources,
+    chains of length n and the entries popped, plus a sort of each tie.
     """
     if state.focal_task is None:
         raise NoFocalTask("propose requires a focal task")
@@ -136,51 +137,38 @@ def propose(state: ScheduleState, cap: int = PROPOSAL_CAP) -> list[RepairOperato
     product = focal.product
     resources = state.resources
 
-    # Task ids are unique and each slot is entered once, so no two entries
-    # tie on (distance, task id) and the pops follow the ranking order.
     heap = []
     for ai, r in enumerate(resources):
         if ai != fi and product not in r.rates:
             continue
         starts, chain = r.starts, r.task_chain
         k = bisect_left(starts, at)
-        n = len(starts)
         if k:
-            i = k - 1
-            d = at - starts[i]
-            while i and at - starts[i - 1] == d:
-                heap.append((d, chain[i], ai, i, 0))
-                i -= 1
-            heap.append((d, chain[i], ai, i, -1))
-        if k < n:
-            i = k
-            d = starts[i] - at
-            while i + 1 < n and starts[i + 1] - at == d:
-                heap.append((d, chain[i], ai, i, 0))
-                i += 1
-            heap.append((d, chain[i], ai, i, 1))
+            heap.append((at - starts[k - 1], chain[k - 1], ai, k - 1, -1))
+        if k < len(starts):
+            heap.append((starts[k] - at, chain[k], ai, k, 1))
     heapify(heap)
 
     found: list[RepairOperator] = []
+    tied: list[tuple[str, int]] = []
     while heap and len(found) < cap:
-        _, tid, ai, i, step = heap[0]
-        found += _pairings(state, focal, fi, tasks[tid], ai)
-        if step:
-            r = resources[ai]
-            starts = r.starts
-            i += step
-            if 0 <= i < len(starts):
-                # Every entry pushed here lies further than the top, which
-                # the last entry then replaces.
-                chain, n = r.task_chain, len(starts)
-                d = abs(starts[i] - at)
-                j = i + step
-                while 0 <= j < n and abs(starts[j] - at) == d:
-                    heappush(heap, (d, chain[i], ai, i, 0))
-                    i, j = j, j + step
-                heapreplace(heap, (d, chain[i], ai, i, step))
-                continue
-        heappop(heap)
+        d, tid, ai, i, step = heap[0]
+        r = resources[ai]
+        i += step
+        if 0 <= i < len(r.starts):
+            heapreplace(heap, (abs(r.starts[i] - at), r.task_chain[i], ai, i, step))
+        else:
+            heappop(heap)
+        if heap and heap[0][0] == d:
+            tied.append((tid, ai))
+        elif tied:
+            tied.append((tid, ai))
+            tied.sort()
+            for tid, ai in tied:
+                found += _pairings(state, focal, fi, tasks[tid], ai)
+            tied = []
+        else:
+            found += _pairings(state, focal, fi, tasks[tid], ai)
     return found[:cap]
 
 

@@ -82,12 +82,11 @@ class QKey(NamedTuple):
     op_aux: str
 
 
-def _key(sig: StateSignature, state: ScheduleState, op: RepairOperator) -> QKey:
+def qkey(state: ScheduleState, op: RepairOperator, sig: StateSignature | None = None) -> QKey:
+    """``op``'s key in ``state``; ``sig``, when given, must be ``signature(state)``."""
+    if sig is None:
+        sig = signature(state)
     return QKey(sig, op.kind.label, state.tasks[op.aux].name)
-
-
-def qkey(state: ScheduleState, op: RepairOperator) -> QKey:
-    return _key(signature(state), state, op)
 
 
 class QStore:
@@ -152,16 +151,16 @@ def select(
 
     The greedy pick makes one ``QStore.q`` lookup per proposal, with a
     plain tuple that hashes and compares equal to its ``QKey``; it builds
-    one ``QKey``, the winner's. It uses ``sig`` as the state's signature
-    when given, which must then equal ``signature(state)``, and otherwise
-    computes it once. An exploratory pick always keys its operator with
-    ``qkey``.
+    one ``QKey``, the winner's. Either pick keys its operator with
+    ``qkey(state, op, sig)``. Given ``sig``, which must then equal
+    ``signature(state)``, no pick signs the state; otherwise an exploratory
+    pick signs it in ``qkey``, and a greedy pick signs it once.
     """
     if not proposals:
         raise EmptyProposalSet("no proposals to select from")
     if rng is not None and rng.random() < store.hyper.epsilon:
         op = proposals[rng.randrange(len(proposals))]
-        return op, qkey(state, op)
+        return op, qkey(state, op, sig)
     if sig is None:
         sig = signature(state)
     tasks = state.tasks
@@ -172,7 +171,7 @@ def select(
         value = q((sig, op.kind.label, tasks[op.aux].name))
         if value > best_q:
             best, best_q = op, value
-    return best, _key(sig, state, best)
+    return best, qkey(state, best, sig)
 
 
 def _sig_to_fields(sig: StateSignature) -> list[str]:

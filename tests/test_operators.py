@@ -256,11 +256,50 @@ def test_capped_propose_matches_oracle_on_500x20_plants():
     assert unreachable > 0
 
 
+def tied_state(rng):
+    """A random plant whose distances tie across chains and within sides.
+
+    Every resource takes A and B at one rate, or B alone, and every
+    quantity is 10 or 20 kg, so starts fall on whole hours and tie across
+    chains. Some chains start near 1e17, where an hour vanishes in the
+    float sum, so starts tie along them, and the distance from such a start
+    to one near 0 rounds to one value for unequal starts. Ids are shuffled
+    so that they do not follow chain order.
+    """
+    names = [f"t{n:02d}" for n in range(rng.randint(6, 18))]
+    rng.shuffle(names)
+    resources = [
+        Resource(
+            id=f"r{ri}",
+            rates={"B": 10.0} if ri and rng.random() < 0.2 else {"A": 10.0, "B": 10.0},
+            release_time=rng.choice([0.0, 0.0, 1.0, 1e17, 1e17 + 48]),
+        )
+        for ri in range(rng.randint(2, 5))
+    ]
+    tasks = {}
+    for tid in names:
+        r = rng.choice(resources)
+        product = "A" if "A" in r.rates and rng.random() < 0.7 else "B"
+        tasks[tid] = mk(tid, product, rng.choice([10.0, 20.0]), 1e17 * rng.random())
+        r.task_chain.append(tid)
+    focal = rng.choice([tid for tid in names if tasks[tid].product == "A"] or names)
+    return elaborate(ScheduleState(resources=resources, tasks=tasks, focal_task=focal))
+
+
 def test_propose_cap_sweep_matches_the_oracle():
-    # every cap from -1 to 12 on states after random steps: the loop stops
-    # on the cap, so caps that cut a jump from its swap are swept too
+    # every cap from -1 to 12, and none, on states after random steps: the
+    # loop stops on the cap, so caps that cut a jump from its swap, or a
+    # tie of equal distances, are swept too
     rng = Random(31)
     states = []
+    for _ in range(60):
+        s = tied_state(rng)
+        for _ in range(3):
+            states.append(s)
+            ops = propose(s)
+            if not ops:
+                break
+            s = apply(s, ops[rng.randrange(len(ops))])
     for seed, (tasks, resources) in enumerate([(15, 3)] * 6 + [(40, 5)] * 4):
         spec = InstanceSpec(seed=700 + seed, task_count=tasks, resource_count=resources)
         s = inject_disruption(generate_instance(spec))
@@ -272,14 +311,23 @@ def test_propose_cap_sweep_matches_the_oracle():
             s = apply(s, ops[rng.randrange(len(ops))])
     inst = generate_instance(InstanceSpec(seed=509, task_count=500, resource_count=20))
     states.append(inject_disruption(sample_disruption(inst, rng)))
-    splits = 0
+    splits = ties = rounded = 0
     for s in states:
         raw = oracle_enumerate(s)
+        assert propose(s, 10_000) == raw
         for cap in range(-1, 13):
             assert propose(s, cap) == raw[: max(cap, 0)]
             splits += 0 < cap < len(raw) and raw[cap - 1].aux == raw[cap].aux
-    assert len(states) > 40
+        at = s.tasks[s.focal_task].start
+        auxes = [s.tasks[tid] for tid in dict.fromkeys(op.aux for op in raw)]
+        for a, b in zip(auxes, auxes[1:]):
+            if abs(a.start - at) == abs(b.start - at):
+                ties += 1
+                rounded += a.start != b.start and (a.start > at) == (b.start > at)
+    assert len(states) > 200
     assert splits > 20
+    assert ties > 300
+    assert rounded > 30
 
 
 def test_propose_pairs_nothing_for_an_executing_focal(monkeypatch):

@@ -351,18 +351,18 @@ def test_select_draws_the_same_random_numbers():
 
 
 def test_select_given_the_signature_picks_and_draws_as_without(monkeypatch):
-    """``select`` given ``signature(state)`` returns what it returns without
-    it and draws the same numbers; an exploratory pick still keys its
-    operator with ``qkey``."""
-    qkeys = 0
+    """``select`` given ``signature(state)`` makes no ``signature`` call,
+    whether it explores or is greedy, and returns and draws what it does
+    without it."""
+    calls = 0
 
-    def counting_qkey(*args):
-        nonlocal qkeys
-        qkeys += 1
-        return qkey(*args)
+    def counting_signature(state):
+        nonlocal calls
+        calls += 1
+        return signature(state)
 
-    monkeypatch.setattr(rl, "qkey", counting_qkey)
-    explored = 0
+    monkeypatch.setattr(rl, "signature", counting_signature)
+    picks = {"explore": 0, "greedy": 0}
     for n, (state, proposals) in enumerate(selection_cases()):
         trained = QStore(Hyperparams(epsilon=0.3))
         train(state, trained, 5, EpisodeConfig(seed=n))
@@ -370,12 +370,16 @@ def test_select_given_the_signature_picks_and_draws_as_without(monkeypatch):
             sig = signature(state)
             for rng, given in ((None, None), (Random(n), Random(n))):
                 for _ in range(10):
-                    qkeys = 0
+                    replay = Random()
+                    replay.setstate((given or replay).getstate())
+                    explores = given is not None and replay.random() < 0.3
+                    calls = 0
                     picked = select(store, state, proposals, given, sig)
-                    explored += qkeys
+                    assert calls == 0
+                    picks["explore" if explores else "greedy"] += 1
                     assert picked == select(store, state, proposals, rng)
                     assert given is None or given.getstate() == rng.getstate()
-    assert explored > 20
+    assert picks["explore"] > 20 and picks["greedy"] > 20
 
 
 def test_hyperparams_range_check():

@@ -83,3 +83,41 @@ def test_an_unknown_revision_is_a_usage_error(monkeypatch, tmp_path, capsys, too
     assert exc.value.code == 2
     assert f"{option} nosuchrev" in capsys.readouterr().err
     assert exported == [] and not (tmp_path / "bench.json").exists()
+
+
+def test_bench_pair_summary_counts_incorrect_runs_and_failures(capsys):
+    # a BENCH file must show, per side, the runs perfbench judged incorrect
+    # and the operations they failed, and name each such run on stderr
+    bench_pair = load_tool("bench_pair")
+
+    def run(side, pair, steps, correct=True, failed=0):
+        return {
+            "workload": "campaign", "trace": 0, "pair": pair, "side": side,
+            "info": {"digest": "d", "passes": 3},
+            "result": {
+                "correct": correct, "attempted": 10, "failed": failed,
+                "metrics": {"steps_per_s": {"value": steps, "unit": "1/s"}},
+            },
+        }
+
+    runs = [
+        run("base", 0, 100.0), run("head", 0, 110.0, failed=2),
+        run("base", 1, 100.0), run("head", 1, 90.0, correct=False, failed=1),
+        run("base", 2, 100.0, correct=False), run("head", 2, 120.0),
+    ]
+    summary = bench_pair.summarize(runs, {"steps_per_s": "higher"})
+    rows = summary["campaign/trace0"]
+    assert rows["correctness"] == {
+        "base": {"incorrect_runs": 1, "failed": 0},
+        "head": {"incorrect_runs": 1, "failed": 3},
+    }
+    assert rows["steps_per_s"]["head_better_pairs"] == 2
+    assert rows["steps_per_s"]["head_median"] == 110.0
+    assert rows["digests"] == {"equal_pairs": 3, "pairs": 3}
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["warning"] * 3
+    assert "pair 1 head: correct False, failed 1" in err[1]
+
+    clean = bench_pair.summarize([run("base", 0, 1.0), run("head", 0, 1.0)], {})
+    assert clean["campaign/trace0"]["correctness"]["head"] == {"incorrect_runs": 0, "failed": 0}
+    assert capsys.readouterr().err == ""

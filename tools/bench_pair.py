@@ -24,7 +24,10 @@ spread of the base side's runs. One traced pair cannot show a layer saving
 of a few per cent; several pairs and these columns can.
 Beside the metrics, ``passes`` gives each side's median number of passes
 (a faster side fits more into a run, and each pass adds to the peak RSS),
-and ``digests`` the number of pairs whose trajectory digests are equal.
+``digests`` the number of pairs whose trajectory digests are equal, and
+``correctness`` each side's number of runs that perfbench judged not
+``correct`` and its sum of ``failed`` operations. A run that is not correct
+or that failed an operation is also named on standard error.
 """
 
 from __future__ import annotations
@@ -106,10 +109,20 @@ def quartile_spread(values: list[float]) -> float:
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     out: dict[str, dict] = {}
     infos: dict[str, dict] = {}
+    checks: dict[str, dict] = {}
     for run in runs:
         key = f"{run['workload']}/trace{run['trace']}"
         group = out.setdefault(key, {})
-        for name, metric in run["result"]["metrics"].items():
+        result = run["result"]
+        check = checks.setdefault(key, {
+            side: {"incorrect_runs": 0, "failed": 0} for side in ("base", "head")
+        })[run["side"]]
+        check["incorrect_runs"] += not result["correct"]
+        check["failed"] += result["failed"]
+        if not result["correct"] or result["failed"]:
+            print(f"warning: {key} pair {run['pair']} {run['side']}: correct "
+                  f"{result['correct']}, failed {result['failed']}", file=sys.stderr)
+        for name, metric in result["metrics"].items():
             group.setdefault(name, {"base": {}, "head": {}})[run["side"]][run["pair"]] = (
                 metric["value"]
             )
@@ -140,6 +153,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
             "equal_pairs": sum(base[i]["digest"] == head[i]["digest"] for i in pairs),
             "pairs": len(pairs),
         }
+        rows["correctness"] = checks[group]
     return summary
 
 
