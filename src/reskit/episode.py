@@ -58,8 +58,8 @@ class EpisodeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_steps <= 0:
-            raise InvalidConfig(f"max_steps must be positive, got {self.max_steps}")
+        if type(self.max_steps) is not int or self.max_steps <= 0:  # a bool is no count
+            raise InvalidConfig(f"max_steps must be a positive integer, got {self.max_steps!r}")
 
 
 @dataclass

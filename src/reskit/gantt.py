@@ -63,6 +63,8 @@ def _bar_style(state: ScheduleState, task: Task, colors: dict[str, str]) -> tupl
 def render_svg(state: ScheduleState, caption: str = "") -> str:
     """One row per resource, one bar per task, width proportional to duration."""
     horizon = _horizon(state)
+    if not math.isfinite(horizon):
+        raise InvalidConfig(f"a horizon of {horizon:g} h has no scale to draw at")
     rows = len(state.resources)
     height = _TOP + rows * _ROW_H + _BOTTOM
     scale = (_WIDTH - _LEFT - _RIGHT) / horizon

@@ -204,8 +204,10 @@ def sample_disruption(instance: Instance, rng: Random) -> Instance:
     # no generator spec, so ranges are inferred from the instance itself).
     ready = rng.uniform(0.0, max((t.due_date for t in instance.state.tasks.values()), default=0.0))
     due = round(instance.arrival_h + ready + rng.uniform(1.0, 2.5) * quantity / best, 2)
+    # Q keys name tasks, so the order's name must be free as well as its id.
+    names = {t.name for t in instance.state.tasks.values()}
     index = len(instance.state.tasks) + 1
-    while f"t{index}" in instance.state.tasks:
+    while f"t{index}" in instance.state.tasks or f"Task{index}" in names:
         index += 1
     order = Task(
         id=f"t{index}", name=f"Task{index}", product=product, quantity=quantity, due_date=due

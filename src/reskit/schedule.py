@@ -4,16 +4,16 @@ A schedule is a set of unary-capacity resources (extruders), each holding an
 ordered chain of tasks. Products are plain string codes. All timing is
 derived: a task's duration follows from its quantity and the assigned
 resource's rate for its product, starts follow from chain order, and the
-aggregate figures (total/max/avg tardiness, work in process) follow from the
-task fields in two levels. Each task carries its chain's running
-partials, summed left to right in chain order up to and including it, and
-each resource carries its chain's partials, which are its last task's; the
-state's totals are the sums of those partials in resource order, and its
-max tardiness is their max. Each resource also carries the start of every
-slot of its chain, in chain order (``Resource.starts``). So a repair step
+aggregate figures (total/max tardiness, work in process) follow from the
+task fields. Each task carries its chain's running partials, summed left to
+right in chain order up to and including it; the state's totals are the
+sums of the chain ends' partials in resource order, and its max tardiness
+is their max. The average tardiness and the task count are read off the
+total and the task dict. Each resource also carries the start of every slot
+of its chain, in chain order (``Resource.starts``). So a repair step
 re-times and re-sums only the spliced chains from their first changed slot
 on, resuming from the running partials of the task before it, plus one pass
-over the resources. ``elaborate`` recomputes every derived field the same
+over the chain ends. ``elaborate`` recomputes every derived field the same
 way and is idempotent.
 
 States are values: every operation returns a new state and leaves its input
@@ -84,11 +84,10 @@ class Resource:
 
     ``rates`` maps product code to kg/h; a missing key means the resource
     cannot process that product. ``release_time`` is the earliest start for
-    movable (non-executing) work. ``total_tardiness``, ``total_wip`` and
-    ``max_tardiness`` are derived: the chain's partials of the state's
-    aggregates. ``starts`` is derived too: the start of each task of
-    ``task_chain``, slot for slot. They are only meaningful after
-    :func:`elaborate`.
+    movable (non-executing) work. ``starts`` is derived: the start of each
+    task of ``task_chain``, slot for slot, only meaningful after
+    :func:`elaborate`. The chain's tardiness and WIP partials are not stored
+    here: they are its last task's ``run_*`` fields.
     """
 
     id: str
@@ -96,9 +95,6 @@ class Resource:
     rates: dict[str, float] = field(default_factory=dict)
     task_chain: list[str] = field(default_factory=list)
     release_time: float = 0.0
-    total_tardiness: float = 0.0
-    total_wip: float = 0.0
-    max_tardiness: float = 0.0
     starts: list[float] = field(default_factory=list)
 
 
@@ -110,9 +106,15 @@ class ScheduleState:
     init_tardiness: float = 0.0
     total_tardiness: float = 0.0
     max_tardiness: float = 0.0
-    avg_tardiness: float = 0.0
     total_wip: float = 0.0
-    task_number: int = 0
+
+    @property
+    def task_number(self) -> int:
+        return len(self.tasks)
+
+    @property
+    def avg_tardiness(self) -> float:
+        return self.total_tardiness / len(self.tasks) if self.tasks else 0.0
 
     def clone(self) -> "ScheduleState":
         """Deep copy: the result shares no object with this state."""
@@ -191,9 +193,10 @@ def elaborate(state: ScheduleState) -> ScheduleState:
     executing, in which case its recorded start is kept (a frozen task
     anchors its chain); each later task starts when its predecessor
     finishes. Durations are quantity / rate on the current resource.
-    Every chain's partials are summed in chain order, then the aggregates
-    over the partials in resource order, exactly as ``_retime`` does after
-    a splice, so a state re-timed in part equals its elaboration.
+    Each task's running partials are summed in chain order, then the
+    aggregates over the chain ends' partials in resource order, exactly as
+    ``_retime`` does after a splice, so a state re-timed in part equals its
+    elaboration.
     """
     s = state.clone()
     _elaborate_in_place(s)
@@ -221,11 +224,11 @@ def _retime(s: ScheduleState, chains: dict[int, int]) -> None:
     by one ``Task(...)`` built from its input fields, its new timing, the
     index of its resource and its running partials, summed on from the task
     before the slot in the same loop; every other task and resource keeps
-    what it carries. A chain's partials are its last task's running ones,
-    and its ``starts`` keeps its slice before the slot. The aggregates are
-    then summed over the partials in resource order, so a step costs the
-    re-timed slots plus O(resources), and a state re-timed in part carries
-    the same floats as one elaborated in full.
+    what it carries. A chain's ``starts`` keeps its slice before the slot.
+    The aggregates are then summed over each non-empty chain's last task's
+    running partials in resource order, so a step costs the re-timed slots
+    plus O(resources), and a state re-timed in part carries the same floats
+    as one elaborated in full.
     """
     tasks = s.tasks
     for i, first in chains.items():
@@ -267,18 +270,18 @@ def _retime(s: ScheduleState, chains: dict[int, int]) -> None:
                 t.executing, i, total, max_t, wip,
             )
         r.starts = starts
-        r.total_tardiness, r.max_tardiness, r.total_wip = total, max_t, wip
 
     total = max_t = wip = 0.0
     for r in s.resources:
-        total += r.total_tardiness
-        if r.max_tardiness > max_t:
-            max_t = r.max_tardiness
-        wip += r.total_wip
+        chain = r.task_chain
+        if chain:
+            last = tasks[chain[-1]]
+            total += last.run_tardiness
+            if last.run_max_tardiness > max_t:
+                max_t = last.run_max_tardiness
+            wip += last.run_wip
     s.total_tardiness = total
     s.max_tardiness = max_t
-    s.task_number = len(tasks)
-    s.avg_tardiness = total / s.task_number if s.task_number else 0.0
     s.total_wip = wip
 
 
@@ -377,16 +380,8 @@ def validate(state: ScheduleState) -> list[Violation]:
     for r, f in zip(state.resources, fresh.resources):
         if len(r.starts) != len(f.starts) or any(a != b for a, b in zip(r.starts, f.starts)):
             out.append(Violation("StaleStarts", r.id, f"{r.starts} != {f.starts}"))
-        for attr in ("total_tardiness", "max_tardiness", "total_wip"):
-            stored, derived = getattr(r, attr), getattr(f, attr)
-            if stored != derived and not abs(stored - derived) <= AGG_TOL:
-                out.append(Violation("StalePartial", r.id, f"{attr} {stored} != {derived}"))
     for subject, attr in [
-        ("totTard", "total_tardiness"),
-        ("maxTard", "max_tardiness"),
-        ("avgTard", "avg_tardiness"),
-        ("totalWIP", "total_wip"),
-        ("taskNumber", "task_number"),
+        ("totTard", "total_tardiness"), ("maxTard", "max_tardiness"), ("totalWIP", "total_wip")
     ]:
         stored, derived = getattr(state, attr), getattr(fresh, attr)
         if stored != derived and not abs(stored - derived) <= AGG_TOL:

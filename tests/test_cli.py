@@ -644,6 +644,17 @@ def test_render_row_bound_fails_before_any_file_is_written(tmp_path, capsys):
     # without --text only the SVG is drawn, and it has no row bound
     assert main(["render", "--instance", str(path), "--svg", str(svg)]) == 0
     assert svg.read_text(encoding="utf-8").startswith("<svg")
+    # but it needs a finite horizon: this task takes 1e308 kg / 1e-300 kg/h = inf h
+    task = data["tasks"][0]
+    task["quantity_kg"] = 1e308
+    rates = next(r for r in data["resources"] if r["id"] == task["resource"])["rates"]
+    rates[task["product"]] = 1e-300
+    path.write_text(json.dumps(data), encoding="utf-8")
+    svg.unlink()
+    capsys.readouterr()
+    assert main(["render", "--instance", str(path), "--svg", str(svg)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not svg.exists()
 
 
 # sha256 of the seed-7 artifacts. Any byte drift in generation, training,

@@ -134,6 +134,11 @@ def test_invalid_configs():
     s = disrupted_instance()
     with pytest.raises(InvalidConfig):
         EpisodeConfig(max_steps=0)
+    # a float limit would break a greedy run's cycle skip with a TypeError,
+    # and a learning run would never meet it; a bool is no step count either
+    for bad in (2.5, 3.0, True, "50", None):
+        with pytest.raises(InvalidConfig, match="positive integer"):
+            EpisodeConfig(max_steps=bad)
     with pytest.raises(InvalidConfig):
         train(s, QStore(), 0, EpisodeConfig())
 

@@ -237,6 +237,22 @@ def test_sample_disruption_is_plausible_and_deterministic():
     assert third.order != fresh.order
 
 
+def test_sample_disruption_names_the_order_after_no_plant_task():
+    # a loaded plant may pair ids and names differently from a generated one
+    data = instance_to_dict(generate_instance(InstanceSpec(seed=3)))
+    data["tasks"][0]["name"] = "Task16"
+    data["disruption"]["order"].update(id="t99", name="Order99")
+    plant = instance_from_dict(data)
+    assert "t16" not in plant.state.tasks
+    fresh = sample_disruption(plant, Random(0))
+    assert (fresh.order.id, fresh.order.name) == ("t17", "Task17")
+    # the file it makes loads, as the loader refuses two tasks with one name
+    assert instance_from_dict(instance_to_dict(fresh)).order == fresh.order
+    # a generated plant pairs t{k} with Task{k}, so its orders keep their ids
+    generated = generate_instance(InstanceSpec(seed=3))
+    assert sample_disruption(generated, Random(0)).order.id == "t16"
+
+
 def test_instance_json_schema_field_names():
     data = instance_to_dict(generate_instance(InstanceSpec(seed=12)))
     assert set(data) == {"resources", "tasks", "disruption"}
