@@ -273,6 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_seed(p):
         p.add_argument("--seed", type=int, default=None, help="default: $RESKIT_SEED or 0")
 
+    no_store = "default: an empty store, whose greedy pick is always the nearest proposal"
+
     p = sub.add_parser("generate", help="write a random instance file")
     p.add_argument("--out", required=True)
     p.add_argument("--resources", type=int, default=3)
@@ -304,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repair", help="run one greedy repair episode, print the trace")
     p.add_argument("--instance", required=True)
-    p.add_argument("--qstore", default=None)
+    p.add_argument("--qstore", default=None, help=no_store)
     p.add_argument("--trace", default=None, help="optional JSON trace path")
     p.add_argument("--svg-before", default=None)
     p.add_argument("--svg-after", default=None)
@@ -314,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="greedy runs over fresh disruptions, report success rate")
     p.add_argument("--instance", required=True)
-    p.add_argument("--qstore", default=None)
+    p.add_argument("--qstore", default=None, help=no_store)
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--report", default=None)
     p.add_argument("--max-steps", type=int, default=50)

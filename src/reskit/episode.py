@@ -31,6 +31,10 @@ up to the step limit. The ordinary loop takes the fewer steps that remain,
 so the final state, the outcome and the undo history come out as a
 step-by-step run leaves them. A learning run never reads ``first``: its
 store changes every step.
+
+An empty frozen store reads 0 for every key, and ``select`` keeps the first
+of equal values, so a greedy run on a store with no entries takes the first
+proposal: it calls no ``select``, signs no state and builds no key.
 """
 
 from __future__ import annotations
@@ -103,7 +107,9 @@ def run_episode(
     already in ``steps``: whole periods of them are appended up to
     ``cfg.max_steps``. Greedy picks are exact functions of the state
     under a frozen store, so the records, the outcome and the final chains
-    are those of a step-by-step run.
+    are those of a step-by-step run. An empty frozen store reads 0
+    everywhere, so there each pick is the first proposal and no state is
+    signed.
     """
     if not learning:
         rng = None  # a greedy pick draws nothing
@@ -127,6 +133,7 @@ def _run(
     """``run_episode``'s loop, learning iff ``rng`` is given; ``table``
     holds the states visited before, and gains the ones this run visits."""
     steps: list[StepRecord] = []
+    first_pick = rng is None and not store.entries
     prev_key = r = None  # the last step's key and reward
     # One step of history: the state before the current one and the
     # operator that left it.
@@ -139,7 +146,7 @@ def _run(
         if n == cfg.max_steps:
             outcome = Outcome.STEP_LIMIT
             break
-        proposals, sig, first = _visit(table, state, n)
+        proposals, sig, first = _visit(table, state, n, not first_pick)
         if not proposals:
             outcome = Outcome.NO_PROPOSALS
             break
@@ -149,7 +156,7 @@ def _run(
             if periods:
                 steps += steps[first:] * periods
                 continue
-        op, key = select(store, state, proposals, rng, sig)
+        op, key = (proposals[0], None) if first_pick else select(store, state, proposals, rng, sig)
         if rng is not None:
             if steps:
                 store.sarsa_update(prev_key, r, key)
@@ -180,18 +187,19 @@ def _run(
 
 
 def _visit(
-    table: _Table, state: ScheduleState, n: int
+    table: _Table, state: ScheduleState, n: int, sign: bool = True
 ) -> tuple[list[RepairOperator], StateSignature | None, int]:
     """The state's proposals, signature and steps taken at its first visit:
-    its entry's, or made and entered at ``n``. A state with no proposals
-    ends the episode unpicked, so it is not signed."""
+    its entry's, or made and entered at ``n``. A new state is signed only
+    if ``sign`` and it has proposals: one with none ends the episode
+    unpicked."""
     chains = [r.task_chain for r in state.resources]
     bucket = table.setdefault((state.total_tardiness, state.total_wip, state.max_tardiness), [])
     for known, proposals, sig, first in bucket:
         if known == chains:
             return proposals, sig, first
     proposals = propose(state)
-    sig = signature(state) if proposals else None
+    sig = signature(state) if sign and proposals else None
     bucket.append((chains, proposals, sig, n))
     return proposals, sig, n
 

@@ -155,6 +155,8 @@ def select(
     ``qkey(state, op, sig)``. Given ``sig``, which must then equal
     ``signature(state)``, no pick signs the state; otherwise an exploratory
     pick signs it in ``qkey``, and a greedy pick signs it once.
+    ``episode._run`` bypasses it only where the pick is greedy and the store
+    empty, so that every key reads 0 and the pick is the first proposal.
     """
     if not proposals:
         raise EmptyProposalSet("no proposals to select from")

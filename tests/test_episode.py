@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from reskit import episode
+from reskit import episode, rl
 from reskit.episode import (
     EpisodeConfig,
     Outcome,
@@ -287,6 +287,16 @@ def test_stepping_back_takes_the_same_trajectories(monkeypatch):
 def test_undo_steps_neither_apply_nor_propose(monkeypatch):
     # seed 6 trains into two-state loops: most steps step back, so the
     # shortcut must leave apply and propose fewer calls than steps
+    calls = counting_calls(monkeypatch, (episode, "apply"), (episode, "propose"))
+    results = train(disrupted_instance(seed=6), QStore(), 20, EpisodeConfig(seed=6))
+    steps = sum(len(r.steps) for r in results)
+    assert calls["apply"] < steps
+    assert calls["propose"] < steps
+
+
+def counting_calls(monkeypatch, *targets):
+    """Patch each ``(owner, name)`` in ``targets`` to count its calls under
+    ``name``; returns the counter."""
     calls = Counter()
 
     def counting(name, fn):
@@ -296,25 +306,23 @@ def test_undo_steps_neither_apply_nor_propose(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(episode, "apply", counting("apply", episode.apply))
-    monkeypatch.setattr(episode, "propose", counting("propose", episode.propose))
-    results = train(disrupted_instance(seed=6), QStore(), 20, EpisodeConfig(seed=6))
-    steps = sum(len(r.steps) for r in results)
-    assert calls["apply"] < steps
-    assert calls["propose"] < steps
-
-
-def counting_select(monkeypatch):
-    """Patch ``episode.select`` to count its calls; returns the counter."""
-    calls = Counter()
-    select = episode.select
-
-    def wrapper(*args, **kwargs):
-        calls["select"] += 1
-        return select(*args, **kwargs)
-
-    monkeypatch.setattr(episode, "select", wrapper)
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     return calls
+
+
+def started_plant():
+    """A 200x10 plant whose chain heads have started."""
+    plant = generate_instance(InstanceSpec(seed=1, task_count=200, resource_count=10))
+    plant.arrival_h = 1.0
+    return plant
+
+
+def plants_40x5():
+    """(disrupted, seed) of ten 40x5 plants."""
+    for seed in range(100, 110):
+        spec = InstanceSpec(seed=seed, task_count=40, resource_count=5)
+        yield inject_disruption(generate_instance(spec)), seed
 
 
 def greedy_cases():
@@ -326,11 +334,9 @@ def greedy_cases():
         store = QStore()
         train(disrupted, store, 20, EpisodeConfig(seed=seed))
         yield disrupted, store, seed
-    for seed in range(100, 110):
-        spec = InstanceSpec(seed=seed, task_count=40, resource_count=5)
-        yield inject_disruption(generate_instance(spec)), QStore(), seed
-    plant = generate_instance(InstanceSpec(seed=1, task_count=200, resource_count=10))
-    plant.arrival_h = 1.0
+    for disrupted, seed in plants_40x5():
+        yield disrupted, QStore(), seed
+    plant = started_plant()
     store = QStore()
     train(inject_disruption(plant), store, 20, EpisodeConfig(seed=1))
     for order in range(12):
@@ -351,8 +357,9 @@ def test_greedy_repairs_match_the_plain_loop(monkeypatch):
     # a greedy run finds a repeated state in its table of visited states
     # and skips the rest of the cycle; a plain propose, select, apply loop
     # must take the same steps to the same end, with the limit on whole
-    # periods and inside one
-    calls = counting_select(monkeypatch)
+    # periods and inside one. Every step the run decides calls reward once,
+    # with an empty store too, where no step calls select
+    calls = counting_calls(monkeypatch, (episode, "reward"))
     periods = Counter()
     for start, store, seed in greedy_cases():
         for max_steps in (7, 50, 51):
@@ -365,13 +372,13 @@ def test_greedy_repairs_match_the_plain_loop(monkeypatch):
             assert [r.task_chain for r in res.final_state.resources] == visited[-1]
             assert_fully_elaborated(res.final_state)
             assert rng.getstate() == Random(seed).getstate()
-            skipped = calls["select"] < len(res.steps)
+            skipped = calls["reward"] < len(res.steps)
             repeat = first_repeat(visited)
             if repeat is None:
                 assert not skipped
             else:
-                # every cycle is caught at its first revisit, before select
-                # runs on it, and skipped iff a whole period fits the limit
+                # every cycle is caught at its first revisit, before a step
+                # is decided on it, and skipped iff a whole period fits the limit
                 n, period = repeat
                 assert skipped == (max_steps - n >= period)
                 periods[period] += skipped
@@ -405,10 +412,65 @@ def test_greedy_loops_are_not_re_decided(monkeypatch):
     disrupted = disrupted_instance(seed=6)
     store = QStore()
     train(disrupted, store, 20, EpisodeConfig(seed=6))
-    calls = counting_select(monkeypatch)
+    calls = counting_calls(monkeypatch, (episode, "select"))
     res = run_episode(disrupted, store, EpisodeConfig(seed=6), learning=False)
     assert res.outcome is Outcome.STEP_LIMIT
     assert calls["select"] < len(res.steps) / 2
+
+
+def empty_store_cases():
+    """(start, seed) of greedy repairs on an empty store: greedy_cases()'s
+    40x5 plants and three fresh orders on the untrained 200x10 plant."""
+    yield from plants_40x5()
+    plant = started_plant()
+    for order in range(3):
+        yield inject_disruption(sample_disruption(plant, Random(order))), order
+
+
+def test_greedy_repairs_on_an_empty_store_take_the_first_proposal(monkeypatch):
+    # an empty frozen store reads 0 for every key, so a greedy run takes
+    # the first proposal with no select, no signature and no key; the plain
+    # loop, which selects and keys every step, must take the same steps
+    calls = counting_calls(
+        monkeypatch, (episode, "signature"), (episode, "select"), (rl, "qkey")
+    )
+    stepped = 0
+    for start, seed in empty_store_cases():
+        for max_steps in (7, 50, 51):
+            cfg = EpisodeConfig(max_steps=max_steps, seed=seed)
+            store = QStore()
+            calls.clear()
+            res = run_episode(start, store, cfg, learning=False)
+            assert not calls
+            oracle, visited = greedy_oracle(start, store, cfg)
+            assert calls["qkey"] == len(oracle.steps)
+            assert trace_dict(res) == trace_dict(oracle)
+            assert chains(res.final_state) == visited[-1]
+            assert store.entries == {}
+            stepped += bool(res.steps)
+    assert stepped > 20
+
+
+def test_a_store_with_an_unrelated_entry_still_selects(monkeypatch):
+    # one entry under a signature no state here has: every key still reads
+    # 0, but the store is not empty, so each decided step calls select, and
+    # the steps are those of the plain loop and of an empty store's run
+    other = disrupted_instance(seed=0)
+    unrelated = qkey(other, propose(other)[0])
+    calls = counting_calls(monkeypatch, (episode, "select"), (episode, "reward"))
+    selected = 0
+    for start, seed in empty_store_cases():
+        cfg = EpisodeConfig(seed=seed)
+        store = QStore()
+        store.entries[unrelated] = 1.0
+        calls.clear()
+        res = run_episode(start, store, cfg, learning=False)
+        assert calls["select"] == calls["reward"]
+        selected += calls["select"]
+        assert trace_dict(res) == trace_dict(greedy_oracle(start, store, cfg)[0])
+        assert trace_dict(res) == trace_dict(run_episode(start, QStore(), cfg, learning=False))
+        assert store.entries == {unrelated: 1.0}
+    assert selected > 30
 
 
 def poisoned_table(start):
@@ -448,12 +510,8 @@ def training_cases():
     200x10 plant whose chain heads have started."""
     for seed in range(30):
         yield disrupted_instance(seed), seed
-    for seed in range(100, 105):
-        spec = InstanceSpec(seed=seed, task_count=40, resource_count=5)
-        yield inject_disruption(generate_instance(spec)), seed
-    plant = generate_instance(InstanceSpec(seed=1, task_count=200, resource_count=10))
-    plant.arrival_h = 1.0
-    yield inject_disruption(plant), 1
+    yield from islice(plants_40x5(), 5)
+    yield inject_disruption(started_plant()), 1
 
 
 def chains(state):

@@ -31,7 +31,7 @@ from reskit.rl import (
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
 from reskit.stategraph import StateSignature, signature
 
-from helpers import sarsa_two_pass
+from helpers import random_state, sarsa_two_pass
 
 
 def state_with_total(total: float, init: float) -> ScheduleState:
@@ -330,6 +330,27 @@ def test_greedy_select_matches_first_maximum_oracle():
             assert key == keys[best] and type(key) is QKey
             cases += 1
     assert cases > 100 and tied > 10
+
+
+def test_greedy_select_on_an_empty_store_keeps_the_first_proposal():
+    # a greedy run on an empty store takes proposals[0] without calling
+    # select; that holds only while an all-zero greedy pick keeps the first
+    rng = Random(61)
+    picked = 0
+    for _ in range(300):
+        raw = random_state(rng, max_resources=4, max_tasks=12)
+        if not raw.tasks:
+            continue
+        raw.focal_task = rng.choice(sorted(raw.tasks))
+        s = elaborate(raw)
+        proposals = propose(s)
+        if not proposals:
+            continue
+        op, key = select(QStore(), s, proposals, None)
+        assert op is proposals[0]
+        assert key == qkey(s, proposals[0])
+        picked += len(proposals) > 1
+    assert picked > 100
 
 
 def test_select_draws_the_same_random_numbers():
