@@ -63,11 +63,11 @@ def _bar_style(state: ScheduleState, task: Task, colors: dict[str, str]) -> tupl
 def render_svg(state: ScheduleState, caption: str = "") -> str:
     """One row per resource, one bar per task, width proportional to duration."""
     horizon = _horizon(state)
-    if not math.isfinite(horizon):
+    scale = (_WIDTH - _LEFT - _RIGHT) / horizon
+    if not (math.isfinite(horizon) and math.isfinite(scale)):
         raise InvalidConfig(f"a horizon of {horizon:g} h has no scale to draw at")
     rows = len(state.resources)
     height = _TOP + rows * _ROW_H + _BOTTOM
-    scale = (_WIDTH - _LEFT - _RIGHT) / horizon
 
     def x(t: float) -> float:
         return _LEFT + t * scale
@@ -88,7 +88,9 @@ def render_svg(state: ScheduleState, caption: str = "") -> str:
     chart_bottom = _TOP + rows * _ROW_H
     step = _tick_step(horizon)
     tick = 0.0
-    while tick <= horizon + 1e-9:
+    # Slack for the sum's rounding: 1e-9 h, but relative below 1 h, where a
+    # fixed 1e-9 h could span billions of steps.
+    while tick <= horizon + 1e-9 * min(horizon, 1.0):
         parts.append(
             f'<line x1="{x(tick):.2f}" y1="{_TOP}" x2="{x(tick):.2f}" y2="{chart_bottom}" '
             f'stroke="#dddddd" stroke-width="1"/>'

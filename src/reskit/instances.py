@@ -145,11 +145,12 @@ def inject_disruption(instance: Instance) -> ScheduleState:
     the one, and no reward is defined from the other.
 
     ``instance.state`` must be elaborated, and is left untouched. The result
-    is one ``schedule._splice`` of the target chain, as ``operators.apply``
-    builds a step: only the flagged heads, the order and its resource are
-    new, and every other ``Resource`` and ``Task`` is shared with the
-    instance. So, besides the shallow task-dict copies, a fresh order costs
-    O(resources), not a plant copy.
+    is one ``schedule._splice`` of the target chain from the slot the order
+    is appended at, as ``operators.apply`` builds a step from the slots it
+    edits: only the flagged heads, the order and its resource are new, and
+    every other ``Resource`` and ``Task`` is shared with the instance. So,
+    besides the shallow task-dict copies, a fresh order costs O(resources),
+    not a plant copy.
     """
     base, order = instance.state, instance.order
     if not math.isfinite(base.total_tardiness):
@@ -178,7 +179,8 @@ def inject_disruption(instance: Instance) -> ScheduleState:
     shallow = _copy_state(base)
     shallow.tasks, shallow.focal_task = tasks, order.id
     shallow.init_tardiness = base.total_tardiness
-    disrupted = _splice(shallow, {target: [*base.resources[target].task_chain, order.id]})
+    chain = base.resources[target].task_chain
+    disrupted = _splice(shallow, {target: ([*chain, order.id], len(chain))})
     if not math.isfinite(disrupted.total_tardiness):
         raise InstanceFormatError(
             f"post-insertion tardiness is {disrupted.total_tardiness}, not a finite number"

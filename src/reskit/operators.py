@@ -181,10 +181,11 @@ def apply(state: ScheduleState, op: RepairOperator) -> ScheduleState:
     Durations follow from the new resources; the task multiset is unchanged.
 
     ``state`` must be elaborated. Only the one or two spliced chains are
-    copied, and their tasks are rebuilt only from the first changed slot
-    on, which ``_splice`` finds from the focal's slots and is also where
-    re-timing starts; the new state shares every other ``Task`` and
-    ``Resource`` with ``state`` and equals ``elaborate`` of itself.
+    copied, and re-timed from the first changed slot on, which the edit
+    names: the focal's old slot on its chain and the slot it enters on the
+    aux's, or the nearer of the two when a jump stays on one chain. The new
+    state shares every other ``Task`` and ``Resource`` with ``state`` and
+    equals ``elaborate`` of itself.
     """
     if op.focal != state.focal_task:
         raise OperatorNotApplicable(f"{op.focal} is not the focal task")
@@ -195,18 +196,21 @@ def apply(state: ScheduleState, op: RepairOperator) -> ScheduleState:
     if op not in _pairings(state, focal, fi, aux, ai):
         raise OperatorNotApplicable(f"{op.kind.value}({op.focal}, {op.aux}, {op.target_resource})")
 
-    chains = {i: list(state.resources[i].task_chain) for i in (fi, ai)}
-    src, dst = chains[fi], chains[ai]
+    src = list(state.resources[fi].task_chain)
+    dst = src if ai == fi else list(state.resources[ai].task_chain)
+    k = src.index(op.focal)
     if op.kind.action == "jump":
-        src.remove(op.focal)
+        del src[k]
         at = dst.index(op.aux)
         if op.kind.horizontal == "right":
             at += 1
         dst.insert(at, op.focal)
     else:
-        src[src.index(op.focal)] = op.aux
-        dst[dst.index(op.aux)] = op.focal
-    return schedule._splice(state, chains)
+        at = dst.index(op.aux)
+        src[k], dst[at] = op.aux, op.focal
+    if ai == fi:
+        return schedule._splice(state, {fi: (src, min(k, at))})
+    return schedule._splice(state, {fi: (src, k), ai: (dst, at)})
 
 
 def undoes(

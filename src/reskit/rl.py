@@ -102,8 +102,7 @@ class QStore:
         self.traces: dict[QKey, float] = {}
 
     def q(self, key: QKey | None) -> float:
-        if key is None:
-            return 0.0
+        """``key``'s value: 0.0 for a key with no entry, ``None`` (past an episode's end) too."""
         return self.entries.get(key, 0.0)
 
     def bump_trace(self, key: QKey) -> None:

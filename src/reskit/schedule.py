@@ -21,8 +21,9 @@ untouched, so states can be archived for episode rollback and compared after
 the fact. A returned state never changes, but ``_splice``, which
 ``operators.apply`` and ``instances.inject_disruption`` build their states
 with, copies only the chains it splices, and of those only the tasks from
-the first changed slot on: unchanged chain prefixes and every other ``Task``
-and ``Resource`` are shared, so ``clone()`` a state before mutating it.
+the first changed slot on, which its caller names: unchanged chain prefixes
+and every other ``Task`` and ``Resource`` are shared, so ``clone()`` a state
+before mutating it.
 ``elaborate`` returns a state that shares nothing with its input.
 ``Resource.task_chain`` is the only record of task order.
 
@@ -285,34 +286,25 @@ def _retime(s: ScheduleState, chains: dict[int, int]) -> None:
     s.total_wip = wip
 
 
-def _splice(state: ScheduleState, chains: dict[int, list[str]]) -> ScheduleState:
-    """``state`` with the chains at those resource indices replaced and re-timed.
+def _splice(state: ScheduleState, edits: dict[int, tuple[list[str], int]]) -> ScheduleState:
+    """``state`` with each edited chain replaced and re-timed from its slot on.
 
-    ``state`` must be elaborated, and its focal task must be the only task
-    the splice moves, except that a swap moves its other task into the
-    focal's old slot: so ``operators.apply`` splices, and so does
-    ``instances.inject_disruption``, whose focal is the arriving order.
-    Under that rule a chain first differs from its old self at the focal's
-    slot in the old chain or in the new one, whichever comes first, taking
-    a chain without the focal as its length. Up to that slot each task has
-    the same resource, predecessor and inputs, so its timing is already
-    final and its ``Task`` is kept; from it on, ``_retime`` builds new ones.
-    Every other chain and task is shared with ``state``.
+    ``edits`` maps a resource index to its new chain and the first slot where
+    that chain differs from the old one, which the caller knows from its own
+    edit: ``operators.apply`` names the slots it removes, inserts or swaps
+    at, and ``instances.inject_disruption`` the slot it appends at. Up to
+    that slot each task has the same resource, predecessor and inputs, so
+    its timing is already final and its ``Task`` is kept; from it on,
+    ``_retime`` builds new ones. ``state`` must be elaborated, and every
+    other chain and task is shared with it.
     """
     s = _copy_state(state)
     s.resources, s.tasks = list(state.resources), dict(state.tasks)
-    focal = state.focal_task
-    firsts: dict[int, int] = {}
-    for i, chain in chains.items():
+    for i, (chain, _) in edits.items():
         r = _copy_resource(s.resources[i])
-        old = r.task_chain
-        firsts[i] = min(
-            old.index(focal) if focal in old else len(old),
-            chain.index(focal) if focal in chain else len(chain),
-        )
         r.task_chain = chain
         s.resources[i] = r
-    _retime(s, firsts)
+    _retime(s, {i: first for i, (_, first) in edits.items()})
     return s
 
 

@@ -657,6 +657,44 @@ def test_render_row_bound_fails_before_any_file_is_written(tmp_path, capsys):
     assert not svg.exists()
 
 
+def _tick_lines(tmp_path, quantity):
+    """Run ``render --svg`` and ``repair --svg-before`` on the seed-3 plant
+    with every quantity set to ``quantity`` kg and every due date to 0, each
+    in a process that a hang would time out; return each run's exit code,
+    stderr and SVG tick-line count (None when no file was written)."""
+    data = instance_to_dict(generate_instance(InstanceSpec(seed=3)))
+    for t in [*data["tasks"], data["disruption"]["order"]]:
+        t["quantity_kg"], t["due_h"] = quantity, 0
+    path = tmp_path / f"{quantity:g}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = []
+    for command, flag in (("render", "--svg"), ("repair", "--svg-before")):
+        svg = tmp_path / f"{quantity:g}-{command}.svg"
+        done = subprocess.run(
+            [sys.executable, "-m", "reskit.cli", command, "--instance", str(path), flag, str(svg)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        lines = svg.read_text(encoding="utf-8").count("<line ") if svg.exists() else None
+        out.append((done.returncode, done.stderr, lines))
+    return out
+
+
+def test_svg_of_a_plant_far_below_a_nanosecond(tmp_path):
+    # a 5.3e-21 h horizon takes a 1e-21 h tick step; an absolute slack of
+    # 1e-9 h on the last tick would draw about 1e12 ticks
+    normal = _tick_lines(tmp_path, 10.0)
+    for (code, err, lines), (_, _, normal_lines) in zip(_tick_lines(tmp_path, 1e-20), normal):
+        assert code == 0, err
+        assert 0 < lines <= normal_lines
+    # at about 5e-321 h the scale overflows, so no coordinate is finite
+    for code, err, lines in _tick_lines(tmp_path, 1e-320):
+        assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert lines is None
+
+
 # sha256 of the seed-7 artifacts. Any byte drift in generation, training,
 # repair or evaluation shows here. inst.json and trace.json are as the
 # engine wrote them before the triples graph and the unread state fields

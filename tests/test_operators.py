@@ -609,9 +609,10 @@ def test_successive_applies_leave_every_earlier_state_alone():
 
 
 def test_splice_retimes_from_the_first_changed_slot(monkeypatch):
-    # ``_splice`` takes the slot from the focal's old and new positions; on
-    # every proposal of random plants up to 40 x 5 and on every disruption
-    # it must be the first slot where the old and new chains differ
+    # ``apply`` and ``inject_disruption`` name each chain's slot from their
+    # own edits; on every proposal of random plants up to 40 x 5 and on
+    # every disruption it must be the first slot where the old and new
+    # chains differ
     recorded: list[dict[int, int]] = []
     retime = schedule._retime
 

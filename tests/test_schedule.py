@@ -35,6 +35,8 @@ from reskit.schedule import (
 from helpers import (
     PRODUCTS,
     assert_disrupted,
+    assert_prefixes_shared,
+    first_changed_slot,
     frozen,
     naive_aggregates,
     naive_timing,
@@ -87,7 +89,7 @@ def test_avg_tardiness_identity():
     assert abs(s.avg_tardiness * s.task_number - s.total_tardiness) < TOL
     # both are read off ``tasks``, so they follow an inserted order and a splice
     disrupted = inject_disruption(Instance(s, order(id="t17", due=0.0)))
-    spliced = _splice(disrupted, {0: ["t17", *chain]})
+    spliced = _splice(disrupted, {0: (["t17", *chain], 0)})
     for out in (disrupted, spliced):
         assert out.task_number == len(out.tasks) == 17
         assert out.avg_tardiness == out.total_tardiness / 17
@@ -194,6 +196,49 @@ def test_elaborate_shares_nothing_with_its_input():
         r.rates["Z"] = 1.0
         r.task_chain.reverse()
     assert base == snapshot
+
+
+def test_splice_takes_any_edit_with_its_first_changed_slots():
+    # ``_splice`` reads no focal: two tasks other than the focal move to
+    # random capable slots, on states with no focal or another task as
+    # focal, and each changed chain comes with its first changed slot; a
+    # rule taking the slot from the focal's positions would miss many
+    rng = Random(25)
+    spliced = focal_rule_misses = 0
+    for _ in range(300):
+        raw = random_state(rng, max_resources=4, max_tasks=12)
+        if len(raw.tasks) < 3:
+            continue
+        raw.focal_task = rng.choice([None, *sorted(raw.tasks)])
+        base = frozen(elaborate(raw))  # re-timing a shared task would raise
+        snapshot = copy.deepcopy(base)
+        chains = [list(r.task_chain) for r in base.resources]
+        movers = rng.sample(sorted(set(base.tasks) - {base.focal_task}), 2)
+        for tid in movers:
+            for chain in chains:
+                if tid in chain:
+                    chain.remove(tid)
+            product = base.tasks[tid].product
+            to = rng.choice([c for c, r in zip(chains, base.resources) if product in r.rates])
+            to.insert(rng.randint(0, len(to)), tid)
+        edits = {
+            i: (chain, first_changed_slot(r.task_chain, chain))
+            for i, (r, chain) in enumerate(zip(base.resources, chains))
+            if chain != r.task_chain
+        }
+        out = _splice(base, edits)
+        assert assert_prefixes_shared(base, out) == len(edits)
+        assert out.focal_task == base.focal_task
+        assert base == snapshot
+        spliced += bool(edits)
+        focal = base.focal_task
+        for i, (chain, first) in edits.items():
+            old = base.resources[i].task_chain
+            focal_rule_misses += first != min(
+                old.index(focal) if focal in old else len(old),
+                chain.index(focal) if focal in chain else len(chain),
+            )
+    assert spliced > 200 and focal_rule_misses > 200
 
 
 def test_insert_order_equals_full_elaboration_and_leaves_input_alone():
@@ -476,8 +521,8 @@ def test_retime_keeps_every_input_field():
         focal_task="t1",
     )
     s = elaborate(raw)
-    # a splice re-times from the focal's slot, here the head
-    spliced = _splice(s, {0: ["t1"]})
+    # a splice re-times from the slot it is given, here the head
+    spliced = _splice(s, {0: (["t1"], 0)})
     for out in (s, spliced):
         t = out.tasks["t1"]
         assert type(t) is Task and t is not raw.tasks["t1"]

@@ -7,8 +7,10 @@ directory, once git resolves both; an unknown one exits 2. For each one,
 the CLI of its own ``src/`` generates an instance for each case (seeds 0
 and 7, and seed 3 with ``--arrival 6``), trains a store on it, repairs it
 with a trace and SVGs, evaluates the store on fresh orders, dumps the store
-with ``inspect-q`` and renders the disrupted instance. Every file a command
-writes and every command's standard output are kept.
+with ``inspect-q`` and renders the disrupted instance. It also repairs and
+evaluates without ``--qstore``, where an empty store makes every greedy step
+take the first proposal. Every file a command writes and every command's
+standard output are kept: 16 files for each case.
 
 Each file is reported as one of:
 
@@ -44,6 +46,9 @@ COMMANDS = [
                 "--svg-before", "before.svg", "--svg-after", "after.svg"], "repair.out"),
     ("evaluate", ["--instance", "inst.json", "--qstore", "q.txt", "--report", "eval.json"],
      "evaluate.out"),
+    ("repair", ["--instance", "inst.json", "--trace", "trace-empty.json"], "repair-empty.out"),
+    ("evaluate", ["--instance", "inst.json", "--report", "eval-empty.json"],
+     "evaluate-empty.out"),
     ("inspect-q", ["--qstore", "q.txt"], "inspect-q.out"),
     ("render", ["--instance", "inst.json", "--disrupted", "--svg", "render.svg", "--text"],
      "render.out"),
