@@ -52,8 +52,12 @@ def _episode_summary(index: int, result: EpisodeResult) -> dict:
     }
 
 
+def _json_text(data: dict) -> str:
+    return json.dumps(data, indent=2) + "\n"
+
+
 def _write_json(path: str, data: dict) -> None:
-    Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(_json_text(data), encoding="utf-8")
 
 
 def _resolve_seed(args) -> int:
@@ -158,17 +162,22 @@ def cmd_repair(args) -> int:
         f"{result.final_state.total_tardiness:g} h (init {disrupted.init_tardiness:g} h, "
         f"{len(result.steps)} steps)"
     )
+    # Every output is built before any is written: one that cannot be drawn
+    # leaves no file behind.
+    outputs = {}
     if args.trace:
-        _write_json(args.trace, trace_dict(result))
+        outputs[args.trace] = _json_text(trace_dict(result))
     if args.svg_before:
         caption = (
             f"after insertion: totTard {disrupted.total_tardiness:g} h "
             f"(init {disrupted.init_tardiness:g} h)"
         )
-        Path(args.svg_before).write_text(render_svg(disrupted, caption), encoding="utf-8")
+        outputs[args.svg_before] = render_svg(disrupted, caption)
     if args.svg_after:
         caption = f"after repair: totTard {result.final_state.total_tardiness:g} h"
-        Path(args.svg_after).write_text(render_svg(result.final_state, caption), encoding="utf-8")
+        outputs[args.svg_after] = render_svg(result.final_state, caption)
+    for path, text in outputs.items():
+        Path(path).write_text(text, encoding="utf-8")
     return 0
 
 

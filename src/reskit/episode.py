@@ -7,9 +7,7 @@ makes an epsilon-greedy pick, bumps the visited key's trace and applies one
 SARSA update; traces are cleared when the episode ends. With learning off
 each pick is greedy and the store is left untouched.
 
-The loop remembers the state before the current one and the operator that
-left it: a step that ``undoes`` the last one goes back to that state, with
-no ``apply``. It records the states it visits in one table, fresh for
+The loop records the states it visits in one table, fresh for
 ``run_episode`` and shared by all of ``train``'s episodes, which start from
 the same state with the same focal and ``init_tardiness``. States are
 values and every derived field is a function of the chains and those fixed
@@ -17,20 +15,28 @@ inputs (a state re-timed in part carries the floats of its full
 elaboration), so a state found in the table takes its proposals and
 signature from there, with no ``propose`` and no ``signature``. The table
 is keyed by the exact ``(total_tardiness, total_wip, max_tardiness)``; each
-key holds a short list of ``(chains, proposals, signature, first)``
+key holds a short list of ``(chains, proposals, signature, first, succ)``
 entries, where ``first`` is the step count at the state's first visit, and
 a state finds its own by ``==`` on the chain lists, so equal chains are the
-only revisit and the floats only pick the bucket (a NaN total misses). It
-holds no ``ScheduleState`` and no ``Resource``, only the chain lists the
-states share. A greedy run draws no random number, so with the store
-frozen its picks are functions of the state: a state found in the table
-starts a cycle, the steps since ``first`` repeat until the episode ends (a
-goal or a state with no proposals ends it, so neither lies on a cycle), and
-whole periods of their records, the same record objects again, are appended
-up to the step limit. The ordinary loop takes the fewer steps that remain,
-so the final state, the outcome and the undo history come out as a
-step-by-step run leaves them. A learning run never reads ``first``: its
-store changes every step.
+only revisit and the floats only pick the bucket (a NaN total misses). Its
+keys and chain lists hold no ``ScheduleState``; ``succ`` is the one field
+that does.
+
+``succ`` is a transition memo: None until a learning run re-enters the
+state, then a dict from operator to the successor state that ``apply``
+built for it. An operator found there takes that successor with no
+``apply``; one not found is applied and entered. A state visited once keeps
+nothing, so training keeps successors only where its loops pass again.
+
+A greedy run draws no random number, so with the store frozen its picks are
+functions of the state: a state found in the table starts a cycle, the
+steps since ``first`` repeat until the episode ends (a goal or a state with
+no proposals ends it, so neither lies on a cycle), and whole periods of
+their records, the same record objects again, are appended up to the step
+limit. The ordinary loop takes the fewer steps that remain, so the final
+state and the outcome come out as a step-by-step run leaves them. A greedy
+run makes no memo: a re-entry starts its cycle skip, which needs none. A
+learning run never reads ``first``: its store changes every step.
 
 An empty frozen store reads 0 for every key, and ``select`` keeps the first
 of equal values, so a greedy run on a store with no entries takes the first
@@ -44,7 +50,7 @@ from enum import Enum
 from random import Random
 
 from .errors import InvalidConfig
-from .operators import RepairOperator, apply, propose, undoes
+from .operators import RepairOperator, apply, propose
 from .rl import QStore, goal_reached, reward, select
 from .schedule import ScheduleState
 from .stategraph import StateSignature, signature
@@ -96,9 +102,9 @@ def run_episode(
     """Run one repair episode from ``state``; mutates ``store`` iff learning.
 
     ``state`` must be elaborated and is left as it is. The result's
-    ``final_state`` may be an earlier state object of the episode: a step
-    that undoes the last one returns to the state before it, and that may
-    be ``state`` itself, as it is when no step is taken.
+    ``final_state`` is ``state`` itself when no step is taken; in a
+    learning run it may be a state object that an earlier step reached,
+    or, under ``train``, an earlier episode, taken from the transition memo.
 
     With ``learning`` on, ``rng`` drives the epsilon-greedy picks; when it
     is None a ``Random(cfg.seed)`` does. With ``learning`` off every pick
@@ -119,8 +125,11 @@ def run_episode(
 
 
 # A state's (total_tardiness, total_wip, max_tardiness) -> its entries:
-# (chains, proposals, signature, steps taken at its first visit).
-_Table = dict[tuple[float, float, float], list[tuple[list, list, StateSignature | None, int]]]
+# (chains, proposals, signature, steps taken at its first visit, successor
+# map), the map being None until a learning run re-enters the state.
+_Succ = dict[RepairOperator, ScheduleState]
+_Entry = tuple[list, list, StateSignature | None, int, _Succ | None]
+_Table = dict[tuple[float, float, float], list[_Entry]]
 
 
 def _run(
@@ -135,9 +144,6 @@ def _run(
     steps: list[StepRecord] = []
     first_pick = rng is None and not store.entries
     prev_key = r = None  # the last step's key and reward
-    # One step of history: the state before the current one and the
-    # operator that left it.
-    before = before_op = None
     while True:
         if goal_reached(state):
             outcome = Outcome.GOAL_REACHED
@@ -146,7 +152,7 @@ def _run(
         if n == cfg.max_steps:
             outcome = Outcome.STEP_LIMIT
             break
-        proposals, sig, first = _visit(table, state, n, not first_pick)
+        proposals, sig, first, succ = _visit(table, state, n, not first_pick, rng is not None)
         if not proposals:
             outcome = Outcome.NO_PROPOSALS
             break
@@ -162,10 +168,11 @@ def _run(
                 store.sarsa_update(prev_key, r, key)
             store.bump_trace(key)
         source = state.resource_of(op.focal).id
-        if before_op is not None and undoes(before, before_op, state, op):
-            nxt = before
-        else:
+        nxt = succ.get(op) if succ is not None else None
+        if nxt is None:
             nxt = apply(state, op)
+            if succ is not None:
+                succ[op] = nxt
         r = reward(state, nxt)
         steps.append(
             StepRecord(
@@ -177,7 +184,7 @@ def _run(
                 proposal_count=len(proposals),
             )
         )
-        before, before_op, state, prev_key = state, op, nxt, key
+        state, prev_key = nxt, key
 
     # An episode that took a step ends the same way: bootstrap 0, drop traces.
     if rng is not None and steps:
@@ -187,21 +194,25 @@ def _run(
 
 
 def _visit(
-    table: _Table, state: ScheduleState, n: int, sign: bool = True
-) -> tuple[list[RepairOperator], StateSignature | None, int]:
-    """The state's proposals, signature and steps taken at its first visit:
-    its entry's, or made and entered at ``n``. A new state is signed only
-    if ``sign`` and it has proposals: one with none ends the episode
-    unpicked."""
+    table: _Table, state: ScheduleState, n: int, sign: bool = True, memo: bool = False
+) -> tuple[list[RepairOperator], StateSignature | None, int, _Succ | None]:
+    """The state's proposals, signature, steps taken at its first visit and
+    successor map: its entry's, or made and entered at ``n``. A new state is
+    signed only if ``sign`` and it has proposals: one with none ends the
+    episode unpicked. With ``memo``, a state found in the table gets a map
+    if it has none."""
     chains = [r.task_chain for r in state.resources]
     bucket = table.setdefault((state.total_tardiness, state.total_wip, state.max_tardiness), [])
-    for known, proposals, sig, first in bucket:
+    for i, (known, proposals, sig, first, succ) in enumerate(bucket):
         if known == chains:
-            return proposals, sig, first
+            if succ is None and memo:
+                succ = {}
+                bucket[i] = (known, proposals, sig, first, succ)
+            return proposals, sig, first, succ
     proposals = propose(state)
     sig = signature(state) if sign and proposals else None
-    bucket.append((chains, proposals, sig, n))
-    return proposals, sig, n
+    bucket.append((chains, proposals, sig, n, None))
+    return proposals, sig, n, None
 
 
 def train(
@@ -216,7 +227,8 @@ def train(
     episodes in order. Where ``run_episode`` gives each episode a table
     of its own, these episodes share one, made for this call and dropped
     when it returns, so a state an earlier episode reached is neither
-    proposed nor signed again; each episode takes the steps
+    proposed nor signed again, and a transition out of a re-entered state
+    is applied again at most once; each episode takes the steps
     ``run_episode`` would take from the same generator.
     """
     if episodes <= 0:

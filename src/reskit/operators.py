@@ -13,10 +13,6 @@ The exceptions are two shortcuts, where ``_pairings`` would return nothing
 for every task: ``propose`` offers nothing for an executing focal, and does
 not visit a chain, other than the focal's own, whose resource lacks the
 focal's product.
-
-``undoes`` tells, without applying anything, whether a step ``apply`` would
-take returns to the state before the last one, so that a repair loop can
-step back to that state instead of splicing it again.
 """
 
 from __future__ import annotations
@@ -212,44 +208,3 @@ def apply(state: ScheduleState, op: RepairOperator) -> ScheduleState:
         return schedule._splice(state, {fi: (src, min(k, at))})
     return schedule._splice(state, {fi: (src, k), ai: (dst, at)})
 
-
-def undoes(
-    prev: ScheduleState, prev_op: RepairOperator, state: ScheduleState, op: RepairOperator
-) -> bool:
-    """Whether ``apply(state, op)`` has ``prev``'s chains.
-
-    ``state`` must be ``apply(prev, prev_op)`` and ``op`` an operator that
-    ``apply`` accepts on ``state``; the focal is then the same task in all
-    three states. ``apply`` changes only chains, and every derived field is
-    a function of the chains and of inputs it leaves alone, so a true
-    result means ``apply(state, op)`` equals ``prev``. No chain is copied
-    and ``_pairings`` is not called.
-
-    Proof, from what ``apply`` moves: a jump moves only the focal, and a
-    swap exchanges the focal and the aux across two resources.
-
-    - A jump after a swap leaves ``prev_op.aux`` on the focal's old
-      resource; a swap after a jump moves ``op.aux``, which ``prev_op``
-      left where it was in ``prev``, to another resource. Neither undoes.
-    - After a swap, ``op.aux`` other than ``prev_op.aux`` sits where it did
-      in ``prev``, and a swap moves it to another resource. With the same
-      aux, the swap puts both tasks back in their slots in ``prev``.
-    - Two jumps keep every task but the focal in its order, so they undo
-      each other iff the focal lands in its slot in ``prev``: on the aux's
-      resource in ``state``, which must be the focal's in ``prev``, at
-      ``dst.index(op.aux)`` after the focal left, plus 1 for a right jump.
-      On the focal's own chain the focal sits before the aux iff the jump
-      is right (starts rise along a chain, and the aux's differs from the
-      focal's), so the -1 for its removal and the +1 cancel.
-    """
-    if op.kind.action != prev_op.kind.action:
-        return False
-    if op.kind.action == "swap":
-        return op.aux == prev_op.aux
-    home = prev.tasks[op.focal].resource_index
-    if state.tasks[op.aux].resource_index != home:
-        return False
-    at = state.resources[home].task_chain.index(op.aux)
-    if op.kind.horizontal == "right" and op.kind.vertical != "same":
-        at += 1
-    return at == prev.resources[home].task_chain.index(op.focal)

@@ -289,8 +289,8 @@ def sarsa_two_pass(store: QStore, key: QKey, reward_value: float, next_key: QKey
 def plain_episode(
     state: ScheduleState, store: QStore, cfg: EpisodeConfig, rng: Random | None
 ) -> tuple[EpisodeResult, list[list[list[str]]]]:
-    """An episode as a plain propose, select, apply loop: no undo shortcut
-    and no table of visited states. With ``rng`` it learns as ``train``
+    """An episode as a plain propose, select, apply loop: no table of
+    visited states and no transition memo. With ``rng`` it learns as ``train``
     does, bumping each key's trace and making one SARSA update a step;
     without it every pick is greedy and the store is left alone. Returns
     the result and the chains of every state it visited, the start first."""

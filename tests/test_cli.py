@@ -695,6 +695,35 @@ def test_svg_of_a_plant_far_below_a_nanosecond(tmp_path):
         assert lines is None
 
 
+def test_repair_that_cannot_draw_writes_no_file(tmp_path):
+    # validate accepts this plant, but its horizon has no scale to draw at:
+    # repair builds every output before it writes one, so the trace it
+    # could have written is not left behind
+    data = instance_to_dict(generate_instance(InstanceSpec(seed=3)))
+    for t in [*data["tasks"], data["disruption"]["order"]]:
+        t["quantity_kg"], t["due_h"] = 1e-320, 0
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    trace, before = tmp_path / "t.json", tmp_path / "b.svg"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    cli = [sys.executable, "-m", "reskit.cli"]
+    checked = subprocess.run(
+        [*cli, "validate", "--instance", str(path)], env=env, capture_output=True, text=True
+    )
+    assert checked.returncode == 0, checked.stderr
+    outputs = ["--trace", str(trace), "--svg-before", str(before)]
+    done = subprocess.run(
+        [*cli, "repair", "--instance", str(path), *outputs],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+    assert not trace.exists() and not before.exists()
+
+
 # sha256 of the seed-7 artifacts. Any byte drift in generation, training,
 # repair or evaluation shows here. inst.json and trace.json are as the
 # engine wrote them before the triples graph and the unread state fields

@@ -53,7 +53,7 @@ def test_no_proposals_outcome(monkeypatch):
     # the episode ends there with no pick, so the state is not signed
     signed = []
     monkeypatch.setattr(episode, "signature", signed.append)
-    assert episode._visit({}, s, 0) == ([], None, 0)
+    assert episode._visit({}, s, 0) == ([], None, 0, None)
     for learning in (False, True):
         res = run_episode(s, QStore(), EpisodeConfig(seed=1), learning=learning)
         assert res.outcome is Outcome.NO_PROPOSALS
@@ -245,48 +245,37 @@ def test_run_episode_and_train_leave_their_input_alone():
     assert s == snapshot
 
 
-def learn_and_repair(disrupted, seed):
-    """Twenty training episodes, then a greedy run with the trained store."""
-    store = QStore()
-    results = train(disrupted, store, 20, EpisodeConfig(seed=seed))
-    results.append(run_episode(disrupted, store, EpisodeConfig(seed=seed), learning=False))
-    return results, store
-
-
 def test_stepping_back_takes_the_same_trajectories(monkeypatch):
-    # a step that undoes the last one returns to the state before it; with
-    # that shortcut turned off every step applies, and the traces, the
-    # store and the final states must come out the same
+    # a step back, or round any longer loop, to a state that training has
+    # re-entered takes its successor from that state's memo, with no apply;
+    # twenty training episodes and a greedy run with the trained store must
+    # take the plain loop's steps, learn its floats and end on its chains
     plants = [disrupted_instance(seed) for seed in range(10)]
     plants.append(
         inject_disruption(generate_instance(InstanceSpec(seed=5, task_count=40, resource_count=5)))
     )
-    hits = Counter()
-    undoes = episode.undoes
-
-    def counting_undoes(*args):
-        hit = undoes(*args)
-        hits[hit] += 1
-        return hit
-
+    calls = counting_calls(monkeypatch, (episode, "apply"))
+    hits = 0
     for seed, s in enumerate(plants):
-        monkeypatch.setattr(episode, "undoes", counting_undoes)
-        fast, fast_store = learn_and_repair(s, seed)
-        monkeypatch.setattr(episode, "undoes", lambda *args: False)
-        slow, slow_store = learn_and_repair(s, seed)
-        assert [trace_dict(r) for r in fast] == [trace_dict(r) for r in slow]
-        assert fast_store.entries == slow_store.entries
-        for a, b in zip(fast, slow, strict=True):
-            assert [r.task_chain for r in a.final_state.resources] == [
-                r.task_chain for r in b.final_state.resources
-            ]
+        cfg = EpisodeConfig(seed=seed)
+        store, oracle_store = QStore(), QStore()
+        calls.clear()
+        results = train(s, store, 20, cfg)
+        hits += sum(len(r.steps) for r in results) - calls["apply"]
+        expected, _ = training_oracle(s, oracle_store, 20, cfg)
+        results.append(run_episode(s, store, cfg, learning=False))
+        expected.append(greedy_oracle(s, oracle_store, cfg)[0])
+        assert [trace_dict(r) for r in results] == [trace_dict(r) for r in expected]
+        assert store.entries == oracle_store.entries
+        for a, b in zip(results, expected, strict=True):
+            assert chains(a.final_state) == chains(b.final_state)
             assert_fully_elaborated(a.final_state)
-    assert hits[True] > 500
+    assert hits > 1000
 
 
 def test_undo_steps_neither_apply_nor_propose(monkeypatch):
     # seed 6 trains into two-state loops: most steps step back, so the
-    # shortcut must leave apply and propose fewer calls than steps
+    # memo and the table must leave apply and propose fewer calls than steps
     calls = counting_calls(monkeypatch, (episode, "apply"), (episode, "propose"))
     results = train(disrupted_instance(seed=6), QStore(), 20, EpisodeConfig(seed=6))
     steps = sum(len(r.steps) for r in results)
@@ -475,11 +464,12 @@ def test_a_store_with_an_unrelated_entry_still_selects(monkeypatch):
 
 def poisoned_table(start):
     """A table whose bucket at ``start``'s floats holds only a stranger:
-    other chains, no proposals, no signature, first visited at step 0."""
+    other chains, no proposals, no signature, first visited at step 0, no
+    successor map."""
     stranger = [chain[::-1] for chain in chains(start)]
     assert stranger != chains(start)
     floats = (start.total_tardiness, start.total_wip, start.max_tardiness)
-    return {floats: [(stranger, [], None, 0)]}
+    return {floats: [(stranger, [], None, 0, None)]}
 
 
 def test_equal_floats_alone_are_not_a_revisit():
@@ -520,10 +510,11 @@ def chains(state):
 
 def test_training_matches_the_plain_loop(monkeypatch):
     # train's episodes share one table of the states they visit, which
-    # gives a state found there, a step back's among them, its proposals
-    # and signature; a plain loop that proposes, signs and applies on
-    # every step must take the same steps, learn the same floats and leave
-    # the generator in the same state
+    # gives a state found there its proposals and signature, and a state
+    # re-entered the successors of the operators taken from it; a plain
+    # loop that proposes, signs and applies on every step must take the
+    # same steps, learn the same floats and leave the generator in the
+    # same state
     made = []
 
     class Recorded(Random):
@@ -561,10 +552,10 @@ def test_a_train_call_leaves_no_table_to_the_next():
 
 
 def test_train_proposes_once_per_distinct_state(monkeypatch):
-    # a state reached again, by a step back, in the same episode or a
-    # later one, takes its proposals from the table: in train and in a
-    # greedy run alike propose runs once for each distinct chain list, and
-    # for every chain list the plain loop proposes for
+    # a state reached again, in the same episode or a later one, takes
+    # its proposals from the table: in train and in a greedy run alike
+    # propose runs once for each distinct chain list, and for every chain
+    # list the plain loop proposes for
     proposed = []
 
     def recording(fn):
@@ -600,3 +591,83 @@ def test_train_proposes_once_per_distinct_state(monkeypatch):
         assert set(once) == set(proposed)
         stepped_back += any(visited[k] == visited[k + 2] for k in range(len(visited) - 2))
     assert stepped_back > 10
+
+
+def entry(table, state):
+    """``state``'s entry in an episode table, or None."""
+    floats = (state.total_tardiness, state.total_wip, state.max_tardiness)
+    return next((e for e in table.get(floats, ()) if e[0] == chains(state)), None)
+
+
+def test_train_applies_each_transition_at_most_twice(monkeypatch):
+    # a state keeps a successor map from the first time training re-enters
+    # it, and a state visited once keeps none: a transition is applied on
+    # the state's first visit and once more into the map, and never once
+    # the map holds its operator; the steps and the store are the plain
+    # loop's. A greedy run re-enters a state only to skip its cycle, so it
+    # makes no map and keeps no state alive
+    table = {}
+    applied, visits = Counter(), Counter()
+
+    def recording(fn):
+        def wrapper(state, op):
+            known = entry(table, state)
+            assert known is not None and (known[4] is None or op not in known[4])
+            applied[repr(chains(state)), op] += 1
+            return fn(state, op)
+
+        return wrapper
+
+    def counting_visits(fn):
+        def wrapper(table, state, *args):
+            visits[repr(chains(state))] += 1
+            return fn(table, state, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(episode, "apply", recording(episode.apply))
+    monkeypatch.setattr(episode, "_visit", counting_visits(episode._visit))
+    twice = saved = 0
+    trained = []
+    for seed in range(30):
+        disrupted = disrupted_instance(seed)
+        cfg = EpisodeConfig(seed=seed)
+        store, oracle_store = QStore(), QStore()
+        table.clear()
+        applied.clear()
+        visits.clear()
+        rng = Random(cfg.seed)
+        results = [episode._run(disrupted, store, cfg, rng, table) for _ in range(20)]
+        expected, oracle_rng = training_oracle(disrupted, oracle_store, 20, cfg)
+        assert [trace_dict(r) for r in results] == [trace_dict(r) for r in expected]
+        assert store.entries == oracle_store.entries
+        assert rng.getstate() == oracle_rng.getstate()
+        assert max(applied.values(), default=0) <= 2
+        for bucket in table.values():
+            for known, _, _, _, succ in bucket:
+                assert (succ is not None) == (visits[repr(known)] > 1)
+        twice += sum(n == 2 for n in applied.values())
+        saved += sum(len(r.steps) for r in results) - sum(applied.values())
+        trained.append((disrupted, store, cfg))
+    assert twice > 0
+    assert saved > 1000
+
+    monkeypatch.undo()
+    tables = []
+    run = episode._run
+
+    def recording_run(state, store, cfg, rng, table):
+        tables.append(table)
+        return run(state, store, cfg, rng, table)
+
+    monkeypatch.setattr(episode, "_run", recording_run)
+    looped = 0
+    for disrupted, store, cfg in trained:
+        for greedy_store in (store, QStore()):
+            tables.clear()
+            res = run_episode(disrupted, greedy_store, cfg, learning=False)
+            (greedy_table,) = tables
+            entries = [e for bucket in greedy_table.values() for e in bucket]
+            assert all(e[4] is None for e in entries)
+            looped += len(res.steps) > len(entries)  # some state was re-entered
+    assert looped > 10

@@ -18,7 +18,6 @@ from reskit.operators import (
     RepairOperator,
     apply,
     propose,
-    undoes,
 )
 from reskit.schedule import Resource, ScheduleState, Task, elaborate, validate
 
@@ -700,40 +699,3 @@ def test_steps_match_independent_oracles():
             across += op.kind.vertical != "same"  # two chains spliced
     assert steps > 1500
     assert across > 600
-
-
-def chains(state):
-    return [r.task_chain for r in state.resources]
-
-
-def test_undoes_matches_apply_on_every_two_step_pair():
-    # every op1 proposed on A, then every op2 proposed on B = apply(A, op1):
-    # undoes must say whether apply(B, op2) has A's chains, on disrupted
-    # plants up to 40 x 5 with arrivals 0-2 h and after a few random steps
-    rng = Random(23)
-    pairs = 0
-    undos = {"swaps": 0, "jumps across": 0, "jumps on one chain": 0}
-    for seed in range(20):
-        tasks, resources = [(15, 3), (40, 5)][seed % 2]
-        inst = generate_instance(
-            InstanceSpec(seed=400 + seed, task_count=tasks, resource_count=resources)
-        )
-        a = inject_disruption(Instance(inst.state, inst.order, float(seed % 3)))
-        for _ in range(3):
-            for op1 in propose(a):
-                b = apply(a, op1)
-                for op2 in propose(b):
-                    undone = chains(apply(b, op2)) == chains(a)
-                    assert undoes(a, op1, b, op2) == undone, (op1, op2)
-                    pairs += 1
-                    if undone and op2.kind.action == "swap":
-                        undos["swaps"] += 1
-                    elif undone:
-                        across = op2.kind.vertical != "same"
-                        undos["jumps across" if across else "jumps on one chain"] += 1
-            ops = propose(a)
-            if not ops:
-                break
-            a = apply(a, ops[rng.randrange(len(ops))])
-    assert pairs > 5000
-    assert all(undos.values()), undos
