@@ -3,8 +3,11 @@
 Preferences live in a lazily grown table keyed by the quantized state
 signature plus the operator's name and its auxiliary task's name (its focal
 is the one the signature names), the in-memory analogue of per-situation
-preference rules. Eligibility traces are replacing (bumped to 1 on visit),
-decay by gamma*lambda per step, and are cleared between episodes.
+preference rules. The table interns each key once into an integer slot and
+keeps the values in a list by slot. Eligibility traces are keyed by slot,
+so an update walks them without hashing a key; they are replacing (bumped
+to 1 on visit), decay by gamma*lambda per step, and are cleared between
+episodes.
 
 A Q-store file holds one ``_record`` line per entry, and the loader takes a
 line only if ``_record`` writes it back unchanged.
@@ -18,7 +21,10 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import ItemsView, Iterator, Mapping, MutableMapping
 from dataclasses import dataclass
+from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from random import Random
 from typing import NamedTuple
@@ -92,45 +98,163 @@ def qkey(state: ScheduleState, op: RepairOperator, sig: StateSignature | None = 
 class QStore:
     """Preference table plus eligibility traces and hyperparameters.
 
-    Entries appear on first visit (bump) initialized to 0. Single writer
-    during training; reads are safe to share.
+    Each key is interned once into an integer slot: ``entries`` maps it to
+    its slot and keeps the Q values in a list by slot, and the traces are
+    keyed by slot. Slot 0 is no key's; it holds the 0.0 that a key with no
+    entry reads. A key gets its slot, and so an entry worth 0.0, the first
+    time it is bumped, assigned, loaded or given a trace. Keys are never
+    removed, so slots are only appended, and an update walks its traces by
+    slot without hashing a key.
+
+    ``entries`` and ``traces`` are ``QKey``-keyed mutable mappings over the
+    slots, in first-insertion order as a dict gives them: ``in`` and ``len``
+    cost O(1) and copy nothing, an assignment interns its key, and either
+    can be assigned as a whole. The store holds its views and the views
+    hold their containers, never the store, so a store is freed as soon as
+    it is dropped. Single writer during training; reads are safe to share.
     """
 
     def __init__(self, hyper: Hyperparams | None = None):
         self.hyper = hyper or Hyperparams()
-        self.entries: dict[QKey, float] = {}
-        self.traces: dict[QKey, float] = {}
+        self._bind(_Entries(), {})
+
+    def _bind(self, entries: _Entries, traces: Mapping[QKey, float]) -> None:
+        """Take ``entries`` as the table and ``traces`` as its traces.
+
+        The containers behind both views are bound here, and only here:
+        every other write changes them in place.
+        """
+        self._entries = entries
+        self._slots, self._values = entries._slots, entries._values
+        self._trace_view = _Traces(entries)
+        self._traces = self._trace_view._traces
+        self._trace_view.update(traces)
+
+    # C-level getters: perfbench reads ``entries`` on every ``q`` and ``traces`` on every update.
+    entries = property(attrgetter("_entries"))
+    traces = property(attrgetter("_trace_view"))
+
+    @entries.setter
+    def entries(self, mapping: Mapping[QKey, float]) -> None:
+        table = _Entries()
+        table.update(mapping)
+        self._bind(table, dict(self._trace_view.items()))
+
+    @traces.setter
+    def traces(self, mapping: Mapping[QKey, float]) -> None:
+        self._bind(self._entries, dict(mapping))
 
     def q(self, key: QKey | None) -> float:
         """``key``'s value: 0.0 for a key with no entry, ``None`` (past an episode's end) too."""
-        return self.entries.get(key, 0.0)
+        return self._values[self._slots.get(key, 0)]
 
     def bump_trace(self, key: QKey) -> None:
         """Replacing traces: the visited key's trace becomes exactly 1."""
-        self.entries.setdefault(key, 0.0)
-        self.traces[key] = 1.0
+        self._traces[self._entries.slot(key)] = 1.0
 
     def sarsa_update(self, key: QKey, reward_value: float, next_key: QKey | None) -> None:
         """One TD step: every traced key moves by alpha * delta * trace.
 
         ``next_key`` is None at episode end, bootstrapping 0. The current
-        key's trace must have been bumped for this visit.
+        key's trace must have been bumped for this visit. A trace that
+        decays to ``TRACE_FLOOR`` or below is dropped; the others keep
+        their order.
         """
         h = self.hyper
         delta = reward_value + h.gamma * self.q(next_key) - self.q(key)
         step = h.alpha * delta
         decay = h.gamma * h.lam
-        entries = self.entries
-        decayed = {}
-        for k, e in self.traces.items():
-            entries[k] = entries.get(k, 0.0) + step * e
+        values, traces = self._values, self._traces
+        dropped = []
+        for i, e in traces.items():
+            values[i] += step * e
             e *= decay
             if e > TRACE_FLOOR:
-                decayed[k] = e
-        self.traces = decayed
+                traces[i] = e
+            else:
+                dropped.append(i)
+        for i in dropped:
+            del traces[i]
 
     def clear_traces(self) -> None:
-        self.traces.clear()
+        self._traces.clear()
+
+
+class _Entries(MutableMapping):
+    """``QStore.entries``: each interned key's value, in slot order."""
+
+    def __init__(self) -> None:
+        self._slots: dict[QKey, int] = {}
+        self._keys: list[QKey | None] = [None]
+        self._values: list[float] = [0.0]
+
+    def slot(self, key: QKey) -> int:
+        """``key``'s slot, appended with the value 0.0 if it has none."""
+        values = self._values
+        i = self._slots.setdefault(key, len(values))
+        if i == len(values):
+            values.append(0.0)
+            self._keys.append(key)
+        return i
+
+    def __getitem__(self, key: QKey) -> float:
+        return self._values[self._slots[key]]
+
+    def __setitem__(self, key: QKey, value: float) -> None:
+        self._values[self.slot(key)] = value
+
+    def __delitem__(self, key: QKey) -> None:
+        raise TypeError("a Q-store never removes an entry")
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._slots
+
+    def __iter__(self) -> Iterator[QKey]:
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def items(self) -> ItemsView[QKey, float]:
+        return _EntryItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _EntryItems(ItemsView):
+    def __iter__(self) -> Iterator[tuple[QKey, float]]:
+        entries = self._mapping
+        return zip(entries._slots, islice(entries._values, 1, None))
+
+
+class _Traces(MutableMapping):
+    """``QStore.traces``: each traced key's trace, in the order traced."""
+
+    def __init__(self, entries: _Entries):
+        self._entries = entries
+        self._traces: dict[int, float] = {}
+
+    def __getitem__(self, key: QKey) -> float:
+        return self._traces[self._entries._slots[key]]
+
+    def __setitem__(self, key: QKey, trace: float) -> None:
+        self._traces[self._entries.slot(key)] = trace
+
+    def __delitem__(self, key: QKey) -> None:
+        del self._traces[self._entries._slots[key]]
+
+    def __contains__(self, key: object) -> bool:
+        return self._entries._slots.get(key, 0) in self._traces
+
+    def __iter__(self) -> Iterator[QKey]:
+        return map(self._entries._keys.__getitem__, self._traces)
+
+    def __len__(self) -> int:
+        return len(self._traces)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 def select(
@@ -265,6 +389,7 @@ def load_qstore(path: str | Path) -> QStore:
         raise CorruptQStoreError(f"{path}:1: save_qstore would write {_header(hyper)!r}")
 
     store = QStore(hyper)
+    entries = store.entries
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
         if len(fields) != 11:
@@ -285,9 +410,9 @@ def load_qstore(path: str | Path) -> QStore:
         record = _record(key, value)
         if record != line:
             raise CorruptQStoreError(f"{path}:{lineno}: save_qstore would write {record!r}")
-        if key in store.entries:
+        if key in entries:
             raise CorruptQStoreError(f"{path}:{lineno}: key repeated from an earlier line")
-        store.entries[key] = value
+        entries[key] = value
     return store
 
 

@@ -11,7 +11,8 @@ disrupted state with a full elaboration of a raw copy, and
 ``assert_disrupted`` checks ``inject_disruption`` against it.
 ``quantize_oracle`` and ``sarsa_two_pass`` are the plain forms of
 ``quantize`` and ``QStore.sarsa_update`` that the fast ones must match bit
-for bit. ``plain_episode`` is the plain form of an episode, and
+for bit, and ``DictQStore`` is ``QStore`` as plain dicts keyed by ``QKey``.
+``plain_episode`` is the plain form of an episode, and
 ``greedy_oracle`` and ``training_oracle`` use it as the plain forms of a
 greedy ``run_episode`` and of ``train``.
 """
@@ -26,7 +27,7 @@ from types import SimpleNamespace
 from reskit.episode import EpisodeConfig, EpisodeResult, Outcome, StepRecord
 from reskit.instances import Instance
 from reskit.operators import apply, propose
-from reskit.rl import TRACE_FLOOR, QKey, QStore, goal_reached, reward, select
+from reskit.rl import TRACE_FLOOR, Hyperparams, QKey, QStore, goal_reached, reward, select
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
 
 PRODUCTS = ["A", "B", "C", "D"]
@@ -284,6 +285,41 @@ def sarsa_two_pass(store: QStore, key: QKey, reward_value: float, next_key: QKey
         store.entries[k] = store.entries.get(k, 0.0) + step * e
     decay = h.gamma * h.lam
     store.traces = {k: e * decay for k, e in store.traces.items() if e * decay > TRACE_FLOOR}
+
+
+class DictQStore:
+    """A Q-store whose entries and traces are plain dicts keyed by ``QKey``,
+    with ``QStore``'s update logic written over them; ``save_qstore`` takes
+    it as it takes a ``QStore``."""
+
+    def __init__(self, hyper: Hyperparams):
+        self.hyper = hyper
+        self.entries: dict[QKey, float] = {}
+        self.traces: dict[QKey, float] = {}
+
+    def q(self, key: QKey | None) -> float:
+        return self.entries.get(key, 0.0)
+
+    def bump_trace(self, key: QKey) -> None:
+        self.entries.setdefault(key, 0.0)
+        self.traces[key] = 1.0
+
+    def sarsa_update(self, key: QKey, reward_value: float, next_key: QKey | None) -> None:
+        h = self.hyper
+        delta = reward_value + h.gamma * self.q(next_key) - self.q(key)
+        step = h.alpha * delta
+        decay = h.gamma * h.lam
+        entries = self.entries
+        decayed = {}
+        for k, e in self.traces.items():
+            entries[k] = entries.get(k, 0.0) + step * e
+            e *= decay
+            if e > TRACE_FLOOR:
+                decayed[k] = e
+        self.traces = decayed
+
+    def clear_traces(self) -> None:
+        self.traces.clear()
 
 
 def plain_episode(

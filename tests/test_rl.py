@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 from itertools import islice
 from random import Random
@@ -31,7 +33,7 @@ from reskit.rl import (
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
 from reskit.stategraph import StateSignature, signature
 
-from helpers import random_state, sarsa_two_pass
+from helpers import DictQStore, random_state, sarsa_two_pass
 
 
 def state_with_total(total: float, init: float) -> ScheduleState:
@@ -189,6 +191,91 @@ def test_sarsa_update_matches_two_pass_oracle():
                 (k, v.hex()) for k, v in want.items()
             ]
     assert near_floor[True] > 20 and near_floor[False] > 20
+
+
+def test_slot_store_matches_the_dict_store(tmp_path):
+    # One random sequence of bumps, updates (with a next key and at an
+    # episode's end), trace clears, assignments, traces given to keys with
+    # no entry and save/load round trips, driven on the slot store and on
+    # the dict store alike: both must hold the same items in the same order,
+    # with the same bits, and save the same bytes.
+    rng = Random(73)
+    hyper = Hyperparams(alpha=0.3, gamma=0.9, lam=0.5, epsilon=0.1)
+    store, oracle = QStore(hyper), DictQStore(hyper)
+    keys: list[QKey] = []
+
+    def new_key():
+        n = len(keys)
+        keys.append(QKey(sig(float(n % 7), f"Task{n % 5}"), "up-right-jump", f"Task{n}"))
+        return keys[-1]
+
+    def some_key():
+        return new_key() if not keys or rng.random() < 0.1 else rng.choice(keys)
+
+    def items(mapping):
+        return [(k, v.hex()) for k, v in mapping.items()]
+
+    done = dict.fromkeys(["bump", "update", "end", "clear", "assign", "trace", "reload"], 0)
+    for _ in range(2000):
+        op = rng.choices(list(done), weights=[30, 30, 5, 4, 10, 8, 2])[0]
+        done[op] += 1
+        if op == "bump":
+            key = some_key()
+            store.bump_trace(key)
+            oracle.bump_trace(key)
+        elif op in ("update", "end"):
+            args = (some_key(), rng.uniform(-5, 5), some_key() if op == "update" else None)
+            store.sarsa_update(*args)
+            oracle.sarsa_update(*args)
+        elif op == "clear":
+            store.clear_traces()
+            oracle.clear_traces()
+        elif op == "assign":
+            key, value = some_key(), rng.uniform(-3, 3)
+            store.entries[key] = value
+            oracle.entries[key] = value
+        elif op == "trace":
+            key, e = new_key(), rng.random()
+            store.traces[key] = e
+            oracle.traces[key] = e
+            # The slot store gives a key its entry with its first trace; the
+            # dict store gave it one at the next update. In a run a trace
+            # comes only from a bump, which makes the entry itself.
+            oracle.entries[key] = 0.0
+        else:
+            saved = [tmp_path / "slots.tsv", tmp_path / "dicts.tsv"]
+            assert save_qstore(store, saved[0]) == save_qstore(oracle, saved[1])
+            assert saved[0].read_bytes() == saved[1].read_bytes()
+            store = load_qstore(saved[0])
+            oracle = DictQStore(hyper)
+            oracle.entries = dict(load_qstore(saved[1]).entries)
+        assert items(store.entries) == items(oracle.entries)
+        assert items(store.traces) == items(oracle.traces)
+        assert len(store.entries) == len(oracle.entries)
+        assert len(store.traces) == len(oracle.traces)
+    assert min(done.values()) >= 20, done
+    assert len(store.entries) > 100
+
+
+def test_a_dropped_store_is_freed_at_once():
+    # The views hold their containers, never the store: a store in a
+    # reference cycle would wait for the cycle collector, so a run that makes
+    # one store per plant would hold every store it dropped until then.
+    k1, k2 = QKey(sig(1.0), "up-right-jump", "Task1"), QKey(sig(2.0), "up-right-jump", "Task2")
+    store = QStore()
+    store.bump_trace(k1)
+    store.sarsa_update(k1, 1.0, k2)
+    store.entries[k2] = 0.5
+    store.entries, store.traces = dict(store.entries), dict(store.traces)
+    entries, traces = store.entries, store.traces
+    dropped = weakref.ref(store)
+    gc.disable()
+    try:
+        del store
+        assert dropped() is None
+    finally:
+        gc.enable()
+    assert dict(entries) == {k1: 0.1, k2: 0.5} and dict(traces) == {k1: 0.9 * 0.1}
 
 
 def selection_state():

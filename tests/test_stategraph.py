@@ -6,7 +6,13 @@ import pytest
 
 from reskit.errors import NoFocalTask
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
-from reskit.stategraph import FAST_BOUND, StateSignature, quantize, signature
+from reskit.stategraph import (
+    FAST_BOUND,
+    MIDPOINT_GUARD,
+    StateSignature,
+    quantize,
+    signature,
+)
 
 from helpers import quantize_oracle, random_state, two_task_state
 
@@ -160,3 +166,30 @@ def test_quantize_matches_decimal_form_at_the_edges():
     assert_quantize_matches_oracle(with_neighbours(edges))
     assert_quantize_matches_oracle([math.inf, -math.inf, math.nan])
     assert math.copysign(1.0, quantize(-0.0)) == math.copysign(1.0, quantize(-0.004)) == -1.0
+
+
+def test_quantize_fast_path_returns_what_round_to_two_places_returns():
+    # The fast path divides the rounded product by 100 where ``round(value,
+    # 2)`` once stood; both must give the same float, the sign of a zero
+    # included (``.hex()`` spells the sign out).
+    rng = Random(43)
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, -1e-3, -0.004, -0.0049, 0.004]
+    for _ in range(4000):
+        values.append(rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 9))
+    for _ in range(2000):
+        # Products just past the guard, on either side of a midpoint.
+        n = rng.randint(-10**6, 10**6)
+        for offset in (-MIDPOINT_GUARD, MIDPOINT_GUARD):
+            edge = (n + 0.5 + offset) / 100
+            values += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+    fast = near_guard = 0
+    for v in values:
+        scaled = v * 100.0
+        gap = abs(scaled - math.floor(scaled) - 0.5)
+        if not (abs(v) < FAST_BOUND and gap > MIDPOINT_GUARD):
+            continue
+        fast += 1
+        near_guard += gap < 2 * MIDPOINT_GUARD
+        assert quantize(v).hex() == round(v, 2).hex(), v.hex()
+    assert fast > 9000 and near_guard > 3000
+    assert quantize(-0.001).hex() == quantize(-0.0).hex() == "-0x0.0p+0"

@@ -121,3 +121,43 @@ def test_bench_pair_summary_counts_incorrect_runs_and_failures(capsys):
     clean = bench_pair.summarize([run("base", 0, 1.0), run("head", 0, 1.0)], {})
     assert clean["campaign/trace0"]["correctness"]["head"] == {"incorrect_runs": 0, "failed": 0}
     assert capsys.readouterr().err == ""
+
+
+def test_bench_pair_summary_gives_the_training_and_repair_step_rates():
+    # an untraced group reports both sides' median training and repair step
+    # rates and their ratio, so a steps_per_s claim shows which half moved;
+    # a rate a workload has no steps for is left out, and a traced group,
+    # whose info has no passes, gets none of these rows
+    bench_pair = load_tool("bench_pair")
+
+    def run(workload, trace, side, pair, train, repair):
+        info = {"digest": "d", "train_steps_per_s": train, "repair_steps_per_s": repair}
+        if not trace:
+            info["passes"] = 4 if side == "head" else 3
+        return {
+            "workload": workload, "trace": trace, "pair": pair, "side": side, "info": info,
+            "result": {"correct": True, "attempted": 1, "failed": 0, "metrics": {}},
+        }
+
+    runs = [
+        run("campaign", 0, "base", 0, 100.0, 50.0), run("campaign", 0, "head", 0, 120.0, 50.0),
+        run("campaign", 0, "base", 1, 110.0, 60.0), run("campaign", 0, "head", 1, 130.0, 58.0),
+        run("campaign", 0, "base", 2, 90.0, 40.0), run("campaign", 0, "head", 2, 99.0, 44.0),
+        run("repair-500x20", 0, "base", 0, None, 10.0),
+        run("repair-500x20", 0, "head", 0, None, 12.0),
+        run("campaign", 1, "base", 0, 80.0, 30.0), run("campaign", 1, "head", 0, 90.0, 30.0),
+    ]
+    summary = bench_pair.summarize(runs, {})
+    rows = summary["campaign/trace0"]
+    assert rows["train_steps_per_s"] == {
+        "base_median": 100.0, "head_median": 120.0, "ratio": 1.2,
+    }
+    assert rows["repair_steps_per_s"] == {
+        "base_median": 50.0, "head_median": 50.0, "ratio": 1.0,
+    }
+    assert rows["passes"]["base_median"] == 3 and rows["passes"]["head_median"] == 4
+    repair = summary["repair-500x20/trace0"]
+    assert "train_steps_per_s" not in repair
+    assert repair["repair_steps_per_s"]["ratio"] == 1.2
+    traced = summary["campaign/trace1"]
+    assert not {"passes", "train_steps_per_s", "repair_steps_per_s"} & set(traced)

@@ -22,12 +22,17 @@ gives a ``better`` direction (the end-to-end ones and the per-layer ones
 of a traced run alike) the number of pairs the head side won and the
 spread of the base side's runs. One traced pair cannot show a layer saving
 of a few per cent; several pairs and these columns can.
-Beside the metrics, ``passes`` gives each side's median number of passes
-(a faster side fits more into a run, and each pass adds to the peak RSS),
-``digests`` the number of pairs whose trajectory digests are equal, and
-``correctness`` each side's number of runs that perfbench judged not
-``correct`` and its sum of ``failed`` operations. A run that is not correct
-or that failed an operation is also named on standard error.
+Beside the metrics, an untraced group has ``passes``, each side's median
+number of passes (a faster side fits more into a run, and each pass adds to
+the peak RSS), and ``train_steps_per_s`` and ``repair_steps_per_s``, each
+side's median step rate of training and of greedy repairs, so that a claim
+on ``steps_per_s`` shows which half moved. Each of the three also gives the
+ratio of the medians, and a rate is left out where a workload has no such
+steps. Every group has ``digests``, the number of pairs whose trajectory
+digests are equal, and ``correctness``, each side's number of runs that
+perfbench judged not ``correct`` and its sum of ``failed`` operations. A
+run that is not correct or that failed an operation is also named on
+standard error.
 """
 
 from __future__ import annotations
@@ -145,10 +150,12 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         base, head = infos[group]["base"], infos[group]["head"]
         pairs = sorted(set(base) & set(head))
         if all("passes" in base[i] and "passes" in head[i] for i in pairs):  # not traced
-            rows["passes"] = {
-                "base_median": statistics.median(base[i]["passes"] for i in pairs),
-                "head_median": statistics.median(head[i]["passes"] for i in pairs),
-            }
+            for name in ("passes", "train_steps_per_s", "repair_steps_per_s"):
+                if all(side[i].get(name) is not None for side in (base, head) for i in pairs):
+                    b = statistics.median(base[i][name] for i in pairs)
+                    h = statistics.median(head[i][name] for i in pairs)
+                    ratio = h / b if b else None
+                    rows[name] = {"base_median": b, "head_median": h, "ratio": ratio}
         rows["digests"] = {
             "equal_pairs": sum(base[i]["digest"] == head[i]["digest"] for i in pairs),
             "pairs": len(pairs),
