@@ -4,10 +4,11 @@ Preferences live in a lazily grown table keyed by the quantized state
 signature plus the operator's name and its auxiliary task's name (its focal
 is the one the signature names), the in-memory analogue of per-situation
 preference rules. The table interns each key once into an integer slot and
-keeps the values in a list by slot. Eligibility traces are keyed by slot,
-so an update walks them without hashing a key; they are replacing (bumped
-to 1 on visit), decay by gamma*lambda per step, and are cleared between
-episodes.
+keeps the values in a list by slot. The eligibility traces are one dict
+that maps a slot to its trace, in the order traced, so an update walks them
+without hashing a key; they are replacing (bumped to 1 on visit), decay by
+gamma*lambda per step, and are cleared between episodes. Neither the table
+nor the trace dict can be rebound.
 
 A Q-store file holds one ``_record`` line per entry, and the loader takes a
 line only if ``_record`` writes it back unchanged.
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import ItemsView, Iterator, Mapping, MutableMapping
+from collections.abc import ItemsView, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import islice
 from operator import attrgetter
@@ -99,50 +100,30 @@ class QStore:
     """Preference table plus eligibility traces and hyperparameters.
 
     Each key is interned once into an integer slot: ``entries`` maps it to
-    its slot and keeps the Q values in a list by slot, and the traces are
-    keyed by slot. Slot 0 is no key's; it holds the 0.0 that a key with no
-    entry reads. A key gets its slot, and so an entry worth 0.0, the first
-    time it is bumped, assigned, loaded or given a trace. Keys are never
-    removed, so slots are only appended, and an update walks its traces by
-    slot without hashing a key.
+    its slot and keeps the Q values in a list by slot. Slot 0 is no key's;
+    it holds the 0.0 that a key with no entry reads. A key gets its slot,
+    and so an entry worth 0.0, the first time it is bumped, assigned or
+    loaded. Keys are never removed, so slots are only appended: slot i is
+    the i-th key entered.
 
-    ``entries`` and ``traces`` are ``QKey``-keyed mutable mappings over the
-    slots, in first-insertion order as a dict gives them: ``in`` and ``len``
-    cost O(1) and copy nothing, an assignment interns its key, and either
-    can be assigned as a whole. The store holds its views and the views
-    hold their containers, never the store, so a store is freed as soon as
-    it is dropped. Single writer during training; reads are safe to share.
+    ``entries`` is a ``QKey``-keyed mapping over the slots, in
+    first-insertion order as a dict gives it: ``in`` and ``len`` cost O(1)
+    and copy nothing, and an assignment interns its key. ``traces`` is a
+    plain dict that maps a slot to its trace, in the order traced, so an
+    update walks it without hashing a key. Neither attribute can be
+    rebound, so ``q`` always reads ``entries``. Single writer during
+    training; reads are safe to share.
     """
 
     def __init__(self, hyper: Hyperparams | None = None):
         self.hyper = hyper or Hyperparams()
-        self._bind(_Entries(), {})
-
-    def _bind(self, entries: _Entries, traces: Mapping[QKey, float]) -> None:
-        """Take ``entries`` as the table and ``traces`` as its traces.
-
-        The containers behind both views are bound here, and only here:
-        every other write changes them in place.
-        """
-        self._entries = entries
-        self._slots, self._values = entries._slots, entries._values
-        self._trace_view = _Traces(entries)
-        self._traces = self._trace_view._traces
-        self._trace_view.update(traces)
+        self._entries = _Entries()
+        self._slots, self._values = self._entries._slots, self._entries._values
+        self._traces: dict[int, float] = {}
 
     # C-level getters: perfbench reads ``entries`` on every ``q`` and ``traces`` on every update.
     entries = property(attrgetter("_entries"))
-    traces = property(attrgetter("_trace_view"))
-
-    @entries.setter
-    def entries(self, mapping: Mapping[QKey, float]) -> None:
-        table = _Entries()
-        table.update(mapping)
-        self._bind(table, dict(self._trace_view.items()))
-
-    @traces.setter
-    def traces(self, mapping: Mapping[QKey, float]) -> None:
-        self._bind(self._entries, dict(mapping))
+    traces = property(attrgetter("_traces"))
 
     def q(self, key: QKey | None) -> float:
         """``key``'s value: 0.0 for a key with no entry, ``None`` (past an episode's end) too."""
@@ -180,12 +161,11 @@ class QStore:
         self._traces.clear()
 
 
-class _Entries(MutableMapping):
+class _Entries(Mapping):
     """``QStore.entries``: each interned key's value, in slot order."""
 
     def __init__(self) -> None:
         self._slots: dict[QKey, int] = {}
-        self._keys: list[QKey | None] = [None]
         self._values: list[float] = [0.0]
 
     def slot(self, key: QKey) -> int:
@@ -194,7 +174,6 @@ class _Entries(MutableMapping):
         i = self._slots.setdefault(key, len(values))
         if i == len(values):
             values.append(0.0)
-            self._keys.append(key)
         return i
 
     def __getitem__(self, key: QKey) -> float:
@@ -202,9 +181,6 @@ class _Entries(MutableMapping):
 
     def __setitem__(self, key: QKey, value: float) -> None:
         self._values[self.slot(key)] = value
-
-    def __delitem__(self, key: QKey) -> None:
-        raise TypeError("a Q-store never removes an entry")
 
     def __contains__(self, key: object) -> bool:
         return key in self._slots
@@ -226,35 +202,6 @@ class _EntryItems(ItemsView):
     def __iter__(self) -> Iterator[tuple[QKey, float]]:
         entries = self._mapping
         return zip(entries._slots, islice(entries._values, 1, None))
-
-
-class _Traces(MutableMapping):
-    """``QStore.traces``: each traced key's trace, in the order traced."""
-
-    def __init__(self, entries: _Entries):
-        self._entries = entries
-        self._traces: dict[int, float] = {}
-
-    def __getitem__(self, key: QKey) -> float:
-        return self._traces[self._entries._slots[key]]
-
-    def __setitem__(self, key: QKey, trace: float) -> None:
-        self._traces[self._entries.slot(key)] = trace
-
-    def __delitem__(self, key: QKey) -> None:
-        del self._traces[self._entries._slots[key]]
-
-    def __contains__(self, key: object) -> bool:
-        return self._entries._slots.get(key, 0) in self._traces
-
-    def __iter__(self) -> Iterator[QKey]:
-        return map(self._entries._keys.__getitem__, self._traces)
-
-    def __len__(self) -> int:
-        return len(self._traces)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
 
 
 def select(

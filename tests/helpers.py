@@ -11,7 +11,8 @@ disrupted state with a full elaboration of a raw copy, and
 ``assert_disrupted`` checks ``inject_disruption`` against it.
 ``quantize_oracle`` and ``sarsa_two_pass`` are the plain forms of
 ``quantize`` and ``QStore.sarsa_update`` that the fast ones must match bit
-for bit, and ``DictQStore`` is ``QStore`` as plain dicts keyed by ``QKey``.
+for bit, and ``DictQStore`` is ``QStore`` as plain dicts keyed by ``QKey``;
+``traces_by_key`` reads a ``QStore``'s slot-keyed traces by ``QKey``.
 ``plain_episode`` is the plain form of an episode, and
 ``greedy_oracle`` and ``training_oracle`` use it as the plain forms of a
 greedy ``run_episode`` and of ``train``.
@@ -274,10 +275,12 @@ def quantize_oracle(value: float) -> float:
     return float(Decimal(repr(float(value))).quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN))
 
 
-def sarsa_two_pass(store: QStore, key: QKey, reward_value: float, next_key: QKey | None) -> None:
-    """One TD step as two passes over the traces: first every traced key
-    moves by alpha * delta * trace, then every trace decays by gamma *
-    lambda and those not above ``TRACE_FLOOR`` are dropped."""
+def sarsa_two_pass(
+    store: DictQStore, key: QKey, reward_value: float, next_key: QKey | None
+) -> None:
+    """One TD step on a ``DictQStore`` as two passes over its traces: first
+    every traced key moves by alpha * delta * trace, then every trace decays
+    by gamma * lambda and those not above ``TRACE_FLOOR`` are dropped."""
     h = store.hyper
     delta = reward_value + h.gamma * store.q(next_key) - store.q(key)
     step = h.alpha * delta
@@ -285,6 +288,13 @@ def sarsa_two_pass(store: QStore, key: QKey, reward_value: float, next_key: QKey
         store.entries[k] = store.entries.get(k, 0.0) + step * e
     decay = h.gamma * h.lam
     store.traces = {k: e * decay for k, e in store.traces.items() if e * decay > TRACE_FLOOR}
+
+
+def traces_by_key(store: QStore) -> dict[QKey, float]:
+    """``store.traces`` keyed by ``QKey``, in the order traced: slot i is the
+    i-th key entered."""
+    keys = [None, *store.entries]
+    return {keys[i]: e for i, e in store.traces.items()}
 
 
 class DictQStore:

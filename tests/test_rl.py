@@ -33,7 +33,7 @@ from reskit.rl import (
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
 from reskit.stategraph import StateSignature, signature
 
-from helpers import DictQStore, random_state, sarsa_two_pass
+from helpers import DictQStore, random_state, sarsa_two_pass, traces_by_key
 
 
 def state_with_total(total: float, init: float) -> ScheduleState:
@@ -78,12 +78,12 @@ def test_bump_trace_replacing():
     store = QStore()
     k = QKey(sig(), "up-right-jump", "Task10")
     store.bump_trace(k)
-    assert store.traces[k] == 1.0
+    assert traces_by_key(store) == {k: 1.0}
     assert store.entries[k] == 0.0
     store.sarsa_update(k, 0.0, None)
-    assert store.traces[k] == pytest.approx(0.9 * 0.1)  # one gamma*lambda decay
+    assert traces_by_key(store)[k] == pytest.approx(0.9 * 0.1)  # one gamma*lambda decay
     store.bump_trace(k)
-    assert store.traces[k] == 1.0  # replaced, not accumulated
+    assert traces_by_key(store) == {k: 1.0}  # replaced, not accumulated
 
 
 def test_sarsa_single_terminal_step():
@@ -177,16 +177,16 @@ def test_sarsa_update_matches_two_pass_oracle():
                 for _ in range(rng.randint(0, 3)):
                     e = math.nextafter(e, rng.choice([0.0, 1.0]))
                 near_floor[e * decay > TRACE_FLOOR] += 1
-            store.traces[k] = e
+            store.traces[store.entries.slot(k)] = e
         key = rng.choice(keys)
         if rng.random() < 0.8:
             store.bump_trace(key)
-        oracle = QStore(hyper)
-        oracle.entries, oracle.traces = dict(store.entries), dict(store.traces)
+        oracle = DictQStore(hyper)
+        oracle.entries, oracle.traces = dict(store.entries), traces_by_key(store)
         args = (key, rng.uniform(-5, 5), rng.choice([*keys, None]))
         store.sarsa_update(*args)
         sarsa_two_pass(oracle, *args)
-        for got, want in ((store.entries, oracle.entries), (store.traces, oracle.traces)):
+        for got, want in ((store.entries, oracle.entries), (traces_by_key(store), oracle.traces)):
             assert [(k, v.hex()) for k, v in got.items()] == [
                 (k, v.hex()) for k, v in want.items()
             ]
@@ -236,11 +236,11 @@ def test_slot_store_matches_the_dict_store(tmp_path):
             oracle.entries[key] = value
         elif op == "trace":
             key, e = new_key(), rng.random()
-            store.traces[key] = e
+            store.traces[store.entries.slot(key)] = e
             oracle.traces[key] = e
-            # The slot store gives a key its entry with its first trace; the
-            # dict store gave it one at the next update. In a run a trace
-            # comes only from a bump, which makes the entry itself.
+            # A trace is set by slot, and taking a slot gives the key its
+            # entry; the dict store gave it one at the next update. In a run
+            # a trace comes only from a bump, which makes the entry itself.
             oracle.entries[key] = 0.0
         else:
             saved = [tmp_path / "slots.tsv", tmp_path / "dicts.tsv"]
@@ -250,7 +250,7 @@ def test_slot_store_matches_the_dict_store(tmp_path):
             oracle = DictQStore(hyper)
             oracle.entries = dict(load_qstore(saved[1]).entries)
         assert items(store.entries) == items(oracle.entries)
-        assert items(store.traces) == items(oracle.traces)
+        assert items(traces_by_key(store)) == items(oracle.traces)
         assert len(store.entries) == len(oracle.entries)
         assert len(store.traces) == len(oracle.traces)
     assert min(done.values()) >= 20, done
@@ -258,7 +258,7 @@ def test_slot_store_matches_the_dict_store(tmp_path):
 
 
 def test_a_dropped_store_is_freed_at_once():
-    # The views hold their containers, never the store: a store in a
+    # The table and the trace dict hold nothing of the store: a store in a
     # reference cycle would wait for the cycle collector, so a run that makes
     # one store per plant would hold every store it dropped until then.
     k1, k2 = QKey(sig(1.0), "up-right-jump", "Task1"), QKey(sig(2.0), "up-right-jump", "Task2")
@@ -266,7 +266,6 @@ def test_a_dropped_store_is_freed_at_once():
     store.bump_trace(k1)
     store.sarsa_update(k1, 1.0, k2)
     store.entries[k2] = 0.5
-    store.entries, store.traces = dict(store.entries), dict(store.traces)
     entries, traces = store.entries, store.traces
     dropped = weakref.ref(store)
     gc.disable()
@@ -275,7 +274,21 @@ def test_a_dropped_store_is_freed_at_once():
         assert dropped() is None
     finally:
         gc.enable()
-    assert dict(entries) == {k1: 0.1, k2: 0.5} and dict(traces) == {k1: 0.9 * 0.1}
+    assert dict(entries) == {k1: 0.1, k2: 0.5} and traces == {entries.slot(k1): 0.9 * 0.1}
+
+
+def test_the_table_and_the_traces_cannot_be_rebound():
+    # ``q`` reads the table's value list and ``sarsa_update`` walks the trace
+    # dict in place, so a rebound attribute would split the store in two.
+    store = QStore()
+    store.bump_trace(QKey(sig(), "up-right-jump", "Task10"))
+    assert store.entries is store.entries and store.traces is store.traces
+    assert type(store.traces) is dict
+    for name in ("entries", "traces"):
+        with pytest.raises(AttributeError):
+            setattr(store, name, {})
+    assert dict(store.entries) == {QKey(sig(), "up-right-jump", "Task10"): 0.0}
+    assert store.traces == {1: 1.0}
 
 
 def selection_state():
