@@ -263,3 +263,171 @@ def test_instance_json_schema_field_names():
     assert set(data["disruption"]) == {"order", "arrival_h"}
     assert set(data["disruption"]["order"]) == {"id", "name", "product", "quantity_kg", "due_h"}
     json.dumps(data)  # serializable
+
+
+_MISSING = object()
+
+
+def _loader_case(path, value, message):
+    name = ".".join(str(p) for p in path)
+    if value is _MISSING:
+        return pytest.param(path, value, message, id=f"{name}-missing")
+    return pytest.param(path, value, message, id=f"{name}={value!r}"[:60])
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        _loader_case(("surprise",), 1, "top level: unknown fields ['surprise']"),
+        _loader_case(("tasks",), _MISSING, "top level: missing fields ['tasks']"),
+        # a resource
+        _loader_case(("resources", 1), "r2", "resources[1]: expected an object"),
+        _loader_case(("resources", 1, "color"), "red", "resources[1]: unknown fields ['color']"),
+        _loader_case(("resources", 1, "kind"), _MISSING, "resources[1]: missing fields ['kind']"),
+        _loader_case(("resources", 1, "id"), 5, "resources[1].id: expected a string, got 5"),
+        _loader_case(
+            ("resources", 1, "kind"), None, "resources[1].kind: expected a string, got None"
+        ),
+        _loader_case(("resources", 1, "rates"), ["A"], "resources[1]: rates must be an object"),
+        _loader_case(
+            ("resources", 1, "rates", "B"), "fast",
+            "resources[1].rates.B: expected a finite number, got 'fast'",
+        ),
+        _loader_case(
+            ("resources", 1, "rates", "B"), True,
+            "resources[1].rates.B: expected a finite number, got True",
+        ),
+        _loader_case(
+            ("resources", 1, "rates", "B"), float("nan"),
+            "resources[1].rates.B: expected a finite number, got nan",
+        ),
+        _loader_case(
+            ("resources", 1, "rates", "B"), 10**400,
+            f"resources[1].rates.B: expected a finite number, got {10**400!r}",
+        ),
+        _loader_case(
+            ("resources", 1, "rates", "B"), 0, "resources[1].rates.B: must be positive, got 0.0"
+        ),
+        _loader_case(
+            ("resources", 1, "rates", "B"), -2.5,
+            "resources[1].rates.B: must be positive, got -2.5",
+        ),
+        _loader_case(
+            ("resources", 1, "release_time"), "0",
+            "resources[1].release_time: expected a finite number, got '0'",
+        ),
+        _loader_case(
+            ("resources", 1, "release_time"), float("inf"),
+            "resources[1].release_time: expected a finite number, got inf",
+        ),
+        _loader_case(
+            ("resources", 1, "release_time"), -1,
+            "resources[1].release_time: must not be negative, got -1.0",
+        ),
+        # a task
+        _loader_case(("tasks", 3), 3, "tasks[3]: expected an object"),
+        _loader_case(("tasks", 3, "color"), "red", "tasks[3]: unknown fields ['color']"),
+        _loader_case(("tasks", 3, "due_h"), _MISSING, "tasks[3]: missing fields ['due_h']"),
+        _loader_case(("tasks", 3, "id"), 7, "tasks[3].id: expected a string, got 7"),
+        _loader_case(("tasks", 3, "name"), None, "tasks[3].name: expected a string, got None"),
+        _loader_case(
+            ("tasks", 3, "product"), ["D"], "tasks[3].product: expected a string, got ['D']"
+        ),
+        _loader_case(
+            ("tasks", 3, "quantity_kg"), "22.2",
+            "tasks[3].quantity_kg: expected a finite number, got '22.2'",
+        ),
+        _loader_case(
+            ("tasks", 3, "quantity_kg"), float("-inf"),
+            "tasks[3].quantity_kg: expected a finite number, got -inf",
+        ),
+        _loader_case(
+            ("tasks", 3, "quantity_kg"), -5, "tasks[3].quantity_kg: must be positive, got -5.0"
+        ),
+        _loader_case(
+            ("tasks", 3, "quantity_kg"), 0.0, "tasks[3].quantity_kg: must be positive, got 0.0"
+        ),
+        _loader_case(
+            ("tasks", 3, "due_h"), False, "tasks[3].due_h: expected a finite number, got False"
+        ),
+        _loader_case(
+            ("tasks", 3, "due_h"), float("nan"),
+            "tasks[3].due_h: expected a finite number, got nan",
+        ),
+        _loader_case(
+            ("tasks", 3, "due_h"), -0.5, "tasks[3].due_h: must not be negative, got -0.5"
+        ),
+        _loader_case(("tasks", 3, "resource"), 1, "tasks[3].resource: expected a string, got 1"),
+        _loader_case(("tasks", 3, "resource"), "r9", "tasks[3]: unknown resource r9"),
+        *(
+            _loader_case(
+                ("tasks", 3, "chain_position"), bad,
+                "tasks[3]: chain_position must be a non-negative integer",
+            )
+            for bad in (-1, 1.0, True, "3")
+        ),
+        # the order
+        _loader_case(("disruption", "note"), "x", "disruption: unknown fields ['note']"),
+        _loader_case(
+            ("disruption", "arrival_h"), _MISSING, "disruption: missing fields ['arrival_h']"
+        ),
+        _loader_case(("disruption", "order"), [], "disruption.order: expected an object"),
+        _loader_case(
+            ("disruption", "order", "resource"), "r1",
+            "disruption.order: unknown fields ['resource']",
+        ),
+        _loader_case(
+            ("disruption", "order", "name"), _MISSING, "disruption.order: missing fields ['name']"
+        ),
+        _loader_case(
+            ("disruption", "order", "id"), 16, "disruption.order.id: expected a string, got 16"
+        ),
+        _loader_case(
+            ("disruption", "order", "name"), 1.5,
+            "disruption.order.name: expected a string, got 1.5",
+        ),
+        _loader_case(
+            ("disruption", "order", "product"), None,
+            "disruption.order.product: expected a string, got None",
+        ),
+        _loader_case(
+            ("disruption", "order", "quantity_kg"), float("nan"),
+            "disruption.order.quantity_kg: expected a finite number, got nan",
+        ),
+        _loader_case(
+            ("disruption", "order", "quantity_kg"), 0,
+            "disruption.order.quantity_kg: must be positive, got 0.0",
+        ),
+        _loader_case(
+            ("disruption", "order", "due_h"), "soon",
+            "disruption.order.due_h: expected a finite number, got 'soon'",
+        ),
+        _loader_case(
+            ("disruption", "order", "due_h"), -3,
+            "disruption.order.due_h: must not be negative, got -3.0",
+        ),
+        _loader_case(
+            ("disruption", "arrival_h"), "x",
+            "disruption.arrival_h: expected a finite number, got 'x'",
+        ),
+        _loader_case(
+            ("disruption", "arrival_h"), float("inf"),
+            "disruption.arrival_h: expected a finite number, got inf",
+        ),
+        _loader_case(
+            ("disruption", "arrival_h"), -1, "disruption.arrival_h: must not be negative, got -1.0"
+        ),
+    ],
+)
+def test_loader_names_the_bad_field_exactly(path, value, message):
+    data = instance_to_dict(generate_instance(InstanceSpec(seed=6)))
+    parent = data
+    for step in path[:-1]:
+        parent = parent[step]
+    if value is _MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with pytest.raises(InstanceFormatError) as info:
+        instance_from_dict(data)
+    assert str(info.value) == message
