@@ -10,7 +10,6 @@ byte-reproducible: reports embed no paths, timestamps or wall-clock figures.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -35,6 +34,7 @@ from .instances import (
     inject_disruption,
     instance_from_dict,
     instance_to_dict,
+    json_text,
     load_instance,
     sample_disruption,
     save_instance,
@@ -52,12 +52,8 @@ def _episode_summary(index: int, result: EpisodeResult) -> dict:
     }
 
 
-def _json_text(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"
-
-
 def _write_json(path: str, data: dict) -> None:
-    Path(path).write_text(_json_text(data), encoding="utf-8")
+    Path(path).write_text(json_text(data), encoding="utf-8")
 
 
 def _resolve_seed(args) -> int:
@@ -166,7 +162,7 @@ def cmd_repair(args) -> int:
     # leaves no file behind.
     outputs = {}
     if args.trace:
-        outputs[args.trace] = _json_text(trace_dict(result))
+        outputs[args.trace] = json_text(trace_dict(result))
     if args.svg_before:
         caption = (
             f"after insertion: totTard {disrupted.total_tardiness:g} h "

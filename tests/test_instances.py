@@ -1,5 +1,6 @@
 import copy
 import json
+from collections import OrderedDict
 from random import Random
 
 import pytest
@@ -431,3 +432,106 @@ def test_loader_names_the_bad_field_exactly(path, value, message):
     with pytest.raises(InstanceFormatError) as info:
         instance_from_dict(data)
     assert str(info.value) == message
+
+
+_FUZZ_CHARS = 'ab"\\/\n\t\r\x00\x1f\x7fé€😀{}[],: '
+_FUZZ_STRINGS = ["", "},\n{", '": {', '": [', "{}", "[]", '\n"', "\\n", " "]
+_FUZZ_FLOATS = [
+    float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 2.2e-308, 1.7976931348623157e308,
+]
+
+
+def _fuzz_scalar(rng: Random):
+    kind = rng.randrange(6)
+    if kind == 0:
+        if rng.random() < 0.3:
+            return rng.choice(_FUZZ_STRINGS)
+        return "".join(rng.choice(_FUZZ_CHARS) for _ in range(rng.randrange(6)))
+    if kind == 1:
+        return rng.choice([0, -1, 7, 2**70, -(2**64), True, False])
+    if kind == 2:
+        return rng.choice(_FUZZ_FLOATS)
+    if kind == 3:
+        return rng.uniform(-1e6, 1e6) * 10.0 ** rng.randrange(-30, 30)
+    if kind == 4:
+        return None
+    return round(rng.uniform(0, 100), rng.randrange(4))
+
+
+def _fuzz_key(rng: Random):
+    if rng.random() < 0.85:
+        return _fuzz_scalar(rng) if rng.random() < 0.3 else rng.choice("abcdefg")
+    return rng.choice([1, -2, 1.5, float("nan"), -0.0, True, False, None])
+
+
+def _fuzz_value(rng: Random, depth: int):
+    kind = rng.randrange(8)
+    if depth > 2 or kind < 2:
+        return _fuzz_scalar(rng)
+    if kind == 2:
+        return {_fuzz_key(rng): _fuzz_value(rng, depth + 1) for _ in range(rng.randrange(4))}
+    if kind == 3:
+        return [_fuzz_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    # a list of records, now and then with an empty, a nested or a dict-subclass one
+    records = [
+        {_fuzz_key(rng): _fuzz_scalar(rng) for _ in range(rng.randrange(1, 5))}
+        for _ in range(rng.randrange(1, 5))
+    ]
+    if rng.random() < 0.2:
+        records.insert(rng.randrange(len(records) + 1), {})
+    if rng.random() < 0.2:
+        rng.choice(records)[rng.choice("xyz")] = _fuzz_value(rng, depth + 1)
+    if rng.random() < 0.05:
+        records[0] = OrderedDict(records[0])
+    return records
+
+
+def test_json_text_writes_what_indented_json_dumps_writes():
+    rng = Random(30)
+    for _ in range(20_000):
+        data = {_fuzz_key(rng): _fuzz_value(rng, 0) for _ in range(rng.randrange(4))}
+        assert instances.json_text(data) == json.dumps(data, indent=2) + "\n", data
+
+
+@pytest.mark.parametrize("tasks, resources", [(0, 3), (15, 3), (200, 10), (500, 20)])
+def test_json_text_writes_a_plant_as_json_dumps_does(tasks, resources):
+    data = instance_to_dict(
+        generate_instance(InstanceSpec(resource_count=resources, task_count=tasks, seed=tasks))
+    )
+    assert instances.json_text(data) == json.dumps(data, indent=2) + "\n"
+    assert dumps_instance(instance_from_dict(data)) == json.dumps(data, indent=2) + "\n"
+
+
+def test_json_text_writes_reports_and_traces_as_json_dumps_does(tmp_path):
+    from reskit.cli import main
+
+    inst, store = str(tmp_path / "inst.json"), str(tmp_path / "q.txt")
+    assert main(["generate", "--out", inst, "--seed", "7"]) == 0
+    written = {
+        "train": ["--qstore", store, "--episodes", "5", "--report"],
+        "evaluate": ["--qstore", store, "--runs", "5", "--report"],
+        "repair": ["--qstore", store, "--trace"],
+    }
+    for command, flags in written.items():
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--instance", inst, *flags, str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        data = json.loads(text)
+        records = {"train": "episode_outcomes", "evaluate": "runs", "repair": "steps"}[command]
+        assert data[records], f"{command} wrote no {records}"
+        assert text == json.dumps(data, indent=2) + "\n"
+
+
+def test_json_text_encodes_a_plant_s_tasks_in_one_c_call(monkeypatch):
+    data = instance_to_dict(
+        generate_instance(InstanceSpec(resource_count=20, task_count=500, seed=5))
+    )
+    encoded, dumped = [], []
+    encode, dumps = instances._encode_lines, json.dumps
+    monkeypatch.setattr(instances, "_encode_lines", lambda o: encoded.append(o) or encode(o))
+    monkeypatch.setattr(json, "dumps", lambda o, **kw: dumped.append(o) or dumps(o, **kw))
+    text = instances.json_text(data)
+    assert any(o is data["tasks"] for o in encoded)
+    assert dumped == [data["resources"], data["disruption"]]
+    monkeypatch.undo()
+    assert text == json.dumps(data, indent=2) + "\n"
