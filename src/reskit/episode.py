@@ -15,12 +15,17 @@ inputs (a state re-timed in part carries the floats of its full
 elaboration), so a state found in the table takes its proposals and
 signature from there, with no ``propose`` and no ``signature``. The table
 is keyed by the exact ``(total_tardiness, total_wip, max_tardiness)``; each
-key holds a short list of ``(chains, proposals, signature, first, succ)``
-entries, where ``first`` is the step count at the state's first visit, and
-a state finds its own by ``==`` on the chain lists, so equal chains are the
-only revisit and the floats only pick the bucket (a NaN total misses). Its
-keys and chain lists hold no ``ScheduleState``; ``succ`` is the one field
-that does.
+key holds a short list of entries, each the list ``[chains, proposals,
+signature, first, succ]``, where ``first`` is the step count at the state's
+first visit, and a state finds its own by ``==`` on the chain lists, so
+equal chains are the only revisit and the floats only pick the bucket (a
+NaN total misses). Its keys and chain lists hold no ``ScheduleState``;
+``succ`` is the one field that does.
+
+``_pick`` alone chooses a step's operator. A greedy pick on an empty frozen
+store takes the first proposal, as every key reads 0 and ``select`` keeps
+the first of equal values: it signs no state and builds no key. Any other
+pick signs the state once, into the entry's ``signature``, and calls ``select``.
 
 ``succ`` is a transition memo: None until a learning run re-enters the
 state, then a dict from operator to the successor state that ``apply``
@@ -37,10 +42,6 @@ limit. The ordinary loop takes the fewer steps that remain, so the final
 state and the outcome come out as a step-by-step run leaves them. A greedy
 run makes no memo: a re-entry starts its cycle skip, which needs none. A
 learning run never reads ``first``: its store changes every step.
-
-An empty frozen store reads 0 for every key, and ``select`` keeps the first
-of equal values, so a greedy run on a store with no entries takes the first
-proposal: it calls no ``select``, signs no state and builds no key.
 """
 
 from __future__ import annotations
@@ -51,9 +52,9 @@ from random import Random
 
 from .errors import InvalidConfig
 from .operators import RepairOperator, apply, propose
-from .rl import QStore, goal_reached, reward, select
+from .rl import QKey, QStore, goal_reached, reward, select
 from .schedule import ScheduleState
-from .stategraph import StateSignature, signature
+from .stategraph import signature
 
 
 class Outcome(str, Enum):
@@ -124,11 +125,10 @@ def run_episode(
     return _run(state, store, cfg, rng, {})
 
 
-# A state's (total_tardiness, total_wip, max_tardiness) -> its entries:
-# (chains, proposals, signature, steps taken at its first visit, successor
-# map), the map being None until a learning run re-enters the state.
+# A state's (total_tardiness, total_wip, max_tardiness) -> its entries, each
+# [chains, proposals, signature or None, first visit's step, successor map or None].
 _Succ = dict[RepairOperator, ScheduleState]
-_Entry = tuple[list, list, StateSignature | None, int, _Succ | None]
+_Entry = list
 _Table = dict[tuple[float, float, float], list[_Entry]]
 
 
@@ -142,7 +142,6 @@ def _run(
     """``run_episode``'s loop, learning iff ``rng`` is given; ``table``
     holds the states visited before, and gains the ones this run visits."""
     steps: list[StepRecord] = []
-    first_pick = rng is None and not store.entries
     prev_key = r = None  # the last step's key and reward
     while True:
         if goal_reached(state):
@@ -152,17 +151,20 @@ def _run(
         if n == cfg.max_steps:
             outcome = Outcome.STEP_LIMIT
             break
-        proposals, sig, first, succ = _visit(table, state, n, not first_pick, rng is not None)
+        entry, known = _visit(table, state, n)
+        _, proposals, _, first, succ = entry
         if not proposals:
             outcome = Outcome.NO_PROPOSALS
             break
-        if rng is None and first < n:
+        if known and rng is None:
             # This state is the one after step first: steps[first:] repeat from here.
             periods = (cfg.max_steps - n) // (n - first)
             if periods:
                 steps += steps[first:] * periods
                 continue
-        op, key = (proposals[0], None) if first_pick else select(store, state, proposals, rng, sig)
+        elif known and succ is None:
+            succ = entry[4] = {}  # a learning run re-enters the state: open its map
+        op, key = _pick(store, state, entry, rng)
         if rng is not None:
             if steps:
                 store.sarsa_update(prev_key, r, key)
@@ -193,26 +195,28 @@ def _run(
     return EpisodeResult(outcome, steps, state)
 
 
-def _visit(
-    table: _Table, state: ScheduleState, n: int, sign: bool = True, memo: bool = False
-) -> tuple[list[RepairOperator], StateSignature | None, int, _Succ | None]:
-    """The state's proposals, signature, steps taken at its first visit and
-    successor map: its entry's, or made and entered at ``n``. A new state is
-    signed only if ``sign`` and it has proposals: one with none ends the
-    episode unpicked. With ``memo``, a state found in the table gets a map
-    if it has none."""
+def _visit(table: _Table, state: ScheduleState, n: int) -> tuple[_Entry, bool]:
+    """``state``'s entry, made unsigned at step ``n`` if new, and whether ``table`` held it."""
     chains = [r.task_chain for r in state.resources]
     bucket = table.setdefault((state.total_tardiness, state.total_wip, state.max_tardiness), [])
-    for i, (known, proposals, sig, first, succ) in enumerate(bucket):
-        if known == chains:
-            if succ is None and memo:
-                succ = {}
-                bucket[i] = (known, proposals, sig, first, succ)
-            return proposals, sig, first, succ
-    proposals = propose(state)
-    sig = signature(state) if sign and proposals else None
-    bucket.append((chains, proposals, sig, n, None))
-    return proposals, sig, n, None
+    for entry in bucket:
+        if entry[0] == chains:
+            return entry, True
+    entry = [chains, propose(state), None, n, None]
+    bucket.append(entry)
+    return entry, False
+
+
+def _pick(
+    store: QStore, state: ScheduleState, entry: _Entry, rng: Random | None
+) -> tuple[RepairOperator, QKey | None]:
+    """The step's operator and key: the first proposal and None if the pick is greedy
+    and the store empty, else ``select``'s, with ``state`` signed once into ``entry``."""
+    if rng is None and not store.entries:
+        return entry[1][0], None
+    if entry[2] is None:
+        entry[2] = signature(state)
+    return select(store, state, entry[1], rng, entry[2])
 
 
 def train(

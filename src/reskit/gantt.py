@@ -63,14 +63,14 @@ def _bar_style(state: ScheduleState, task: Task, colors: dict[str, str]) -> tupl
 def render_svg(state: ScheduleState, caption: str = "") -> str:
     """One row per resource, one bar per task, width proportional to duration."""
     horizon = _horizon(state)
-    scale = (_WIDTH - _LEFT - _RIGHT) / horizon
-    if not (math.isfinite(horizon) and math.isfinite(scale)):
+    if not math.isfinite(horizon):
         raise InvalidConfig(f"a horizon of {horizon:g} h has no scale to draw at")
+    span = _WIDTH - _LEFT - _RIGHT
     rows = len(state.resources)
     height = _TOP + rows * _ROW_H + _BOTTOM
 
     def x(t: float) -> float:
-        return _LEFT + t * scale
+        return _LEFT + t / horizon * span  # span / horizon overflows below about 4e-306 h
 
     products = sorted({t.product for t in state.tasks.values()})
     colors = {p: PALETTE[i % len(PALETTE)] for i, p in enumerate(products)}
@@ -110,7 +110,7 @@ def render_svg(state: ScheduleState, caption: str = "") -> str:
         for tid in r.task_chain:
             t = state.tasks[tid]
             bx = x(t.start)
-            bw = max(t.duration * scale, 1.0)
+            bw = max(t.duration / horizon * span, 1.0)
             by = y + (_ROW_H - _BAR_H) / 2
             css, fill = _bar_style(state, t, colors)
             name = escape(t.name)

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .operators import OperatorKind, RepairOperator
 from .schedule import ScheduleState
-from .stategraph import StateSignature, signature
+from .stategraph import StateSignature
 
 GOAL_TOLERANCE = 1e-9
 GOAL_BONUS = 1.0
@@ -89,10 +89,8 @@ class QKey(NamedTuple):
     op_aux: str
 
 
-def qkey(state: ScheduleState, op: RepairOperator, sig: StateSignature | None = None) -> QKey:
-    """``op``'s key in ``state``; ``sig``, when given, must be ``signature(state)``."""
-    if sig is None:
-        sig = signature(state)
+def qkey(state: ScheduleState, op: RepairOperator, sig: StateSignature) -> QKey:
+    """``op``'s key in ``state``, whose ``signature(state)`` is ``sig``."""
     return QKey(sig, op.kind.label, state.tasks[op.aux].name)
 
 
@@ -209,7 +207,7 @@ def select(
     state: ScheduleState,
     proposals: list[RepairOperator],
     rng: Random | None,
-    sig: StateSignature | None = None,
+    sig: StateSignature,
 ) -> tuple[RepairOperator, QKey]:
     """Pick from the proposal list; returns the pick with its key.
 
@@ -222,10 +220,8 @@ def select(
     The greedy pick makes one ``QStore.q`` lookup per proposal, with a
     plain tuple that hashes and compares equal to its ``QKey``; it builds
     one ``QKey``, the winner's. Either pick keys its operator with
-    ``qkey(state, op, sig)``. Given ``sig``, which must then equal
-    ``signature(state)``, no pick signs the state; otherwise an exploratory
-    pick signs it in ``qkey``, and a greedy pick signs it once.
-    ``episode._run`` bypasses it only where the pick is greedy and the store
+    ``qkey(state, op, sig)``; ``sig`` must be ``signature(state)``.
+    ``episode._pick`` bypasses it only where the pick is greedy and the store
     empty, so that every key reads 0 and the pick is the first proposal.
     """
     if not proposals:
@@ -233,8 +229,6 @@ def select(
     if rng is not None and rng.random() < store.hyper.epsilon:
         op = proposals[rng.randrange(len(proposals))]
         return op, qkey(state, op, sig)
-    if sig is None:
-        sig = signature(state)
     tasks = state.tasks
     q = store.q
     best = proposals[0]

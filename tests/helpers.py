@@ -30,6 +30,7 @@ from reskit.instances import Instance
 from reskit.operators import apply, propose
 from reskit.rl import TRACE_FLOOR, Hyperparams, QKey, QStore, goal_reached, reward, select
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
+from reskit.stategraph import signature
 
 PRODUCTS = ["A", "B", "C", "D"]
 
@@ -335,7 +336,7 @@ class DictQStore:
 def plain_episode(
     state: ScheduleState, store: QStore, cfg: EpisodeConfig, rng: Random | None
 ) -> tuple[EpisodeResult, list[list[list[str]]]]:
-    """An episode as a plain propose, select, apply loop: no table of
+    """An episode as a plain propose, sign, select, apply loop: no table of
     visited states and no transition memo. With ``rng`` it learns as ``train``
     does, bumping each key's trace and making one SARSA update a step;
     without it every pick is greedy and the store is left alone. Returns
@@ -354,7 +355,7 @@ def plain_episode(
         if not proposals:
             outcome = Outcome.NO_PROPOSALS
             break
-        op, key = select(store, state, proposals, rng)
+        op, key = select(store, state, proposals, rng, signature(state))
         if rng is not None:
             if steps:
                 store.sarsa_update(prev_key, gain, key)

@@ -9,7 +9,10 @@ from pathlib import Path
 
 import pytest
 
+from reskit import cli
 from reskit.cli import main
+from reskit.errors import InvalidConfig
+from reskit.gantt import render_svg
 from reskit.instances import (
     InstanceSpec,
     dumps_instance,
@@ -684,44 +687,36 @@ def _tick_lines(tmp_path, quantity):
 
 def test_svg_of_a_plant_far_below_a_nanosecond(tmp_path):
     # a 5.3e-21 h horizon takes a 1e-21 h tick step; an absolute slack of
-    # 1e-9 h on the last tick would draw about 1e12 ticks
+    # 1e-9 h on the last tick would draw about 1e12 ticks. At about 5e-321 h
+    # the width over the horizon overflows, so each coordinate is divided by
+    # the horizon before it is scaled to the width
     normal = _tick_lines(tmp_path, 10.0)
-    for (code, err, lines), (_, _, normal_lines) in zip(_tick_lines(tmp_path, 1e-20), normal):
-        assert code == 0, err
-        assert 0 < lines <= normal_lines
-    # at about 5e-321 h the scale overflows, so no coordinate is finite
-    for code, err, lines in _tick_lines(tmp_path, 1e-320):
-        assert code == 1 and err.startswith("error: ") and "Traceback" not in err
-        assert lines is None
+    for quantity in (1e-20, 1e-320):
+        for (code, err, lines), (_, _, most) in zip(_tick_lines(tmp_path, quantity), normal):
+            assert code == 0, err
+            assert 0 < lines <= most
 
 
-def test_repair_that_cannot_draw_writes_no_file(tmp_path):
-    # validate accepts this plant, but its horizon has no scale to draw at:
-    # repair builds every output before it writes one, so the trace it
-    # could have written is not left behind
-    data = instance_to_dict(generate_instance(InstanceSpec(seed=3)))
-    for t in [*data["tasks"], data["disruption"]["order"]]:
-        t["quantity_kg"], t["due_h"] = 1e-320, 0
-    path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    trace, before = tmp_path / "t.json", tmp_path / "b.svg"
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    cli = [sys.executable, "-m", "reskit.cli"]
-    checked = subprocess.run(
-        [*cli, "validate", "--instance", str(path)], env=env, capture_output=True, text=True
-    )
-    assert checked.returncode == 0, checked.stderr
-    outputs = ["--trace", str(trace), "--svg-before", str(before)]
-    done = subprocess.run(
-        [*cli, "repair", "--instance", str(path), *outputs],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert done.returncode == 1
-    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
-    assert not trace.exists() and not before.exists()
+def test_repair_that_cannot_draw_writes_no_file(instance_path, tmp_path, capsys, monkeypatch):
+    # repair builds every output before it writes one: a drawing that fails
+    # once the trace and the first drawing are built leaves no file behind.
+    # validate admits no plant that cannot be drawn, so the failure is forced
+    drawn = []
+
+    def failing_second(state, caption=""):
+        drawn.append(caption)
+        if len(drawn) == 2:
+            raise InvalidConfig("no scale to draw at")
+        return render_svg(state, caption)
+
+    monkeypatch.setattr(cli, "render_svg", failing_second)
+    outputs = [tmp_path / name for name in ("t.json", "b.svg", "a.svg")]
+    trace, before, after = map(str, outputs)
+    repair = ["repair", "--instance", instance_path, "--trace", trace]
+    assert main([*repair, "--svg-before", before, "--svg-after", after]) == 1
+    assert capsys.readouterr().err == "error: no scale to draw at\n"
+    assert len(drawn) == 2
+    assert not any(path.exists() for path in outputs)
 
 
 # sha256 of the seed-7 artifacts. Any byte drift in generation, training,
@@ -775,23 +770,13 @@ def _nodes(node, path=()):
         yield from _nodes(child, (*path, key))
 
 
-def test_loader_fuzz_every_command_exits_0_1_or_2(tmp_path, capsys):
-    # 200 seeded mutations of a valid file, each one leaf replaced or one key
-    # deleted: every command must exit 0, 1 or 2, and never raise or hang,
-    # and a file validate accepts must be one repair and train can run.
-    base = instance_to_dict(generate_instance(InstanceSpec(seed=5, task_count=6)))
+def _fuzz_mutants(base):
+    """(mutation, data) of 202 seeded mutations of ``base``: 200 with one
+    leaf replaced or one key deleted, then every quantity scaled to 1e-310
+    and to 1e-320 kg with every due date at 0."""
     nodes = list(_nodes(base))
     leaves = [where for where, value in nodes if not isinstance(value, (dict, list))]
     keys = [where for where, _ in nodes if isinstance(where[-1], str)]
-    path = tmp_path / "fuzz.json"
-    q = str(tmp_path / "q.txt")
-    commands = [
-        ["validate"],
-        ["repair", "--max-steps", "5"],
-        ["train", "--qstore", q, "--episodes", "1", "--max-steps", "5"],
-        ["evaluate", "--runs", "1", "--max-steps", "5"],
-        ["render"],
-    ]
     # Seed 2 sets a release_time to 1e308, an infinite tardiness repair refuses.
     for rng in (random.Random(2024), random.Random(2)):
         for _ in range(100):
@@ -803,17 +788,43 @@ def test_loader_fuzz_every_command_exits_0_1_or_2(tmp_path, capsys):
                 node = node[key]
             if delete:
                 del node[last]
-                mutation = f"delete {(*parents, last)}"
+                yield f"delete {(*parents, last)}", data
             else:
                 value = rng.choice(FUZZ_VALUES)
                 node[last] = value
-                mutation = f"{(*parents, last)} = {value!r:.20}"
-            path.write_text(json.dumps(data), encoding="utf-8")
-            codes = {}
-            for command in commands:
-                code = main([command[0], "--instance", str(path), *command[1:]])
-                assert code in (0, 1, 2), f"{mutation}: {command[0]} returned {code}"
-                codes[command[0]] = code
-            if codes["validate"] == 0:
-                assert codes["repair"] == codes["train"] == 0, f"{mutation}: {codes}"
-            capsys.readouterr()
+                yield f"{(*parents, last)} = {value!r:.20}", data
+    for quantity in (1e-310, 1e-320):
+        data = copy.deepcopy(base)
+        for t in [*data["tasks"], data["disruption"]["order"]]:
+            t["quantity_kg"], t["due_h"] = quantity, 0
+        yield f"every quantity_kg = {quantity:g}, every due_h = 0", data
+
+
+def test_loader_fuzz_every_command_exits_0_1_or_2(tmp_path, capsys):
+    # every command must exit 0, 1 or 2 on each mutant, and never raise or
+    # hang, and a file validate accepts must be one every other command
+    # runs, with every output it can write; the text render is exempt, as
+    # its row bound depends on --quantum
+    base = instance_to_dict(generate_instance(InstanceSpec(seed=5, task_count=6)))
+    path = tmp_path / "fuzz.json"
+    q, trace, svg = (str(tmp_path / name) for name in ("q.txt", "trace.json", "fuzz.svg"))
+    commands = {
+        "validate": ["validate"],
+        "repair": ["repair", "--max-steps", "5", "--trace", trace]
+        + ["--svg-before", svg, "--svg-after", svg],
+        "train": ["train", "--qstore", q, "--episodes", "1", "--max-steps", "5"],
+        "evaluate": ["evaluate", "--runs", "1", "--max-steps", "5"],
+        "render --svg": ["render", "--svg", svg],
+        "render --text": ["render"],
+    }
+    for mutation, data in _fuzz_mutants(base):
+        path.write_text(json.dumps(data), encoding="utf-8")
+        codes = {}
+        for name, (command, *flags) in commands.items():
+            code = main([command, "--instance", str(path), *flags])
+            assert code in (0, 1, 2), f"{mutation}: {name} returned {code}"
+            codes[name] = code
+        if codes["validate"] == 0:
+            bound = [name for name in commands if name != "render --text"]
+            assert {codes[name] for name in bound} == {0}, f"{mutation}: {codes}"
+        capsys.readouterr()

@@ -20,6 +20,7 @@ from reskit.instances import InstanceSpec, generate_instance, inject_disruption,
 from reskit.operators import propose
 from reskit.rl import GOAL_BONUS, Hyperparams, QStore, qkey
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
+from reskit.stategraph import signature
 
 import helpers
 from helpers import assert_fully_elaborated, greedy_oracle, training_oracle
@@ -53,7 +54,7 @@ def test_no_proposals_outcome(monkeypatch):
     # the episode ends there with no pick, so the state is not signed
     signed = []
     monkeypatch.setattr(episode, "signature", signed.append)
-    assert episode._visit({}, s, 0) == ([], None, 0, None)
+    assert episode._visit({}, s, 0) == ([[["t1"]], [], None, 0, None], False)
     for learning in (False, True):
         res = run_episode(s, QStore(), EpisodeConfig(seed=1), learning=learning)
         assert res.outcome is Outcome.NO_PROPOSALS
@@ -103,7 +104,7 @@ def test_step_records_chain_consistently():
 def test_greedy_run_is_repeatable_and_leaves_store_alone():
     s = disrupted_instance(seed=3)
     store = QStore()
-    store.entries[qkey(s, propose(s)[0])] = 0.5
+    store.entries[qkey(s, propose(s)[0], signature(s))] = 0.5
     snapshot = dict(store.entries)
     r1 = run_episode(s.clone(), store, EpisodeConfig(seed=9), learning=False)
     r2 = run_episode(s.clone(), store, EpisodeConfig(seed=10), learning=False)
@@ -445,7 +446,7 @@ def test_a_store_with_an_unrelated_entry_still_selects(monkeypatch):
     # 0, but the store is not empty, so each decided step calls select, and
     # the steps are those of the plain loop and of an empty store's run
     other = disrupted_instance(seed=0)
-    unrelated = qkey(other, propose(other)[0])
+    unrelated = qkey(other, propose(other)[0], signature(other))
     calls = counting_calls(monkeypatch, (episode, "select"), (episode, "reward"))
     selected = 0
     for start, seed in empty_store_cases():
@@ -553,44 +554,111 @@ def test_a_train_call_leaves_no_table_to_the_next():
 
 def test_train_proposes_once_per_distinct_state(monkeypatch):
     # a state reached again, in the same episode or a later one, takes
-    # its proposals from the table: in train and in a greedy run alike
-    # propose runs once for each distinct chain list, and for every chain
-    # list the plain loop proposes for
-    proposed = []
+    # its proposals and its signature from the table: in train and in a
+    # greedy run alike propose runs once for each distinct chain list, and
+    # for every chain list the plain loop proposes for; signature runs once
+    # for each distinct chain list a pick reaches, and for every chain list
+    # the plain loop signs, except that a greedy run on an empty store signs
+    # none
+    proposed, signed = [], []
 
-    def recording(fn):
+    def recording(calls, fn):
         def wrapper(state, *args):
-            proposed.append(repr(chains(state)))
+            calls.append(repr(chains(state)))
             return fn(state, *args)
 
         return wrapper
 
-    monkeypatch.setattr(episode, "propose", recording(episode.propose))
-    monkeypatch.setattr(helpers, "propose", recording(helpers.propose))
+    for owner in (episode, helpers):
+        monkeypatch.setattr(owner, "propose", recording(proposed, owner.propose))
+        monkeypatch.setattr(owner, "signature", recording(signed, owner.signature))
+
+    def distinct_calls(run, oracle):
+        """The state each propose and signature call of ``run`` got, each
+        distinct; ``proposed`` and ``signed`` are left with ``oracle``'s,
+        whose result is returned too."""
+        proposed.clear()
+        signed.clear()
+        run()
+        once, signed_once = proposed[:], signed[:]
+        proposed.clear()
+        signed.clear()
+        assert len(once) == len(set(once)) and len(signed_once) == len(set(signed_once))
+        return once, signed_once, oracle()
+
     saved = 0
     for disrupted, seed in islice(training_cases(), 35):
         cfg = EpisodeConfig(seed=seed)
-        proposed.clear()
-        train(disrupted, QStore(), 20, cfg)
-        once = proposed[:]
-        proposed.clear()
-        training_oracle(disrupted, QStore(), 20, cfg)
-        assert len(once) == len(set(once))
+        once, signed_once, _ = distinct_calls(
+            lambda: train(disrupted, QStore(), 20, cfg),
+            lambda: training_oracle(disrupted, QStore(), 20, cfg),
+        )
         assert set(once) == set(proposed)
-        saved += len(proposed) - len(once)
-    assert saved > 1000
-    stepped_back = 0
+        assert set(signed_once) == set(signed)
+        saved += len(proposed) - len(once) + len(signed) - len(signed_once)
+    assert saved > 2000
+    stepped_back = unsigned = 0
     for start, store, seed in greedy_cases():
         cfg = EpisodeConfig(seed=seed)
-        proposed.clear()
-        run_episode(start, store, cfg, learning=False)
-        once = proposed[:]
-        proposed.clear()
-        _, visited = greedy_oracle(start, store, cfg)
-        assert len(once) == len(set(once))
+        once, signed_once, (_, visited) = distinct_calls(
+            lambda: run_episode(start, store, cfg, learning=False),
+            lambda: greedy_oracle(start, store, cfg),
+        )
         assert set(once) == set(proposed)
+        if store.entries:
+            assert set(signed_once) == set(signed)
+        else:
+            assert signed_once == []
+            unsigned += bool(signed)
         stepped_back += any(visited[k] == visited[k + 2] for k in range(len(visited) - 2))
-    assert stepped_back > 10
+    assert stepped_back > 10 and unsigned > 5
+
+
+def test_every_pick_goes_through_the_seam_with_its_state_s_entry(monkeypatch):
+    # episode._pick alone chooses a step's operator: a stub that records
+    # each call and delegates to it must see the table entry of the state
+    # being decided, one call a step in a learning run and at most one a
+    # step in a greedy run, and leave the steps as an unpatched run takes
+    # them; a pick signs its state into the entry unless it is greedy on
+    # an empty store
+    cases = [*islice(training_cases(), 10), *islice(plants_40x5(), 3)]
+    table, picks = {}, []
+
+    def runs(disrupted, seed):
+        cfg = EpisodeConfig(seed=seed)
+        store, rng = QStore(), Random(seed)
+        table.clear()
+        trained = [episode._run(disrupted, store, cfg, rng, table) for _ in range(20)]
+        greedy = []
+        for greedy_store in (store, QStore()):
+            table.clear()
+            greedy.append(episode._run(disrupted, greedy_store, cfg, None, table))
+        return trained, greedy
+
+    unpatched = [runs(*case) for case in cases]
+    pick = episode._pick
+
+    def recording(store, state, known, rng):
+        assert known[0] == chains(state)
+        assert entry(table, state) is known
+        picks.append(rng is None)
+        chosen = pick(store, state, known, rng)
+        assert chosen[0] in known[1]
+        assert (known[2] is None) == (rng is None and not store.entries)
+        return chosen
+
+    monkeypatch.setattr(episode, "_pick", recording)
+    skipped = 0
+    for case, (trained0, greedy0) in zip(cases, unpatched):
+        picks.clear()
+        trained, greedy = runs(*case)
+        assert [trace_dict(r) for r in trained] == [trace_dict(r) for r in trained0]
+        assert [trace_dict(r) for r in greedy] == [trace_dict(r) for r in greedy0]
+        assert picks.count(False) == sum(len(r.steps) for r in trained)
+        greedy_steps = sum(len(r.steps) for r in greedy)
+        assert picks.count(True) <= greedy_steps
+        skipped += greedy_steps - picks.count(True)
+    assert skipped > 0
 
 
 def entry(table, state):

@@ -7,7 +7,6 @@ from random import Random
 
 import pytest
 
-from reskit import rl
 from reskit.episode import EpisodeConfig, train
 from reskit.errors import (
     CorruptQStoreError,
@@ -311,33 +310,36 @@ def selection_state():
 def test_select_pure_argmax():
     s = selection_state()
     proposals = propose(s)
+    sig = signature(s)
     assert len(proposals) >= 3
     store = QStore(Hyperparams(epsilon=0.0))
-    store.entries[qkey(s, proposals[1])] = 0.2
-    store.entries[qkey(s, proposals[0])] = -0.1
+    store.entries[qkey(s, proposals[1], sig)] = 0.2
+    store.entries[qkey(s, proposals[0], sig)] = -0.1
     rng = Random(1)
     for _ in range(100):
-        assert select(store, s, proposals, rng) == (proposals[1], qkey(s, proposals[1]))
+        assert select(store, s, proposals, rng, sig) == (proposals[1], qkey(s, proposals[1], sig))
 
 
 def test_select_zero_ties_break_to_first():
     s = selection_state()
     proposals = propose(s)
+    sig = signature(s)
     store = QStore(Hyperparams(epsilon=0.0))
-    assert select(store, s, proposals, Random(2)) == (proposals[0], qkey(s, proposals[0]))
+    assert select(store, s, proposals, Random(2), sig) == (proposals[0], qkey(s, proposals[0], sig))
 
 
 def test_select_uniform_when_fully_exploring():
     s = selection_state()
     proposals = propose(s)
+    sig = signature(s)
     n = len(proposals)
     store = QStore(Hyperparams(epsilon=1.0))
     rng = Random(3)
     counts = {i: 0 for i in range(n)}
     draws = 10_000
     for _ in range(draws):
-        op, key = select(store, s, proposals, rng)
-        assert key == qkey(s, op)
+        op, key = select(store, s, proposals, rng, sig)
+        assert key == qkey(s, op, sig)
         counts[proposals.index(op)] += 1
     expected = draws / n
     sigma = math.sqrt(draws * (1 / n) * (1 - 1 / n))
@@ -348,30 +350,32 @@ def test_select_uniform_when_fully_exploring():
 def test_select_without_a_generator_is_greedy_and_refuses_empty():
     s = selection_state()
     proposals = propose(s)
+    sig = signature(s)
     store = QStore(Hyperparams(epsilon=1.0))
-    store.entries[qkey(s, proposals[2])] = 5.0
+    store.entries[qkey(s, proposals[2], sig)] = 5.0
     # no generator: greedy despite the stored epsilon of 1
     for _ in range(20):
-        assert select(store, s, proposals, None) == (proposals[2], qkey(s, proposals[2]))
+        assert select(store, s, proposals, None, sig) == (proposals[2], qkey(s, proposals[2], sig))
     with pytest.raises(EmptyProposalSet):
-        select(store, s, [], Random(5))
+        select(store, s, [], Random(5), sig)
     with pytest.raises(EmptyProposalSet):
-        select(store, s, [], None)
+        select(store, s, [], None, sig)
 
 
 def test_uniform_shift_leaves_argmax_unchanged():
     s = selection_state()
     proposals = propose(s)
+    sig = signature(s)
     rng = Random(6)
     for trial in range(20):
         store = QStore(Hyperparams(epsilon=0.0))
         for op in proposals:
-            store.entries[qkey(s, op)] = rng.uniform(-2, 2)
-        baseline = select(store, s, proposals, Random(7))
+            store.entries[qkey(s, op, sig)] = rng.uniform(-2, 2)
+        baseline = select(store, s, proposals, Random(7), sig)
         shift = rng.uniform(-10, 10)
         for k in store.entries:
             store.entries[k] += shift
-        assert select(store, s, proposals, Random(7)) == baseline
+        assert select(store, s, proposals, Random(7), sig) == baseline
 
 
 class CountingStore(QStore):
@@ -410,7 +414,8 @@ def test_greedy_select_matches_first_maximum_oracle():
     }
     cases = tied = 0
     for state, proposals in selection_cases():
-        keys = [qkey(state, op) for op in proposals]
+        sig = signature(state)
+        keys = [qkey(state, op, sig) for op in proposals]
         for kind, draw in draws.items():
             store = CountingStore(Hyperparams(epsilon=1.0))
             if draw is not None:
@@ -420,11 +425,11 @@ def test_greedy_select_matches_first_maximum_oracle():
                 # A key of another signature: it must not count for this state.
                 other = keys[0].sig._replace(task_number=keys[0].sig.task_number + 1)
                 store.entries[QKey(other, keys[0].op_name, keys[0].op_aux)] = 99.0
-            values = [store.q(qkey(state, op)) for op in proposals]
+            values = [store.q(qkey(state, op, sig)) for op in proposals]
             best = values.index(max(values))
             tied += values.count(max(values)) > 1 and best > 0
             store.lookups = 0
-            op, key = select(store, state, proposals, None)
+            op, key = select(store, state, proposals, None, sig)
             assert store.lookups == len(proposals)
             assert op is proposals[best]
             assert key == keys[best] and type(key) is QKey
@@ -446,9 +451,10 @@ def test_greedy_select_on_an_empty_store_keeps_the_first_proposal():
         proposals = propose(s)
         if not proposals:
             continue
-        op, key = select(QStore(), s, proposals, None)
+        sig = signature(s)
+        op, key = select(QStore(), s, proposals, None, sig)
         assert op is proposals[0]
-        assert key == qkey(s, proposals[0])
+        assert key == qkey(s, proposals[0], sig)
         picked += len(proposals) > 1
     assert picked > 100
 
@@ -457,50 +463,19 @@ def test_select_draws_the_same_random_numbers():
     """A call draws one ``random()``; an exploratory call then draws one
     ``randrange`` over the proposal count, and returns that proposal."""
     for state, proposals in islice(selection_cases(), 10):
+        sig = signature(state)
         store = QStore(Hyperparams(epsilon=0.5))
-        store.entries[qkey(state, proposals[-1])] = 1.0
+        store.entries[qkey(state, proposals[-1], sig)] = 1.0
         rng, replay = Random(61), Random(61)
         for _ in range(50):
-            op, key = select(store, state, proposals, rng)
+            op, key = select(store, state, proposals, rng, sig)
             if replay.random() < 0.5:
                 expected = proposals[replay.randrange(len(proposals))]
             else:
                 expected = proposals[-1]
             assert op is expected
-            assert key == qkey(state, expected) and type(key) is QKey
+            assert key == qkey(state, expected, sig) and type(key) is QKey
             assert rng.getstate() == replay.getstate()
-
-
-def test_select_given_the_signature_picks_and_draws_as_without(monkeypatch):
-    """``select`` given ``signature(state)`` makes no ``signature`` call,
-    whether it explores or is greedy, and returns and draws what it does
-    without it."""
-    calls = 0
-
-    def counting_signature(state):
-        nonlocal calls
-        calls += 1
-        return signature(state)
-
-    monkeypatch.setattr(rl, "signature", counting_signature)
-    picks = {"explore": 0, "greedy": 0}
-    for n, (state, proposals) in enumerate(selection_cases()):
-        trained = QStore(Hyperparams(epsilon=0.3))
-        train(state, trained, 5, EpisodeConfig(seed=n))
-        for store in (QStore(Hyperparams(epsilon=0.3)), trained):
-            sig = signature(state)
-            for rng, given in ((None, None), (Random(n), Random(n))):
-                for _ in range(10):
-                    replay = Random()
-                    replay.setstate((given or replay).getstate())
-                    explores = given is not None and replay.random() < 0.3
-                    calls = 0
-                    picked = select(store, state, proposals, given, sig)
-                    assert calls == 0
-                    picks["explore" if explores else "greedy"] += 1
-                    assert picked == select(store, state, proposals, rng)
-                    assert given is None or given.getstate() == rng.getstate()
-    assert picks["explore"] > 20 and picks["greedy"] > 20
 
 
 def test_hyperparams_range_check():
