@@ -34,14 +34,14 @@ built for it. An operator found there takes that successor with no
 nothing, so training keeps successors only where its loops pass again.
 
 A greedy run draws no random number, so with the store frozen its picks are
-functions of the state: a state found in the table starts a cycle, the
-steps since ``first`` repeat until the episode ends (a goal or a state with
-no proposals ends it, so neither lies on a cycle), and whole periods of
-their records, the same record objects again, are appended up to the step
-limit. The ordinary loop takes the fewer steps that remain, so the final
-state and the outcome come out as a step-by-step run leaves them. A greedy
-run makes no memo: a re-entry starts its cycle skip, which needs none. A
-learning run never reads ``first``: its store changes every step.
+functions of the state: a state whose ``first`` is below the step count
+starts a cycle, the steps since repeat until the episode ends (a goal or a
+state with no proposals ends it, so neither lies on a cycle), and whole
+periods of their records, the same record objects again, are appended up to
+the step limit. The ordinary loop takes the fewer steps that remain, so the
+final state and the outcome come out as a step-by-step run leaves them. A
+greedy run makes no memo: a re-entry starts its cycle skip, which needs
+none. A learning run never reads ``first``: its store changes every step.
 """
 
 from __future__ import annotations
@@ -156,13 +156,13 @@ def _run(
         if not proposals:
             outcome = Outcome.NO_PROPOSALS
             break
-        if known and rng is None:
+        if rng is None and first < n:
             # This state is the one after step first: steps[first:] repeat from here.
             periods = (cfg.max_steps - n) // (n - first)
             if periods:
                 steps += steps[first:] * periods
                 continue
-        elif known and succ is None:
+        elif known and rng is not None and succ is None:
             succ = entry[4] = {}  # a learning run re-enters the state: open its map
         op, key = _pick(store, state, entry, rng)
         if rng is not None:

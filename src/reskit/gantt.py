@@ -42,11 +42,12 @@ def _horizon(state: ScheduleState) -> float:
 
 
 def _tick_step(horizon: float) -> float:
-    """A 1/2/5-series step giving roughly 6-12 axis ticks."""
+    """A 1/2/5-series step giving roughly 6-12 axis ticks, never 0: below about
+    1e-322 h, 10 ** k underflows and horizon / 8 rounds to a whole subnormal."""
     rough = horizon / 8
-    mag = 10 ** math.floor(math.log10(rough)) if rough > 0 else 1.0
+    mag = max(10 ** math.floor(math.log10(rough)), math.ulp(0.0)) if rough > 0 else 1.0
     for mult in (1, 2, 5, 10):
-        if mult * mag >= rough:
+        if mult * mag * 8 >= horizon:
             return mult * mag
     return 10 * mag
 

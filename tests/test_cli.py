@@ -689,9 +689,11 @@ def test_svg_of_a_plant_far_below_a_nanosecond(tmp_path):
     # a 5.3e-21 h horizon takes a 1e-21 h tick step; an absolute slack of
     # 1e-9 h on the last tick would draw about 1e12 ticks. At about 5e-321 h
     # the width over the horizon overflows, so each coordinate is divided by
-    # the horizon before it is scaled to the width
+    # the horizon before it is scaled to the width. 1e-322 and 5e-323 kg give
+    # horizons of 11 and 5 subnormal steps, where a power of ten underflows
+    # to a tick step of 0
     normal = _tick_lines(tmp_path, 10.0)
-    for quantity in (1e-20, 1e-320):
+    for quantity in (1e-20, 1e-320, 1e-322, 5e-323):
         for (code, err, lines), (_, _, most) in zip(_tick_lines(tmp_path, quantity), normal):
             assert code == 0, err
             assert 0 < lines <= most
@@ -771,9 +773,9 @@ def _nodes(node, path=()):
 
 
 def _fuzz_mutants(base):
-    """(mutation, data) of 202 seeded mutations of ``base``: 200 with one
-    leaf replaced or one key deleted, then every quantity scaled to 1e-310
-    and to 1e-320 kg with every due date at 0."""
+    """(mutation, data) of 204 seeded mutations of ``base``: 200 with one
+    leaf replaced or one key deleted, then every quantity scaled to 1e-310,
+    1e-320, 1e-322 and 2e-323 kg with every due date at 0."""
     nodes = list(_nodes(base))
     leaves = [where for where, value in nodes if not isinstance(value, (dict, list))]
     keys = [where for where, _ in nodes if isinstance(where[-1], str)]
@@ -793,7 +795,7 @@ def _fuzz_mutants(base):
                 value = rng.choice(FUZZ_VALUES)
                 node[last] = value
                 yield f"{(*parents, last)} = {value!r:.20}", data
-    for quantity in (1e-310, 1e-320):
+    for quantity in (1e-310, 1e-320, 1e-322, 2e-323):
         data = copy.deepcopy(base)
         for t in [*data["tasks"], data["disruption"]["order"]]:
             t["quantity_kg"], t["due_h"] = quantity, 0

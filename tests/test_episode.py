@@ -470,19 +470,24 @@ def poisoned_table(start):
     stranger = [chain[::-1] for chain in chains(start)]
     assert stranger != chains(start)
     floats = (start.total_tardiness, start.total_wip, start.max_tardiness)
-    return {floats: [(stranger, [], None, 0, None)]}
+    return {floats: [[stranger, [], None, 0, None]]}
 
 
 def test_equal_floats_alone_are_not_a_revisit():
     # a state's floats only pick its bucket, and only equal chains make a
     # revisit: with a stranger entered at the start's floats, greedy and
-    # learning runs must still take the plain loop's steps
+    # learning runs must still take the plain loop's steps. Nor is a state
+    # an earlier greedy run entered at the step it is reached again: only
+    # one first entered at a lower step count starts a cycle, so a second
+    # greedy run on the same table takes the same steps
     stepped = 0
     for start, store, seed in islice(greedy_cases(), 40):
         cfg = EpisodeConfig(max_steps=20, seed=seed)
-        res = episode._run(start, store, cfg, None, poisoned_table(start))
+        table = poisoned_table(start)
+        res = episode._run(start, store, cfg, None, table)
         oracle, _ = greedy_oracle(start, store, cfg)
         assert trace_dict(res) == trace_dict(oracle)
+        assert trace_dict(episode._run(start, store, cfg, None, table)) == trace_dict(oracle)
         stepped += bool(res.steps)
     assert stepped > 20
     for disrupted, seed in islice(training_cases(), 10):
@@ -586,7 +591,7 @@ def test_train_proposes_once_per_distinct_state(monkeypatch):
         assert len(once) == len(set(once)) and len(signed_once) == len(set(signed_once))
         return once, signed_once, oracle()
 
-    saved = 0
+    saved = saved_signing = 0
     for disrupted, seed in islice(training_cases(), 35):
         cfg = EpisodeConfig(seed=seed)
         once, signed_once, _ = distinct_calls(
@@ -595,8 +600,9 @@ def test_train_proposes_once_per_distinct_state(monkeypatch):
         )
         assert set(once) == set(proposed)
         assert set(signed_once) == set(signed)
-        saved += len(proposed) - len(once) + len(signed) - len(signed_once)
-    assert saved > 2000
+        saved += len(proposed) - len(once)
+        saved_signing += len(signed) - len(signed_once)
+    assert saved > 1000 and saved_signing > 1000
     stepped_back = unsigned = 0
     for start, store, seed in greedy_cases():
         cfg = EpisodeConfig(seed=seed)
