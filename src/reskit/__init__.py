@@ -20,7 +20,6 @@ from .schedule import (
     Task,
     Violation,
     elaborate,
-    task_tardiness,
     validate,
 )
 from .stategraph import StateSignature, signature
@@ -59,7 +58,6 @@ __all__ = [
     "save_qstore",
     "select",
     "signature",
-    "task_tardiness",
     "train",
     "validate",
 ]

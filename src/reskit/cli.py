@@ -39,7 +39,7 @@ from .instances import (
     sample_disruption,
     save_instance,
 )
-from .rl import Hyperparams, QStore, load_qstore, save_qstore, top_preferences
+from .rl import Hyperparams, QStore, load_qstore, qstore_text, top_preferences
 from .schedule import validate
 
 
@@ -130,9 +130,13 @@ def cmd_train(args) -> int:
         },
         "q_entries": len(store.entries),
     }
-    save_qstore(store, args.qstore)
+    # Both outputs are built before either is written: a report that cannot
+    # be built leaves no store behind.
+    outputs = {args.qstore: qstore_text(store)}
     if args.report:
-        _write_json(args.report, report)
+        outputs[args.report] = json_text(report)
+    for path, text in outputs.items():
+        Path(path).write_text(text, encoding="utf-8")
     print(
         f"trained {args.episodes} episodes in {wall:.2f}s: success rate "
         f"{report['success_rate']:.2f}, {report['q_entries']} q-entries, greedy final "

@@ -169,7 +169,7 @@ def _run(
             if steps:
                 store.sarsa_update(prev_key, r, key)
             store.bump_trace(key)
-        source = state.resource_of(op.focal).id
+        source = state.resources[state.focal_index].id
         nxt = succ.get(op) if succ is not None else None
         if nxt is None:
             nxt = apply(state, op)

@@ -36,7 +36,7 @@ MAX_TEXT_CELLS = 10_000
 
 
 def _horizon(state: ScheduleState) -> float:
-    h = max((t.finish for t in state.tasks.values()), default=0.0)
+    h = max((f for r in state.resources for f in r.finishes), default=0.0)
     h = max(h, max((r.release_time for r in state.resources), default=0.0))
     return h if h > 0 else 1.0
 
@@ -108,10 +108,10 @@ def render_svg(state: ScheduleState, caption: str = "") -> str:
             f'<text x="{_LEFT - 8}" y="{y + _ROW_H / 2 + 4:.2f}" font-size="12" '
             f'fill="#111111" text-anchor="end">{escape(r.id)}</text>'
         )
-        for tid in r.task_chain:
+        for tid, start in zip(r.task_chain, r.starts):
             t = state.tasks[tid]
-            bx = x(t.start)
-            bw = max(t.duration / horizon * span, 1.0)
+            bx = x(start)
+            bw = max(t.quantity / r.rates[t.product] / horizon * span, 1.0)
             by = y + (_ROW_H - _BAR_H) / 2
             css, fill = _bar_style(state, t, colors)
             name = escape(t.name)
@@ -150,9 +150,9 @@ def render_text(state: ScheduleState, quantum: float = 0.5) -> str:
         for i in range(cells):
             mid = (i + 0.5) * quantum
             ch = "."
-            for tid in r.task_chain:
+            for tid, start, finish in zip(r.task_chain, r.starts, r.finishes):
                 t = state.tasks[tid]
-                if t.start <= mid < t.finish:
+                if start <= mid < finish:
                     if tid == state.focal_task:
                         ch = "*"
                     elif t.executing:

@@ -153,12 +153,14 @@ def inject_disruption(instance: Instance) -> ScheduleState:
     the one, and no reward is defined from the other.
 
     ``instance.state`` must be elaborated, and is left untouched. The result
-    is one ``schedule._splice`` of the target chain from the slot the order
-    is appended at, as ``operators.apply`` builds a step from the slots it
-    edits: only the flagged heads, the order and its resource are new, and
-    every other ``Resource`` and ``Task`` is shared with the instance. So,
-    besides the shallow task-dict copies, a fresh order costs O(resources),
-    not a plant copy.
+    has a task dict of its own, the one copy per order: it holds a copy of
+    the order, and a copy of each flagged head that records the head's
+    start. The state is one ``schedule._splice`` of the target chain from
+    the slot the order is appended at, as ``operators.apply`` builds a step
+    from the slots it edits, so only the order's resource is new, and every
+    other ``Resource`` and ``Task`` is shared with the instance. So, besides
+    the shallow task-dict copy, a fresh order costs O(resources), not a
+    plant copy.
     """
     base, order = instance.state, instance.order
     if not math.isfinite(base.total_tardiness):
@@ -173,22 +175,22 @@ def inject_disruption(instance: Instance) -> ScheduleState:
 
     tasks = dict(base.tasks)
     for r in base.resources:
-        if r.task_chain and tasks[r.task_chain[0]].start < instance.arrival_h:
+        if r.task_chain and r.starts[0] < instance.arrival_h:
             head = _copy_task(tasks[r.task_chain[0]])
-            head.executing = True
+            head.executing, head.start = True, r.starts[0]
             tasks[head.id] = head
-    tasks[order.id] = order
+    tasks[order.id] = _copy_task(order)
 
     def chain_end(i: int) -> float:
         r = base.resources[i]
-        return tasks[r.task_chain[-1]].finish if r.task_chain else r.release_time
+        return r.finishes[-1] if r.task_chain else r.release_time
 
     target = min(capable, key=chain_end)
     shallow = _copy_state(base)
     shallow.tasks, shallow.focal_task = tasks, order.id
     shallow.init_tardiness = base.total_tardiness
     chain = base.resources[target].task_chain
-    disrupted = _splice(shallow, {target: ([*chain, order.id], len(chain))})
+    disrupted = _splice(shallow, {target: ([*chain, order.id], len(chain))}, target)
     if not math.isfinite(disrupted.total_tardiness):
         raise InstanceFormatError(
             f"post-insertion tardiness is {disrupted.total_tardiness}, not a finite number"

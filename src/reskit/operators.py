@@ -68,17 +68,18 @@ _new = tuple.__new__
 
 
 def _pairings(
-    state: ScheduleState, focal: Task, fi: int, aux: Task, ai: int
+    state: ScheduleState, focal: Task, fi: int, at: float, aux: Task, ai: int, aux_at: float
 ) -> list[RepairOperator]:
-    """The operators pairing ``focal`` on resource ``fi`` with ``aux`` on ``ai``.
+    """The operators pairing ``focal`` on resource ``fi``, starting at ``at``,
+    with ``aux`` on ``ai``, starting at ``aux_at``.
 
     Executing tasks are frozen, and an aux starting with the focal has no side.
     Across resources the target must process the focal's product; a swap, also
     the reverse. A jump comes before its swap, as their kind labels sort.
     """
-    if focal.executing or aux.executing or aux.start == focal.start:
+    if focal.executing or aux.executing or aux_at == at:
         return []
-    horizontal = "right" if aux.start > focal.start else "left"
+    horizontal = "right" if aux_at > at else "left"
     target = state.resources[ai]
     if ai == fi:
         kind = _KIND["same", horizontal, "jump"]
@@ -104,9 +105,10 @@ def propose(state: ScheduleState, cap: int = PROPOSAL_CAP) -> list[RepairOperato
 
     ``state`` must be elaborated, so starts never decrease along a chain.
     An executing focal is frozen and pairs with nothing, so it gets ``[]``
-    at once. Otherwise each chain's ``Resource.starts`` is bisected at the
-    focal's start, in C and with no key function, into a left and a right
-    side, each ordered by distance, and one heap merges the sides. A chain
+    at once. Otherwise the focal's start is read off its own chain, at
+    ``focal_index``, and each chain's ``Resource.starts`` is bisected at it,
+    in C and with no key function, into a left and a right side, each
+    ordered by distance, and one heap merges the sides. A chain
     other than the focal's own whose resource lacks the focal's product
     pairs with nothing and is skipped. A heap entry is ``(distance, task
     id, resource index, slot, step)``, with step -1 on the left and 1 on
@@ -128,10 +130,11 @@ def propose(state: ScheduleState, cap: int = PROPOSAL_CAP) -> list[RepairOperato
     focal = tasks[state.focal_task]
     if focal.executing:
         return []
-    fi = focal.resource_index
-    at = focal.start
-    product = focal.product
     resources = state.resources
+    fi = state.focal_index
+    home = resources[fi]
+    at = home.starts[home.task_chain.index(focal.id)]
+    product = focal.product
 
     heap = []
     for ai, r in enumerate(resources):
@@ -146,25 +149,26 @@ def propose(state: ScheduleState, cap: int = PROPOSAL_CAP) -> list[RepairOperato
     heapify(heap)
 
     found: list[RepairOperator] = []
-    tied: list[tuple[str, int]] = []
+    tied: list[tuple[str, int, float]] = []
     while heap and len(found) < cap:
         d, tid, ai, i, step = heap[0]
         r = resources[ai]
+        aux_at = r.starts[i]
         i += step
         if 0 <= i < len(r.starts):
             heapreplace(heap, (abs(r.starts[i] - at), r.task_chain[i], ai, i, step))
         else:
             heappop(heap)
         if heap and heap[0][0] == d:
-            tied.append((tid, ai))
+            tied.append((tid, ai, aux_at))
         elif tied:
-            tied.append((tid, ai))
+            tied.append((tid, ai, aux_at))
             tied.sort()
-            for tid, ai in tied:
-                found += _pairings(state, focal, fi, tasks[tid], ai)
+            for tid, ai, aux_at in tied:
+                found += _pairings(state, focal, fi, at, tasks[tid], ai, aux_at)
             tied = []
         else:
-            found += _pairings(state, focal, fi, tasks[tid], ai)
+            found += _pairings(state, focal, fi, at, tasks[tid], ai, aux_at)
     return found[:cap]
 
 
@@ -176,35 +180,45 @@ def apply(state: ScheduleState, op: RepairOperator) -> ScheduleState:
     Swap: focal and auxiliary exchange chain slots across their resources.
     Durations follow from the new resources; the task multiset is unchanged.
 
-    ``state`` must be elaborated. Only the one or two spliced chains are
-    copied, and re-timed from the first changed slot on, which the edit
-    names: the focal's old slot on its chain and the slot it enters on the
-    aux's, or the nearer of the two when a jump stays on one chain. The new
-    state shares every other ``Task`` and ``Resource`` with ``state`` and
-    equals ``elaborate`` of itself.
+    ``state`` must be elaborated. The focal's chain is ``focal_index``'s,
+    and the aux's is the one ``op.target_resource`` names; an aux that is
+    not on it makes the operator inapplicable. Only the one or two spliced
+    resources are copied, and re-timed from the first changed slot on,
+    which the edit names: the focal's old slot on its chain and the slot it
+    enters on the aux's, or the nearer of the two when a jump stays on one
+    chain. The new state shares every other ``Resource``, and the task
+    dict, with ``state``, and equals ``elaborate`` of itself.
     """
     if op.focal != state.focal_task:
         raise OperatorNotApplicable(f"{op.focal} is not the focal task")
-    if op.aux not in state.tasks:
-        raise OperatorNotApplicable(f"unknown auxiliary task {op.aux}")
+    resources = state.resources
+    fi = state.focal_index
+    for ai, target in enumerate(resources):
+        if target.id == op.target_resource:
+            break
+    else:
+        raise OperatorNotApplicable(f"unknown resource {op.target_resource}")
+    try:
+        j = target.task_chain.index(op.aux)
+    except ValueError:
+        raise OperatorNotApplicable(f"{op.aux} is not on {target.id}") from None
+    home = resources[fi]
+    k = home.task_chain.index(op.focal)
     focal, aux = state.tasks[op.focal], state.tasks[op.aux]
-    fi, ai = focal.resource_index, aux.resource_index
-    if op not in _pairings(state, focal, fi, aux, ai):
+    if op not in _pairings(state, focal, fi, home.starts[k], aux, ai, target.starts[j]):
         raise OperatorNotApplicable(f"{op.kind.value}({op.focal}, {op.aux}, {op.target_resource})")
 
-    src = list(state.resources[fi].task_chain)
-    dst = src if ai == fi else list(state.resources[ai].task_chain)
-    k = src.index(op.focal)
+    src = list(home.task_chain)
+    dst = src if ai == fi else list(target.task_chain)
     if op.kind.action == "jump":
         del src[k]
-        at = dst.index(op.aux)
+        at = j - 1 if ai == fi and j > k else j  # the aux's slot once the focal has left
         if op.kind.horizontal == "right":
             at += 1
         dst.insert(at, op.focal)
     else:
-        at = dst.index(op.aux)
+        at = j
         src[k], dst[at] = op.aux, op.focal
     if ai == fi:
-        return schedule._splice(state, {fi: (src, min(k, at))})
-    return schedule._splice(state, {fi: (src, k), ai: (dst, at)})
-
+        return schedule._splice(state, {fi: (src, min(k, at))}, ai)
+    return schedule._splice(state, {fi: (src, k), ai: (dst, at)}, ai)

@@ -269,16 +269,21 @@ def _header(hyper: Hyperparams) -> str:
     )
 
 
-def save_qstore(store: QStore, path: str | Path) -> int:
-    """Write the store as versioned line-oriented text; returns entry count.
+def qstore_text(store: QStore) -> str:
+    """The store as versioned line-oriented text, as ``save_qstore`` writes it.
 
     Records are sorted for byte-stable output. Traces are transient and not
     persisted. The ``_header`` line comes first, then one ``_record`` line
     per entry, each ended by ``"\\n"``.
     """
     records = sorted(_record(key, value) for key, value in store.entries.items())
-    Path(path).write_text("\n".join([_header(store.hyper), *records]) + "\n", encoding="utf-8")
-    return len(records)
+    return "\n".join([_header(store.hyper), *records]) + "\n"
+
+
+def save_qstore(store: QStore, path: str | Path) -> int:
+    """Write ``qstore_text(store)`` to ``path``; returns the entry count."""
+    Path(path).write_text(qstore_text(store), encoding="utf-8")
+    return len(store.entries)
 
 
 _HEADER_RE = re.compile(

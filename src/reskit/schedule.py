@@ -1,29 +1,31 @@
 """Schedule domain model: resources, task chains, timing and tardiness.
 
 A schedule is a set of unary-capacity resources (extruders), each holding an
-ordered chain of tasks. Products are plain string codes. All timing is
-derived: a task's duration follows from its quantity and the assigned
-resource's rate for its product, starts follow from chain order, and the
-aggregate figures (total/max tardiness, work in process) follow from the
-task fields. Each task carries its chain's running partials, summed left to
-right in chain order up to and including it; the state's totals are the
-sums of the chain ends' partials in resource order, and its max tardiness
-is their max. The average tardiness and the task count are read off the
-total and the task dict. Each resource also carries the start of every slot
-of its chain, in chain order (``Resource.starts``). So a repair step
-re-times and re-sums only the spliced chains from their first changed slot
-on, resuming from the running partials of the task before it, plus one pass
-over the chain ends. ``elaborate`` recomputes every derived field the same
-way and is idempotent.
+ordered chain of tasks. Products are plain string codes. A ``Task`` holds
+only inputs. Every figure derived from a slot lives on the resource, in
+arrays that run slot for slot with ``Resource.task_chain``: the starts, the
+finishes, and the chain's running partials (total tardiness, max tardiness
+and WIP over the slots up to and including this one, summed left to right).
+A task's duration is its quantity over the rate of its resource for its
+product. It is not stored: a reader divides again, as ``_retime`` does.
+Starts follow from chain order. The state's totals are the sums of each
+chain's last partials in resource order, and its max tardiness is their
+max. The average tardiness and the task count are read off the total and
+the task dict. The state also keeps ``focal_index``, the index of the
+resource whose chain holds the focal task. So a repair step re-times and
+re-sums only the spliced chains from their first changed slot on, resuming
+from the partials of the slot before it, plus one pass over the chain
+ends. ``elaborate`` recomputes every derived field the same way and is
+idempotent.
 
 States are values: every operation returns a new state and leaves its input
 untouched, so states can be archived for episode rollback and compared after
 the fact. A returned state never changes, but ``_splice``, which
 ``operators.apply`` and ``instances.inject_disruption`` build their states
-with, copies only the chains it splices, and of those only the tasks from
-the first changed slot on, which its caller names: unchanged chain prefixes
-and every other ``Task`` and ``Resource`` are shared, so ``clone()`` a state
-before mutating it.
+with, copies only the resources it splices, and of their arrays only the
+slice before the first changed slot, which its caller names. Every other
+``Resource`` is shared, and so is the task dict, whole: no step changes an
+input. So ``clone()`` a state before mutating it.
 ``elaborate`` returns a state that shares nothing with its input.
 ``Resource.task_chain`` is the only record of task order.
 
@@ -31,9 +33,7 @@ Every copy of a ``Task``, ``Resource`` or ``ScheduleState`` is a call of
 its class's constructor, through the copier built for the class from its
 dataclass fields (``_copy_task``, ``_copy_resource``, ``_copy_state``): a
 field added later is copied without editing them, and the copy is always
-of the base class. A re-timed task is not copied and then written: ``_retime``
-builds it with one ``Task(...)`` call from its input fields and its new
-timing and partials. No copy goes through the source's attribute dict, as
+of the base class. No copy goes through the source's attribute dict, as
 ``vars``, a dict update or the ``copy`` module would. On CPython 3.11 that
 builds the dict, and from then on every read and write of the object is
 several times slower; the sources are the plant's shared tasks, which
@@ -57,11 +57,10 @@ AGG_TOL = 1e-9
 class Task:
     """An order operation: what to make, how much, and by when.
 
-    ``duration``, ``start``, ``finish``, ``resource_index`` (the index in
-    ``ScheduleState.resources`` of the resource whose chain holds the task)
-    and the ``run_*`` fields (the chain's total tardiness, max tardiness and
-    WIP over the slots up to and including this task) are derived; they are
-    only meaningful after :func:`elaborate`.
+    Every field is an input; nothing here is derived. ``start`` is read only
+    when ``executing`` is set: it is the recorded start of work already
+    running, which anchors the task's chain. A task's timing and partials
+    live on its resource (``Resource.starts`` and the arrays beside it).
     """
 
     id: str
@@ -69,14 +68,8 @@ class Task:
     product: str
     quantity: float
     due_date: float
-    duration: float = 0.0
-    start: float = 0.0
-    finish: float = 0.0
     executing: bool = False
-    resource_index: int | None = None
-    run_tardiness: float = 0.0
-    run_max_tardiness: float = 0.0
-    run_wip: float = 0.0
+    start: float = 0.0
 
 
 @dataclass
@@ -85,10 +78,12 @@ class Resource:
 
     ``rates`` maps product code to kg/h; a missing key means the resource
     cannot process that product. ``release_time`` is the earliest start for
-    movable (non-executing) work. ``starts`` is derived: the start of each
-    task of ``task_chain``, slot for slot, only meaningful after
-    :func:`elaborate`. The chain's tardiness and WIP partials are not stored
-    here: they are its last task's ``run_*`` fields.
+    movable (non-executing) work. The rest is derived, slot for slot with
+    ``task_chain``, and only meaningful after :func:`elaborate`: each
+    task's start and finish, and the chain's running total tardiness, max
+    tardiness and WIP over the slots up to and including it. A chain's last
+    partials are its figures. The arrays are replaced, never written in
+    place, so a state may share them with the state it was spliced from.
     """
 
     id: str
@@ -97,10 +92,20 @@ class Resource:
     task_chain: list[str] = field(default_factory=list)
     release_time: float = 0.0
     starts: list[float] = field(default_factory=list)
+    finishes: list[float] = field(default_factory=list)
+    run_tardiness: list[float] = field(default_factory=list)
+    run_max_tardiness: list[float] = field(default_factory=list)
+    run_wip: list[float] = field(default_factory=list)
 
 
 @dataclass
 class ScheduleState:
+    """Resources, tasks and the focal, with the aggregates derived from them.
+
+    ``focal_index`` is derived: the index in ``resources`` of the resource
+    whose chain holds ``focal_task``, or None without one.
+    """
+
     resources: list[Resource] = field(default_factory=list)
     tasks: dict[str, Task] = field(default_factory=dict)
     focal_task: str | None = None
@@ -108,6 +113,7 @@ class ScheduleState:
     total_tardiness: float = 0.0
     max_tardiness: float = 0.0
     total_wip: float = 0.0
+    focal_index: int | None = None
 
     @property
     def task_number(self) -> int:
@@ -122,13 +128,13 @@ class ScheduleState:
         s = _copy_state(self)
         s.resources = [_copy_resource(r) for r in self.resources]
         for r in s.resources:
-            r.rates, r.task_chain, r.starts = dict(r.rates), list(r.task_chain), list(r.starts)
+            r.rates, r.task_chain = dict(r.rates), list(r.task_chain)
+            r.starts, r.finishes = list(r.starts), list(r.finishes)
+            r.run_tardiness, r.run_max_tardiness, r.run_wip = (
+                list(r.run_tardiness), list(r.run_max_tardiness), list(r.run_wip)
+            )
         s.tasks = {tid: _copy_task(t) for tid, t in self.tasks.items()}
         return s
-
-    def resource_of(self, task_id: str) -> Resource:
-        """Resource whose chain holds ``task_id``; the state must be elaborated."""
-        return self.resources[self.tasks[task_id].resource_index]
 
 
 def _copier(cls: type) -> Callable:
@@ -136,8 +142,7 @@ def _copier(cls: type) -> Callable:
 
     The field list is read once from ``dataclasses.fields``. The copy is a
     plain ``cls`` even when the source is of a subclass, and it shares each
-    field's value with the source. A task that is re-timed is not copied:
-    ``_retime`` builds its successor with one ``Task(...)`` call.
+    field's value with the source.
     """
     values = attrgetter(*(f.name for f in fields(cls)))
     return lambda obj: cls(*values(obj))
@@ -158,11 +163,6 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.code}({self.subject}): {self.detail}"
-
-
-def task_tardiness(task: Task) -> float:
-    """Lateness of an elaborated task: max(0, finish - due_date)."""
-    return max(0.0, task.finish - task.due_date)
 
 
 def _structure_defects(state: ScheduleState) -> Iterator[Violation]:
@@ -194,10 +194,10 @@ def elaborate(state: ScheduleState) -> ScheduleState:
     executing, in which case its recorded start is kept (a frozen task
     anchors its chain); each later task starts when its predecessor
     finishes. Durations are quantity / rate on the current resource.
-    Each task's running partials are summed in chain order, then the
-    aggregates over the chain ends' partials in resource order, exactly as
-    ``_retime`` does after a splice, so a state re-timed in part equals its
-    elaboration.
+    Each chain's running partials are summed in chain order, then the
+    aggregates over the chains' last partials in resource order, exactly
+    as ``_retime`` does after a splice, so a state re-timed in part equals
+    its elaboration. ``focal_index`` is found by a scan of the chains.
     """
     s = state.clone()
     _elaborate_in_place(s)
@@ -212,36 +212,41 @@ def _elaborate_in_place(s: ScheduleState) -> None:
     """
     for defect in _structure_defects(s):
         raise BrokenChain(str(defect))
+    s.focal_index = next(
+        (i for i, r in enumerate(s.resources) if s.focal_task in r.task_chain), None
+    )
     _retime(s, dict.fromkeys(range(len(s.resources)), 0))
 
 
 def _retime(s: ScheduleState, chains: dict[int, int]) -> None:
     """Re-time each chain at ``chains``' resource indices from its slot on.
 
-    ``chains`` maps a resource index to the first slot to re-time; the task
-    before that slot must already carry its final timing and running
-    partials. The re-timed resources must be ``s``'s own copies, and
-    ``s.tasks`` its own dict. Each re-timed task is replaced in ``s.tasks``
-    by one ``Task(...)`` built from its input fields, its new timing, the
-    index of its resource and its running partials, summed on from the task
-    before the slot in the same loop; every other task and resource keeps
-    what it carries. A chain's ``starts`` keeps its slice before the slot.
-    The aggregates are then summed over each non-empty chain's last task's
-    running partials in resource order, so a step costs the re-timed slots
-    plus O(resources), and a state re-timed in part carries the same floats
-    as one elaborated in full.
+    ``chains`` maps a resource index to the first slot to re-time; the
+    slots before it must already carry their final timing and partials.
+    The re-timed resources must be ``s``'s own copies. Each of their arrays
+    is replaced by its slice before the slot, extended from there: one loop
+    appends each later slot's finish and running partials, summed on from
+    the slot before, and each slot's start is the finish before it (the
+    head's is its anchor). No task is built or written. The aggregates are
+    then summed over each non-empty chain's last partials in resource
+    order, so a step costs the re-timed slots plus O(resources), and a
+    state re-timed in part carries the same floats as one elaborated in
+    full.
     """
     tasks = s.tasks
     for i, first in chains.items():
         r = s.resources[i]
         chain, rates = r.task_chain, r.rates
-        starts = r.starts[:first]
+        finishes, totals = r.finishes[:first], r.run_tardiness[:first]
+        maxes, wips = r.run_max_tardiness[:first], r.run_wip[:first]
         if first:
-            prev = tasks[chain[first - 1]]
-            finish = prev.finish
-            total, max_t, wip = prev.run_tardiness, prev.run_max_tardiness, prev.run_wip
+            finish, total, max_t, wip = finishes[-1], totals[-1], maxes[-1], wips[-1]
         else:
-            finish = None
+            # The head's start, which the loop takes as the finish before it.
+            anchor = max(r.release_time, 0.0)
+            if chain and tasks[chain[0]].executing:  # a frozen head anchors its chain
+                anchor = tasks[chain[0]].start
+            finish = anchor
             total = max_t = wip = 0.0
         for tid in chain[first:]:
             t = tasks[tid]
@@ -251,42 +256,44 @@ def _retime(s: ScheduleState, chains: dict[int, int]) -> None:
                     f"resource {r.id} has no rate for product {t.product} (task {tid})"
                 )
             duration = t.quantity / rate
-            if finish is not None:
-                start = finish
-            elif t.executing:  # a frozen head anchors its chain
-                start = t.start
-            else:
-                start = max(r.release_time, 0.0)
-            finish = start + duration
-            # task_tardiness, inlined; adding a zero lateness would change nothing.
+            finish += duration
+            # max(0, finish - due), inlined; adding a zero lateness would change nothing.
             lateness = finish - t.due_date
             if lateness > 0.0:
                 total += lateness
                 if lateness > max_t:
                     max_t = lateness
             wip += duration
-            starts.append(start)
-            tasks[tid] = Task(
-                tid, t.name, t.product, t.quantity, t.due_date, duration, start, finish,
-                t.executing, i, total, max_t, wip,
-            )
-        r.starts = starts
+            finishes.append(finish)
+            totals.append(total)
+            maxes.append(max_t)
+            wips.append(wip)
+        # Each slot starts where the one before it finishes.
+        if first:
+            starts = r.starts[:first]
+            starts += finishes[first - 1 : -1]
+        else:
+            starts = [anchor, *finishes[:-1]] if chain else []
+        r.starts, r.finishes = starts, finishes
+        r.run_tardiness, r.run_max_tardiness, r.run_wip = totals, maxes, wips
 
     total = max_t = wip = 0.0
     for r in s.resources:
-        chain = r.task_chain
-        if chain:
-            last = tasks[chain[-1]]
-            total += last.run_tardiness
-            if last.run_max_tardiness > max_t:
-                max_t = last.run_max_tardiness
-            wip += last.run_wip
+        wips = r.run_wip
+        if wips:
+            total += r.run_tardiness[-1]
+            worst = r.run_max_tardiness[-1]
+            if worst > max_t:
+                max_t = worst
+            wip += wips[-1]
     s.total_tardiness = total
     s.max_tardiness = max_t
     s.total_wip = wip
 
 
-def _splice(state: ScheduleState, edits: dict[int, tuple[list[str], int]]) -> ScheduleState:
+def _splice(
+    state: ScheduleState, edits: dict[int, tuple[list[str], int]], focal_index: int | None
+) -> ScheduleState:
     """``state`` with each edited chain replaced and re-timed from its slot on.
 
     ``edits`` maps a resource index to its new chain and the first slot where
@@ -294,26 +301,29 @@ def _splice(state: ScheduleState, edits: dict[int, tuple[list[str], int]]) -> Sc
     edit: ``operators.apply`` names the slots it removes, inserts or swaps
     at, and ``instances.inject_disruption`` the slot it appends at. Up to
     that slot each task has the same resource, predecessor and inputs, so
-    its timing is already final and its ``Task`` is kept; from it on,
-    ``_retime`` builds new ones. ``state`` must be elaborated, and every
-    other chain and task is shared with it.
+    its timing is already final and the arrays' slices are kept; from it
+    on, ``_retime`` appends new figures. ``focal_index`` is the focal's
+    resource index in the new state, which the caller also knows. ``state``
+    must be elaborated. The new state shares every other resource, and the
+    task dict itself, with it.
     """
     s = _copy_state(state)
-    s.resources, s.tasks = list(state.resources), dict(state.tasks)
-    for i, (chain, _) in edits.items():
-        r = _copy_resource(s.resources[i])
+    resources = s.resources = list(state.resources)
+    s.focal_index = focal_index
+    firsts = {}
+    for i, (chain, first) in edits.items():
+        r = resources[i] = _copy_resource(resources[i])
         r.task_chain = chain
-        s.resources[i] = r
-    _retime(s, {i: first for i, (_, first) in edits.items()})
+        firsts[i] = first
+    _retime(s, firsts)
     return s
 
 
-# A task's derived floats and how far each may stray from a fresh
+# The derived arrays of a resource and how far each may stray from a fresh
 # elaboration's; the running partials are sums, like the aggregates.
 _TIMING_TOLERANCES = (
-    ("start", 0.0),
-    ("duration", AGG_TOL),
-    ("finish", AGG_TOL),
+    ("starts", 0.0),
+    ("finishes", AGG_TOL),
     ("run_tardiness", AGG_TOL),
     ("run_max_tardiness", AGG_TOL),
     ("run_wip", AGG_TOL),
@@ -326,7 +336,9 @@ def validate(state: ScheduleState) -> list[Violation]:
     Never raises: a broken state yields violations describing what is wrong.
     Structure and domain rules come first; a state that passes both must
     equal its own elaboration. An empty list means the state is well-formed
-    and its derived fields are fresh.
+    and its derived fields are fresh. So an executing task off its chain's
+    head is flagged as such, and a head whose start differs from its
+    recorded ``Task.start`` as stale timing.
     """
     out = list(_structure_defects(state))
 
@@ -356,22 +368,21 @@ def validate(state: ScheduleState) -> list[Violation]:
     if out:
         return out
 
-    # Starts, of tasks and of ``Resource.starts``, are compared exactly:
-    # elaborate assigns start(k+1) = finish(k) rather than recomputing it.
-    # ``not <=`` counts a NaN as a difference; equal values, an infinite sum
-    # of finite inputs included, are fresh.
+    # Starts are compared exactly: elaborate assigns start(k+1) = finish(k)
+    # rather than recomputing it. ``not <=`` counts a NaN as a difference;
+    # equal values, an infinite sum of finite inputs included, are fresh.
     fresh = elaborate(state)
-    for tid, t in state.tasks.items():
-        for attr, tol in _TIMING_TOLERANCES:
-            stored, derived = getattr(t, attr), getattr(fresh.tasks[tid], attr)
-            if stored != derived and not abs(stored - derived) <= tol:
-                out.append(Violation("StaleTiming", tid, f"{attr} {stored} != {derived}"))
-        stored, derived = t.resource_index, fresh.tasks[tid].resource_index
-        if stored != derived:
-            out.append(Violation("StaleResourceIndex", tid, f"{stored} != {derived}"))
+    if state.focal_index != fresh.focal_index:
+        out.append(Violation(
+            "StaleFocalIndex", str(state.focal_task), f"{state.focal_index} != {fresh.focal_index}"
+        ))
     for r, f in zip(state.resources, fresh.resources):
-        if len(r.starts) != len(f.starts) or any(a != b for a, b in zip(r.starts, f.starts)):
-            out.append(Violation("StaleStarts", r.id, f"{r.starts} != {f.starts}"))
+        for attr, tol in _TIMING_TOLERANCES:
+            stored, derived = getattr(r, attr), getattr(f, attr)
+            if len(stored) != len(derived) or any(
+                a != b and not abs(a - b) <= tol for a, b in zip(stored, derived)
+            ):
+                out.append(Violation("StaleTiming", r.id, f"{attr} {stored} != {derived}"))
     for subject, attr in [
         ("totTard", "total_tardiness"), ("maxTard", "max_tardiness"), ("totalWIP", "total_wip")
     ]:

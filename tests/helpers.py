@@ -4,11 +4,14 @@ The oracles here re-derive schedule figures from first principles (plain
 forward sweeps and scans over chains, exactly rounded sums) and stay
 independent of the package's elaboration path; property tests compare the
 two.
-``assert_fully_elaborated`` instead checks a state re-timed in part against
-the package's own full elaboration, and ``assert_prefixes_shared`` checks
-which task objects a splice copied. ``disruption_oracle`` builds the
-disrupted state with a full elaboration of a raw copy, and
-``assert_disrupted`` checks ``inject_disruption`` against it.
+``naive_elaborate`` fills every derived field by the same plain sweeps, and
+``derived`` and ``holder`` read a task's figures and resource off the
+arrays and chains. ``assert_fully_elaborated`` instead checks a state
+re-timed in part against the package's own full elaboration, and
+``assert_prefixes_shared`` checks what a splice shares with its input.
+``disruption_oracle`` builds the disrupted state from a raw copy with
+``naive_elaborate``, and ``assert_disrupted`` checks ``inject_disruption``
+against it.
 ``quantize_oracle`` and ``sarsa_two_pass`` are the plain forms of
 ``quantize`` and ``QStore.sarsa_update`` that the fast ones must match bit
 for bit, and ``DictQStore`` is ``QStore`` as plain dicts keyed by ``QKey``;
@@ -77,6 +80,66 @@ def naive_holders(state: ScheduleState) -> dict[str, int]:
     return {tid: i for i, r in enumerate(state.resources) for tid in r.task_chain}
 
 
+def naive_elaborate(state: ScheduleState) -> ScheduleState:
+    """Elaboration oracle: a deep copy of ``state`` with every derived field
+    filled by a plain forward sweep of each chain (``naive_timing``), its
+    running partials summed left to right, the aggregates summed over the
+    chains' last partials in resource order, and the focal's resource
+    index found by a chain scan. The sums run in the package's order, so
+    its floats must match bit for bit."""
+    s = state.clone()
+    timing = naive_timing(s)
+    for r in s.resources:
+        r.starts, r.finishes = [], []
+        r.run_tardiness, r.run_max_tardiness, r.run_wip = [], [], []
+        total = max_t = wip = 0.0
+        for tid in r.task_chain:
+            v = timing[tid]
+            if v["tardiness"] > 0.0:
+                total += v["tardiness"]
+                max_t = max(max_t, v["tardiness"])
+            wip += v["duration"]
+            r.starts.append(v["start"])
+            r.finishes.append(v["finish"])
+            r.run_tardiness.append(total)
+            r.run_max_tardiness.append(max_t)
+            r.run_wip.append(wip)
+    s.total_tardiness = s.max_tardiness = s.total_wip = 0.0
+    for r in s.resources:
+        if r.task_chain:
+            s.total_tardiness += r.run_tardiness[-1]
+            s.max_tardiness = max(s.max_tardiness, r.run_max_tardiness[-1])
+            s.total_wip += r.run_wip[-1]
+    s.focal_index = naive_holders(s).get(s.focal_task)
+    return s
+
+
+def derived(state: ScheduleState) -> dict[str, SimpleNamespace]:
+    """Each chained task's derived figures, read off its resource's arrays:
+    ``start``, ``finish``, ``duration`` (quantity over the resource's rate,
+    the division ``_retime`` makes), ``resource_index`` and the running
+    partials ``run_tardiness``, ``run_max_tardiness`` and ``run_wip``."""
+    out = {}
+    for i, r in enumerate(state.resources):
+        for slot, tid in enumerate(r.task_chain):
+            t = state.tasks[tid]
+            out[tid] = SimpleNamespace(
+                start=r.starts[slot],
+                finish=r.finishes[slot],
+                duration=t.quantity / r.rates[t.product],
+                resource_index=i,
+                run_tardiness=r.run_tardiness[slot],
+                run_max_tardiness=r.run_max_tardiness[slot],
+                run_wip=r.run_wip[slot],
+            )
+    return out
+
+
+def holder(state: ScheduleState, task_id: str) -> Resource:
+    """The resource whose chain holds ``task_id``, by a chain scan."""
+    return state.resources[naive_holders(state)[task_id]]
+
+
 def _assert_sums(holder: object, timing: list[dict[str, float]]) -> None:
     """``holder``'s total tardiness and WIP are within 1e-12 relative of
     ``math.fsum`` over ``timing``, and its max tardiness is the largest
@@ -92,46 +155,41 @@ def _assert_sums(holder: object, timing: list[dict[str, float]]) -> None:
 
 
 def assert_matches_oracles(state: ScheduleState) -> None:
-    """Each task's ``resource_index`` is its holder by a chain scan, and the
+    """``focal_index`` is the focal's holder by a chain scan, and the
     tardiness and WIP figures of the state match exact sums over its tasks'
-    forward-sweep timing. Each chain's ``starts`` are the sweep's starts
-    exactly, and each task's running partials match exact sums over its
-    chain's slots up to and including it, so a chain's last task carries
+    forward-sweep timing. Each chain's starts and finishes are the sweep's
+    exactly, and each slot's running partials match exact sums over its
+    chain's slots up to and including it, so a chain's last slot carries
     the chain's figures."""
-    assert {tid: t.resource_index for tid, t in state.tasks.items()} == naive_holders(state)
+    assert state.focal_index == naive_holders(state).get(state.focal_task)
     timing = naive_timing(state)
     for r in state.resources:
         chain = [timing[tid] for tid in r.task_chain]
         assert r.starts == [v["start"] for v in chain], r.id
-        for slot, tid in enumerate(r.task_chain):
-            t = state.tasks[tid]
+        assert r.finishes == [v["finish"] for v in chain], r.id
+        for slot in range(len(chain)):
             running = SimpleNamespace(
-                total_tardiness=t.run_tardiness,
-                max_tardiness=t.run_max_tardiness,
-                total_wip=t.run_wip,
+                total_tardiness=r.run_tardiness[slot],
+                max_tardiness=r.run_max_tardiness[slot],
+                total_wip=r.run_wip[slot],
             )
             _assert_sums(running, chain[: slot + 1])
     _assert_sums(state, list(timing.values()))
 
 
 AGGREGATES = ("total_tardiness", "max_tardiness", "avg_tardiness", "total_wip", "task_number")
-RUNNING = ("run_tardiness", "run_max_tardiness", "run_wip")
+ARRAYS = ("starts", "finishes", "run_tardiness", "run_max_tardiness", "run_wip")
 
 
 def assert_fully_elaborated(state: ScheduleState) -> None:
     """Every derived field equals a full re-elaboration's, floats bit for
-    bit: task timing, resource index and running partials, resource starts,
-    aggregates."""
+    bit: each resource's arrays, the focal index and the aggregates."""
     fresh = elaborate(state)
     assert list(state.tasks) == list(fresh.tasks)
-    for tid, t in state.tasks.items():
-        f = fresh.tasks[tid]
-        assert (t.start, t.duration, t.finish) == (f.start, f.duration, f.finish), tid
-        assert t.resource_index == f.resource_index, tid
-        for attr in RUNNING:
-            assert getattr(t, attr) == getattr(f, attr), (tid, attr)
     for r, f in zip(state.resources, fresh.resources, strict=True):
-        assert r.starts == f.starts, r.id
+        for attr in ARRAYS:
+            assert getattr(r, attr) == getattr(f, attr), (r.id, attr)
+    assert state.focal_index == fresh.focal_index
     for attr in AGGREGATES:
         assert getattr(state, attr) == getattr(fresh, attr), attr
 
@@ -145,43 +203,46 @@ def first_changed_slot(old: list[str], new: list[str]) -> int:
 
 
 def assert_prefixes_shared(before: ScheduleState, after: ScheduleState) -> int:
-    """``after`` is fully elaborated and shares with ``before`` every chain
-    it left alone, with its tasks. Each changed chain shares the tasks of
-    its unchanged prefix and holds new objects from its first changed slot
-    on. Returns the number of changed chains."""
+    """``after`` is fully elaborated, holds ``before``'s task dict itself,
+    and shares with ``before`` every resource whose chain it left alone.
+    Each changed chain is a new resource whose arrays keep the old values
+    up to its first changed slot. Returns the number of changed chains."""
     assert_fully_elaborated(after)
+    assert after.tasks is before.tasks
     changed = 0
     for old, new in zip(before.resources, after.resources):
         if new.task_chain == old.task_chain:
             assert new is old
-            assert all(after.tasks[tid] is before.tasks[tid] for tid in new.task_chain)
             continue
+        assert new is not old
         changed += 1
         first = first_changed_slot(old.task_chain, new.task_chain)
-        for tid in new.task_chain[:first]:
-            assert after.tasks[tid] is before.tasks[tid], tid
-        for tid in new.task_chain[first:]:
-            assert after.tasks[tid] is not before.tasks.get(tid), tid
+        for attr in ARRAYS:
+            assert getattr(new, attr)[:first] == getattr(old, attr)[:first], (new.id, attr)
     return changed
 
 
 def disruption_oracle(instance: Instance) -> ScheduleState:
-    """The disrupted state built without ``inject_disruption``: on a deep copy
-    of the plant, flag the chain heads started before the arrival, append the
-    order to the capable chain that ends first, make it the focal task,
-    elaborate in full, then record the pre-disruption tardiness."""
+    """The disrupted state built without ``inject_disruption`` and without the
+    package's timing: on a deep copy of the plant, flag the chain heads
+    started before the arrival by a forward sweep and record their starts,
+    append the order to the capable chain that the sweep ends first, make it
+    the focal task, fill in every derived field with ``naive_elaborate``,
+    then record the pre-disruption tardiness."""
     raw = instance.state.clone()
     order = instance.order
+    timing = naive_timing(raw)
     capable = [r for r in raw.resources if order.product in r.rates]
-    ends = [raw.tasks[r.task_chain[-1]].finish if r.task_chain else r.release_time
+    ends = [timing[r.task_chain[-1]]["finish"] if r.task_chain else r.release_time
             for r in capable]
     for r in raw.resources:
-        if r.task_chain and raw.tasks[r.task_chain[0]].start < instance.arrival_h:
-            raw.tasks[r.task_chain[0]].executing = True
+        if r.task_chain and timing[r.task_chain[0]]["start"] < instance.arrival_h:
+            head = raw.tasks[r.task_chain[0]]
+            head.executing, head.start = True, timing[head.id]["start"]
     capable[ends.index(min(ends))].task_chain.append(order.id)
     raw.tasks[order.id] = order
     raw.focal_task = order.id
-    s = elaborate(raw)
+    s = naive_elaborate(raw)
     s.init_tardiness = instance.state.total_tardiness
     return s
 
@@ -196,20 +257,23 @@ def assert_disrupted(instance: Instance, s: ScheduleState) -> None:
         assert vars(t) == vars(oracle.tasks[tid]), tid
     for r, o in zip(s.resources, oracle.resources, strict=True):
         assert vars(r) == vars(o), r.id
-    for attr in (*AGGREGATES, "init_tardiness", "focal_task"):
+    for attr in (*AGGREGATES, "init_tardiness", "focal_task", "focal_index"):
         assert getattr(s, attr) == getattr(oracle, attr), attr
 
     base = instance.state
+    timing = naive_timing(base)
     new = {instance.order.id}
     new.update(
         r.task_chain[0] for r in base.resources
-        if r.task_chain and base.tasks[r.task_chain[0]].start < instance.arrival_h
+        if r.task_chain and timing[r.task_chain[0]]["start"] < instance.arrival_h
     )
-    target = s.resource_of(instance.order.id)
+    target = holder(s, instance.order.id)
     for r, old in zip(s.resources, base.resources):
         assert (r is old) == (r is not target), r.id
+    assert s.tasks is not base.tasks
     for tid, t in s.tasks.items():
         assert (t is base.tasks.get(tid)) == (tid not in new), tid
+    assert s.tasks[instance.order.id] is not instance.order
 
 
 class FrozenTask(Task):
@@ -365,7 +429,7 @@ def plain_episode(
         steps.append(
             StepRecord(
                 operator=op,
-                source_resource=state.resource_of(op.focal).id,
+                source_resource=holder(state, op.focal).id,
                 tardiness_before=state.total_tardiness,
                 tardiness_after=nxt.total_tardiness,
                 reward=gain,

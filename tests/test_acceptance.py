@@ -20,7 +20,7 @@ from reskit.rl import Hyperparams, QKey, QStore
 from reskit.schedule import Resource, ScheduleState, Task, elaborate, validate
 from reskit.stategraph import StateSignature
 
-from helpers import naive_aggregates, random_state
+from helpers import derived, holder, naive_aggregates, random_state
 
 TOL = 1e-9
 
@@ -92,9 +92,9 @@ def test_criterion_2_operator_soundness():
                     (t.id, t.quantity, t.product, t.due_date) for t in state.tasks.values()
                 )
                 assert validate(out) == []
-                moved = out.tasks[op.focal]
-                rate = out.resource_of(op.focal).rates[moved.product]
-                assert abs(moved.duration * rate - moved.quantity) <= TOL
+                moved, slot = out.tasks[op.focal], derived(out)[op.focal]
+                rate = holder(out, op.focal).rates[moved.product]
+                assert abs((slot.finish - slot.start) * rate - moved.quantity) <= TOL
                 pairs += 1
             state = apply(state, ops[rng.randrange(len(ops))])
     elapsed = time.perf_counter() - started

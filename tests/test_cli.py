@@ -721,6 +721,35 @@ def test_repair_that_cannot_draw_writes_no_file(instance_path, tmp_path, capsys,
     assert not any(path.exists() for path in outputs)
 
 
+def test_train_that_cannot_build_its_report_writes_no_file(
+    instance_path, tmp_path, capsys, monkeypatch
+):
+    # train builds the store's text and the report's before it writes
+    # either: a report that fails once the store is built leaves no store
+    # behind, and files already there keep their bytes. The failure is forced
+    built = []
+
+    def failing_report(data):
+        built.append(data)
+        raise InvalidConfig("report cannot be built")
+
+    monkeypatch.setattr(cli, "json_text", failing_report)
+    q, report = tmp_path / "q.txt", tmp_path / "report.json"
+    train = ["train", "--instance", instance_path, "--qstore", str(q), "--report", str(report)]
+    for old in (None, b"old store\n"):
+        if old is not None:
+            q.write_bytes(old)
+            report.write_bytes(old + b"report\n")
+        built.clear()
+        assert main([*train, "--episodes", "2", "--seed", "7"]) == 1
+        assert capsys.readouterr().err == "error: report cannot be built\n"
+        assert len(built) == 1 and built[0]["q_entries"] > 0
+        if old is None:
+            assert not q.exists() and not report.exists()
+        else:
+            assert (q.read_bytes(), report.read_bytes()) == (old, old + b"report\n")
+
+
 # sha256 of the seed-7 artifacts. Any byte drift in generation, training,
 # repair or evaluation shows here. inst.json and trace.json are as the
 # engine wrote them before the triples graph and the unread state fields

@@ -47,9 +47,9 @@ def test_no_proposals_outcome(monkeypatch):
         ScheduleState(
             resources=[Resource(id="r1", rates={"A": 1.0}, task_chain=["t1"])],
             tasks={"t1": t},
+            focal_task="t1",
         )
     )
-    s.focal_task = "t1"
     s.init_tardiness = 0.0  # tardy single task, nothing to repair with
     # the episode ends there with no pick, so the state is not signed
     signed = []
@@ -156,8 +156,7 @@ def test_train_runs_twenty_episodes():
 def test_train_zero_tardiness_instance_learns_nothing():
     r = Resource(id="r1", rates={"A": 10.0}, task_chain=["t1"])
     t = Task(id="t1", name="Task1", product="A", quantity=10.0, due_date=100.0)
-    s = elaborate(ScheduleState(resources=[r], tasks={"t1": t}))
-    s.focal_task = "t1"
+    s = elaborate(ScheduleState(resources=[r], tasks={"t1": t}, focal_task="t1"))
     s.init_tardiness = s.total_tardiness
     store = QStore()
     results = train(s, store, 5, EpisodeConfig(seed=1))

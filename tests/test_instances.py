@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from helpers import AGGREGATES, assert_disrupted, assert_fully_elaborated, frozen
+from helpers import AGGREGATES, assert_disrupted, assert_fully_elaborated, frozen, holder
 from reskit import instances, schedule
 from reskit.errors import InfeasibleSpec, InstanceFormatError
 from reskit.instances import (
@@ -122,9 +122,10 @@ def test_inject_disruption_snapshots_and_focal():
     assert s.tasks[inst.order.id].name == inst.order.name
     assert validate(s) == []
     # appended at the end of some capable resource
-    holder = s.resource_of(inst.order.id)
-    assert holder.task_chain[-1] == inst.order.id
-    assert inst.order.product in holder.rates
+    target = holder(s, inst.order.id)
+    assert target.task_chain[-1] == inst.order.id
+    assert inst.order.product in target.rates
+    assert s.resources[s.focal_index] is target
 
 
 def test_inject_flags_executing_heads():
@@ -136,8 +137,8 @@ def test_inject_flags_executing_heads():
         if not chain:
             continue
         head = s.tasks[chain[0]]
-        if head.start < 2.0:
-            assert head.executing
+        if r.starts[0] < 2.0:
+            assert head.executing and head.start == r.starts[0]
         for tid in chain[1:]:
             assert not s.tasks[tid].executing
 

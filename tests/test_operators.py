@@ -26,8 +26,11 @@ from helpers import (
     assert_fully_elaborated,
     assert_matches_oracles,
     assert_prefixes_shared,
+    derived,
     first_changed_slot,
     frozen,
+    holder,
+    naive_holders,
     naive_timing,
     random_state,
 )
@@ -57,9 +60,9 @@ def test_propose_no_auxiliary():
         ScheduleState(
             resources=[Resource(id="r1", rates={"A": 10.0}, task_chain=["f"])],
             tasks={"f": mk("f", "A", 10.0, 5.0)},
+            focal_task="f",
         )
     )
-    s.focal_task = "f"
     assert propose(s) == []
 
 
@@ -78,9 +81,9 @@ def test_propose_up_right_jump_to_earlier_resource():
                 Resource(id="r2", rates={"A": 10.0}, task_chain=["f"]),
             ],
             tasks={"x": mk("x", "B", 10.0, 20.0), "f": mk("f", "A", 10.0, 20.0)},
+            focal_task="f",
         )
     )
-    s.focal_task = "f"
     ops = propose(s)
     assert RepairOperator(OperatorKind.UP_RIGHT_JUMP, "f", "x", "r1") in ops
     # r2 cannot process B, so no swap with x
@@ -92,15 +95,16 @@ def oracle_enumerate(state):
     focal = state.tasks[state.focal_task]
     focal_res = next(r for r in state.resources if focal.id in r.task_chain)
     fi = state.resources.index(focal_res)
+    start = {tid: t.start for tid, t in derived(state).items()}
     matches = []
     if focal.executing:
         return []
     for ri, r in enumerate(state.resources):
         for tid in r.task_chain:
             aux = state.tasks[tid]
-            if aux.id == focal.id or aux.executing or aux.start == focal.start:
+            if aux.id == focal.id or aux.executing or start[tid] == start[focal.id]:
                 continue
-            horiz = "right" if aux.start > focal.start else "left"
+            horiz = "right" if start[tid] > start[focal.id] else "left"
             if ri == fi:
                 matches.append(("same", horiz, "jump", tid, r.id))
             else:
@@ -113,7 +117,7 @@ def oracle_enumerate(state):
         RepairOperator(OperatorKind(f"{v}-{h}-{a}"), focal.id, tid, rid)
         for v, h, a, tid, rid in matches
     ]
-    ops.sort(key=lambda op: (abs(state.tasks[op.aux].start - focal.start), op.aux, op.kind.value))
+    ops.sort(key=lambda op: (abs(start[op.aux] - start[focal.id]), op.aux, op.kind.value))
     return ops
 
 
@@ -131,8 +135,7 @@ def busy_state():
         ("c1", 25.0), ("c2", 20.0), ("c3", 35.0),
     ):
         tasks[tid] = mk(tid, "A" if tid[0] in "af" else "B", qty, 50.0)
-    s = elaborate(ScheduleState(resources=resources, tasks=tasks))
-    s.focal_task = "f"
+    s = elaborate(ScheduleState(resources=resources, tasks=tasks, focal_task="f"))
     return s
 
 
@@ -187,11 +190,11 @@ def test_propose_orders_equal_distances_by_id():
         for r in resources
         for tid in r.task_chain
     }
-    s = elaborate(ScheduleState(resources=resources, tasks=tasks))
-    s.focal_task = "f"
-    starts = [s.tasks[tid].start for tid in resources[1].task_chain]
+    s = elaborate(ScheduleState(resources=resources, tasks=tasks, focal_task="f"))
+    starts = s.resources[1].starts
     assert len(set(starts)) == 2 and starts == sorted(starts)
-    assert s.tasks["s2"].start == s.tasks["s1"].start > s.tasks["f"].start
+    timing = derived(s)
+    assert timing["s2"].start == timing["s1"].start > timing["f"].start
     raw = oracle_enumerate(s)
     assert len(raw) > PROPOSAL_CAP
     assert [op.aux for op in raw[:4]] == ["t3", "t3", "t4", "t4"]
@@ -224,7 +227,8 @@ def test_propose_orders_equal_distance_runs_next_to_the_focal_by_id():
         for tid in r.task_chain
     }
     s = elaborate(ScheduleState(resources=resources, tasks=tasks, focal_task="f"))
-    assert s.tasks["s3"].start == s.tasks["s1"].start == s.tasks["s2"].start
+    timing = derived(s)
+    assert timing["s3"].start == timing["s1"].start == timing["s2"].start
     raw = oracle_enumerate(s)
     assert list(dict.fromkeys(op.aux for op in raw)) == ["s1", "s2", "s3", "u1", "u2", "u3"]
     for cap in range(len(raw) + 2):
@@ -317,8 +321,9 @@ def test_propose_cap_sweep_matches_the_oracle():
         for cap in range(-1, 13):
             assert propose(s, cap) == raw[: max(cap, 0)]
             splits += 0 < cap < len(raw) and raw[cap - 1].aux == raw[cap].aux
-        at = s.tasks[s.focal_task].start
-        auxes = [s.tasks[tid] for tid in dict.fromkeys(op.aux for op in raw)]
+        timing = derived(s)
+        at = timing[s.focal_task].start
+        auxes = [timing[tid] for tid in dict.fromkeys(op.aux for op in raw)]
         for a, b in zip(auxes, auxes[1:]):
             if abs(a.start - at) == abs(b.start - at):
                 ties += 1
@@ -347,6 +352,7 @@ def test_propose_pairs_nothing_for_an_executing_focal(monkeypatch):
     assert propose(s) == [] and propose(s, cap=10_000) == []
     assert calls == []
     s.focal_task = "a1"  # the counter sees the calls of a focal that can move
+    s = elaborate(s)
     assert propose(s) == oracle_enumerate(s) != []
     assert calls
 
@@ -365,8 +371,7 @@ def fig2_state():
         "a": mk("a", "A", 24.0, 30.0),
         "b": mk("b", "A", 8.0, 30.0),
     }
-    s = elaborate(ScheduleState(resources=resources, tasks=tasks))
-    s.focal_task = "f"
+    s = elaborate(ScheduleState(resources=resources, tasks=tasks, focal_task="f"))
     return s
 
 
@@ -377,8 +382,9 @@ def test_apply_down_right_jump_splice():
     out = apply(s, op)
     assert out.resources[0].task_chain == ["p", "q"]
     assert out.resources[1].task_chain == ["a", "f", "b"]
-    # duration recomputed from the target resource's rate
-    assert out.tasks["f"].duration == pytest.approx(16.0 / 8.0, abs=TOL)
+    # timed at the target resource's rate
+    f = derived(out)["f"]
+    assert f.finish - f.start == pytest.approx(16.0 / 8.0, abs=TOL)
     assert validate(out) == []
 
 
@@ -393,8 +399,7 @@ def test_jump_then_mirror_jump_restores_chains():
         "f": mk("f", "A", 10.0, 30.0),
         "g": mk("g", "A", 10.0, 30.0),
     }
-    s = elaborate(ScheduleState(resources=resources, tasks=tasks))
-    s.focal_task = "f"
+    s = elaborate(ScheduleState(resources=resources, tasks=tasks, focal_task="f"))
     up = RepairOperator(OperatorKind.UP_RIGHT_JUMP, "f", "x", "r1")
     mid = apply(s, up)
     assert mid.resources[0].task_chain == ["x", "f"]
@@ -416,15 +421,15 @@ def test_apply_down_left_swap_exchanges_slots():
         "t7": mk("t7", "B", 10.0, 30.0, name="Task7"),
         "t8": mk("t8", "B", 10.0, 30.0),
     }
-    s = elaborate(ScheduleState(resources=resources, tasks=tasks))
-    s.focal_task = "f"
+    s = elaborate(ScheduleState(resources=resources, tasks=tasks, focal_task="f"))
     op = RepairOperator(OperatorKind.DOWN_LEFT_SWAP, "f", "t7", "r3")
     assert op in propose(s, cap=10_000)
     out = apply(s, op)
     assert out.resources[0].task_chain == ["t7", "z"]
     assert out.resources[1].task_chain == ["f", "t8"]
-    assert out.tasks["f"].duration == pytest.approx(20.0 / 5.0, abs=TOL)
-    assert out.tasks["t7"].duration == pytest.approx(10.0 / 10.0, abs=TOL)
+    timing = derived(out)
+    assert timing["f"].finish - timing["f"].start == pytest.approx(20.0 / 5.0, abs=TOL)
+    assert timing["t7"].finish - timing["t7"].start == pytest.approx(10.0 / 10.0, abs=TOL)
     assert validate(out) == []
 
 
@@ -435,8 +440,7 @@ def test_same_resource_jumps():
         "f": mk("f", "A", 10.0, 30.0),
         "v": mk("v", "A", 10.0, 30.0),
     }
-    s = elaborate(ScheduleState(resources=resources, tasks=tasks))
-    s.focal_task = "f"
+    s = elaborate(ScheduleState(resources=resources, tasks=tasks, focal_task="f"))
     left = RepairOperator(OperatorKind.SAME_LEFT_JUMP, "f", "u", "r1")
     right = RepairOperator(OperatorKind.SAME_RIGHT_JUMP, "f", "v", "r1")
     assert apply(s, left).resources[0].task_chain == ["f", "u", "v"]
@@ -533,16 +537,18 @@ def test_apply_properties_on_random_instances():
             out = apply(s, op)  # soundness: must not raise
             assert multiset(out) == multiset(s)
             assert validate(out) == []
-            moved = out.tasks[op.focal]
-            rate = out.resource_of(op.focal).rates[moved.product]
-            assert abs(moved.duration * rate - moved.quantity) < TOL
+            timing, before = derived(out), derived(s)
+            moved, slot = out.tasks[op.focal], timing[op.focal]
+            rate = holder(out, op.focal).rates[moved.product]
+            assert abs((slot.finish - slot.start) * rate - moved.quantity) < TOL
             if op.kind.action == "swap":
-                aux = out.tasks[op.aux]
-                aux_rate = out.resource_of(op.aux).rates[aux.product]
-                assert abs(aux.duration * aux_rate - aux.quantity) < TOL
+                aux, slot = out.tasks[op.aux], timing[op.aux]
+                aux_rate = holder(out, op.aux).rates[aux.product]
+                assert abs((slot.finish - slot.start) * aux_rate - aux.quantity) < TOL
             for t in out.tasks.values():
                 if t.executing:
-                    assert t.start == s.tasks[t.id].start
+                    assert timing[t.id].start == before[t.id].start == t.start
+                    assert timing[t.id].resource_index == before[t.id].resource_index
             checked += 1
     assert checked > 100
 
@@ -580,7 +586,7 @@ def test_apply_equals_full_elaboration_and_leaves_input_alone():
             out = apply(s, op)
             # only the spliced chains get new objects, and of those only the
             # tasks from their first changed slot on
-            spliced = {out.resource_of(op.focal).id, s.resource_of(op.focal).id}
+            spliced = {holder(out, op.focal).id, holder(s, op.focal).id}
             assert assert_prefixes_shared(s, out) == len(spliced)
             checked += 1
         assert s == before
@@ -699,3 +705,51 @@ def test_steps_match_independent_oracles():
             across += op.kind.vertical != "same"  # two chains spliced
     assert steps > 1500
     assert across > 600
+
+
+def walk_starts():
+    """Random small states with a focal and some executing heads, then
+    fresh orders on generated plants from 15 x 3 up to 2 000 x 40."""
+    rng = Random(53)
+    for _ in range(80):
+        raw = random_state(rng, max_resources=4, max_tasks=12)
+        if not raw.tasks:
+            continue
+        for r in raw.resources:
+            if r.task_chain and rng.random() < 0.3:
+                head = raw.tasks[r.task_chain[0]]
+                head.executing, head.start = True, round(rng.uniform(0.0, 5.0), 1)
+        raw.focal_task = rng.choice(sorted(raw.tasks))
+        yield elaborate(raw), 10
+    for seed, (tasks, resources) in enumerate([(15, 3), (60, 5), (200, 10), (500, 20), (2000, 40)]):
+        spec = InstanceSpec(seed=1100 + seed, task_count=tasks, resource_count=resources)
+        inst = generate_instance(spec)
+        for _ in range(2):
+            yield inject_disruption(sample_disruption(inst, rng)), 12
+
+
+def test_random_walks_keep_a_full_elaboration_and_share_the_rest():
+    # at every step of a random walk over propose's operators, the arrays,
+    # the focal index and the aggregates equal elaborate's exactly, the
+    # step holds its parent's task dict itself, and every resource apply
+    # did not splice is its parent's
+    rng = Random(59)
+    steps = large = 0
+    for s, length in walk_starts():
+        for _ in range(length):
+            ops = propose(s)
+            if not ops:
+                break
+            op = ops[rng.randrange(len(ops))]
+            nxt = apply(s, op)
+            assert_fully_elaborated(nxt)
+            assert nxt.focal_index == naive_holders(nxt)[op.focal]
+            assert nxt.tasks is s.tasks
+            spliced = {s.focal_index, [r.id for r in s.resources].index(op.target_resource)}
+            for i, (r, old) in enumerate(zip(nxt.resources, s.resources)):
+                assert (r is old) == (i not in spliced), r.id
+            steps += 1
+            large += len(s.tasks) > 1000
+            s = nxt
+    assert steps == 700
+    assert large == 24

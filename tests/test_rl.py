@@ -302,9 +302,7 @@ def selection_state():
         "f": Task(id="f", name="TaskF", product="A", quantity=10.0, due_date=30.0),
         "c1": Task(id="c1", name="TaskC1", product="A", quantity=10.0, due_date=30.0),
     }
-    s = elaborate(ScheduleState(resources=resources, tasks=tasks))
-    s.focal_task = "f"
-    return s
+    return elaborate(ScheduleState(resources=resources, tasks=tasks, focal_task="f"))
 
 
 def test_select_pure_argmax():

@@ -28,7 +28,6 @@ from reskit.schedule import (
     _copy_task,
     _splice,
     elaborate,
-    task_tardiness,
     validate,
 )
 
@@ -36,6 +35,7 @@ from helpers import (
     PRODUCTS,
     assert_disrupted,
     assert_prefixes_shared,
+    derived,
     first_changed_slot,
     frozen,
     naive_aggregates,
@@ -49,17 +49,16 @@ TOL = 1e-9
 
 def test_two_task_chain_timing():
     s = elaborate(two_task_state())
-    t1, t2 = s.tasks["t1"], s.tasks["t2"]
+    r = s.resources[0]
     oracle = naive_timing(two_task_state())
-    assert (t1.duration, t2.duration) == (2.0, 3.0)
-    assert (t1.start, t2.start) == (0.0, 2.0)
-    assert (t1.finish, t2.finish) == (2.0, 5.0)
-    assert task_tardiness(t1) == 1.0
-    assert task_tardiness(t2) == 0.0
+    assert (r.starts, r.finishes) == ([0.0, 2.0], [2.0, 5.0])
+    assert (r.run_tardiness, r.run_max_tardiness, r.run_wip) == ([1.0, 1.0], [1.0, 1.0], [2.0, 5.0])
     assert s.total_tardiness == 1.0
+    timing = derived(s)
+    assert (timing["t1"].duration, timing["t2"].duration) == (2.0, 3.0)
     for tid in ("t1", "t2"):
-        assert s.tasks[tid].start == pytest.approx(oracle[tid]["start"], abs=TOL)
-        assert s.tasks[tid].finish == pytest.approx(oracle[tid]["finish"], abs=TOL)
+        assert timing[tid].start == pytest.approx(oracle[tid]["start"], abs=TOL)
+        assert timing[tid].finish == pytest.approx(oracle[tid]["finish"], abs=TOL)
 
 
 def test_empty_schedule_zeroes():
@@ -89,7 +88,7 @@ def test_avg_tardiness_identity():
     assert abs(s.avg_tardiness * s.task_number - s.total_tardiness) < TOL
     # both are read off ``tasks``, so they follow an inserted order and a splice
     disrupted = inject_disruption(Instance(s, order(id="t17", due=0.0)))
-    spliced = _splice(disrupted, {0: (["t17", *chain], 0)})
+    spliced = _splice(disrupted, {0: (["t17", *chain], 0)}, 0)
     for out in (disrupted, spliced):
         assert out.task_number == len(out.tasks) == 17
         assert out.avg_tardiness == out.total_tardiness / 17
@@ -99,13 +98,17 @@ def test_avg_tardiness_identity():
             setattr(spliced, attr, 0)
 
 
-def test_task_tardiness_formula():
-    t = Task(id="t", name="t", product="A", quantity=1.0, due_date=4.0, finish=5.0)
-    assert task_tardiness(t) == 1.0
-    t.due_date, t.finish = 10.0, 3.0
-    assert task_tardiness(t) == 0.0
-    t.due_date = t.finish = 7.0
-    assert task_tardiness(t) == 0.0
+def test_slot_tardiness_formula():
+    # a slot is max(0, finish - due) late: 5 h against due 4 h, 3 h against
+    # 10 h and 7 h against 7 h, each the only task at 1 kg/h
+    for quantity, due, late in ((5.0, 4.0, 1.0), (3.0, 10.0, 0.0), (7.0, 7.0, 0.0)):
+        t = Task(id="t", name="t", product="A", quantity=quantity, due_date=due)
+        r = Resource(id="r1", rates={"A": 1.0}, task_chain=["t"])
+        s = elaborate(ScheduleState(resources=[r], tasks={"t": t}))
+        r = s.resources[0]
+        assert r.finishes == [quantity]
+        assert r.run_tardiness == r.run_max_tardiness == [late]
+        assert s.total_tardiness == s.max_tardiness == late
 
 
 def test_elaborate_idempotent():
@@ -159,8 +162,8 @@ def test_insert_order_into_empty_resource():
     )
     s = inject_disruption(Instance(base, order(), arrival_h=2.0))
     assert s.resources[0].task_chain == ["t9"]
-    assert s.focal_task == "t9"
-    assert s.tasks["t9"].start == 1.5
+    assert s.focal_task == "t9" and s.focal_index == 0
+    assert s.resources[0].starts == [1.5]
     assert not s.tasks["t9"].executing
     assert s.init_tardiness == 0.0
 
@@ -170,9 +173,10 @@ def test_insert_order_at_end_keeps_upstream_timing():
     before = naive_timing(base)
     s = inject_disruption(Instance(base, order()))
     assert s.resources[0].task_chain == ["t1", "t2", "t9"]
+    timing = derived(s)
     for tid in ("t1", "t2"):
-        assert s.tasks[tid].start == pytest.approx(before[tid]["start"], abs=TOL)
-        assert s.tasks[tid].finish == pytest.approx(before[tid]["finish"], abs=TOL)
+        assert timing[tid].start == pytest.approx(before[tid]["start"], abs=TOL)
+        assert timing[tid].finish == pytest.approx(before[tid]["finish"], abs=TOL)
     assert s.init_tardiness == 1.0  # the pre-insertion total
 
 
@@ -195,6 +199,8 @@ def test_elaborate_shares_nothing_with_its_input():
     for r in out.resources:
         r.rates["Z"] = 1.0
         r.task_chain.reverse()
+        for values in (r.starts, r.finishes, r.run_tardiness, r.run_max_tardiness, r.run_wip):
+            values.append(-1.0)
     assert base == snapshot
 
 
@@ -226,7 +232,7 @@ def test_splice_takes_any_edit_with_its_first_changed_slots():
             for i, (r, chain) in enumerate(zip(base.resources, chains))
             if chain != r.task_chain
         }
-        out = _splice(base, edits)
+        out = _splice(base, edits, base.focal_index)
         assert assert_prefixes_shared(base, out) == len(edits)
         assert out.focal_task == base.focal_task
         assert base == snapshot
@@ -309,14 +315,15 @@ def split_state() -> ScheduleState:
     return elaborate(s)
 
 
-def test_validate_flags_a_stale_resource_index():
+def test_validate_flags_a_stale_focal_index():
     s = split_state()
-    assert [s.tasks[tid].resource_index for tid in ("t1", "t2")] == [0, 1]
-    assert s.resource_of("t2") is s.resources[1]
+    s.focal_task = "t2"
+    s = elaborate(s)
+    assert s.focal_index == 1 and s.resources[s.focal_index].task_chain == ["t2"]
     for stale_index in (0, None, 2):
         stale = s.clone()
-        stale.tasks["t2"].resource_index = stale_index
-        assert [(v.code, v.subject) for v in validate(stale)] == [("StaleResourceIndex", "t2")]
+        stale.focal_index = stale_index
+        assert [(v.code, v.subject) for v in validate(stale)] == [("StaleFocalIndex", "t2")]
 
 
 def test_validate_flags_stale_starts():
@@ -325,35 +332,62 @@ def test_validate_flags_stale_starts():
     for starts in ([0.5], [], [0.0, 2.0], [math.nan]):
         stale = s.clone()
         stale.resources[0].starts = starts
-        assert [(v.code, v.subject) for v in validate(stale)] == [("StaleStarts", "r1")]
+        hits = [(v.code, v.subject, v.detail.split()[0]) for v in validate(stale)]
+        assert hits == [("StaleTiming", "r1", "starts")]
 
 
 def test_validate_flags_a_stale_running_partial():
     s = split_state()
     # t1 finishes at 2 h, due 1 h; t2 on r2 finishes at 3 h, due 10 h
     assert [
-        (t.run_tardiness, t.run_max_tardiness, t.run_wip) for t in s.tasks.values()
-    ] == [(1.0, 1.0, 2.0), (0.0, 0.0, 3.0)]
-    for tid, attr, value in [
-        ("t1", "run_tardiness", 0.0),
-        ("t2", "run_max_tardiness", 1.0),
-        ("t2", "run_wip", 3.0 + 1e-6),
+        (r.finishes, r.run_tardiness, r.run_max_tardiness, r.run_wip) for r in s.resources
+    ] == [([2.0], [1.0], [1.0], [2.0]), ([3.0], [0.0], [0.0], [3.0])]
+    for i, attr, value in [
+        (0, "run_tardiness", [0.0]),
+        (1, "run_max_tardiness", [1.0]),
+        (1, "run_wip", [3.0 + 1e-6]),
+        (0, "finishes", [2.0, 2.0]),
     ]:
         stale = s.clone()
-        setattr(stale.tasks[tid], attr, value)
+        setattr(stale.resources[i], attr, value)
         hits = [(v.code, v.subject, v.detail.split()[0]) for v in validate(stale)]
-        assert hits == [("StaleTiming", tid, attr)]
+        assert hits == [("StaleTiming", s.resources[i].id, attr)]
     within = s.clone()
-    within.tasks["t1"].run_wip += 1e-12  # inside AGG_TOL, as for the other sums
+    within.resources[0].run_wip = [2.0 + 1e-12]  # inside AGG_TOL, as for the other sums
     assert validate(within) == []
 
 
-def test_resource_of_fails_on_a_task_never_elaborated():
+def test_focal_index_is_derived_by_elaboration():
+    raw = split_state()
+    assert raw.focal_index is None  # no focal
+    raw.focal_task = "t2"
+    assert raw.focal_index is None  # not elaborated since
+    assert elaborate(raw).focal_index == 1
+    raw.focal_task = "t1"
+    assert elaborate(raw).focal_index == 0
+    raw.focal_task = "t9"  # no such task: validate flags it, and there is no index
+    assert elaborate(raw).focal_index is None
+
+
+def test_validate_flags_a_moved_executing_task():
+    # a step never writes a task, so an executing task that moved shows only
+    # in the chains and their arrays; validate flags both ways it can
     raw = two_task_state()
-    with pytest.raises(TypeError):
-        raw.resource_of("t1")
-    with pytest.raises(KeyError):
-        elaborate(raw).resource_of("t9")
+    raw.tasks["t1"].executing, raw.tasks["t1"].start = True, 0.5
+    s = elaborate(raw)
+    assert s.resources[0].starts == [0.5, 2.5] and validate(s) == []
+    # off its chain's head, arrays and all
+    behind = s.clone()
+    behind.resources[0].task_chain.reverse()
+    assert [(v.code, v.subject) for v in validate(behind)] == [("ExecutingNotHead", "t1")]
+    # still the head, but its chain timed as if it had not started: the
+    # derived start (release 0) differs from the recorded one (0.5 h)
+    restarted = s.clone()
+    unfrozen = two_task_state()
+    restarted.resources = elaborate(unfrozen).resources
+    assert restarted.resources[0].starts[0] == 0.0 != restarted.tasks["t1"].start
+    hits = [(v.code, v.subject, v.detail.split()[0]) for v in validate(restarted)]
+    assert ("StaleTiming", "r1", "starts") in hits
 
 
 def test_validate_flags_each_stale_derived_field():
@@ -364,18 +398,21 @@ def test_validate_flags_each_stale_derived_field():
     ]
     rng = Random(43)
     for _ in range(200):
-        s = elaborate(random_state(rng))
+        raw = random_state(rng)
+        raw.focal_task = rng.choice(sorted(raw.tasks)) if raw.tasks else None
+        s = elaborate(raw)
         assert validate(s) == []
         if s.tasks:
-            tid = rng.choice(sorted(s.tasks))
-            attr = rng.choice(["duration", "start", "finish"])
+            i = rng.choice([i for i, r in enumerate(s.resources) if r.task_chain])
+            attr = rng.choice(["starts", "finishes", "run_tardiness", "run_wip"])
             stale = s.clone()
-            setattr(stale.tasks[tid], attr, getattr(stale.tasks[tid], attr) + 0.5)
-            assert any(v.subject == tid and attr in v.detail for v in validate(stale))
+            values = getattr(stale.resources[i], attr)
+            values[rng.randrange(len(values))] += 0.5
+            assert any(v.subject == s.resources[i].id and attr in v.detail for v in validate(stale))
             stale = s.clone()
-            stale.tasks[tid].resource_index = rng.choice([None, len(s.resources)])
+            stale.focal_index = rng.choice([None, len(s.resources)])
             assert [(v.code, v.subject) for v in validate(stale)] == [
-                ("StaleResourceIndex", tid)
+                ("StaleFocalIndex", s.focal_task)
             ]
         subject, attr = rng.choice(aggregates)
         stale = s.clone()
@@ -421,9 +458,11 @@ def test_three_way_tardiness_agreement():
     for _ in range(200):
         s = elaborate(random_state(rng))
         by_resource = sum(
-            sum(task_tardiness(s.tasks[tid]) for tid in r.task_chain) for r in s.resources
+            sum(max(0.0, f - s.tasks[tid].due_date) for tid, f in zip(r.task_chain, r.finishes))
+            for r in s.resources
         )
-        by_task = sum(task_tardiness(t) for t in s.tasks.values())
+        timing = derived(s)
+        by_task = sum(max(0.0, timing[tid].finish - t.due_date) for tid, t in s.tasks.items())
         assert abs(s.total_tardiness - by_resource) < TOL
         assert abs(s.total_tardiness - by_task) < TOL
 
@@ -433,8 +472,8 @@ def test_chain_timing_exact():
     for _ in range(200):
         s = elaborate(random_state(rng))
         for r in s.resources:
-            for a, b in zip(r.task_chain, r.task_chain[1:]):
-                assert s.tasks[b].start == s.tasks[a].finish
+            assert len(r.starts) == len(r.finishes) == len(r.task_chain)
+            assert r.starts[1:] == r.finishes[:-1]
 
 
 def test_quantity_monotonicity():
@@ -456,8 +495,8 @@ def test_executing_head_keeps_start():
     raw.tasks["t1"].executing = True
     raw.tasks["t1"].start = 0.75
     s = elaborate(raw)
+    assert s.resources[0].starts == [0.75, s.resources[0].finishes[0]]
     assert s.tasks["t1"].start == 0.75
-    assert s.tasks["t2"].start == s.tasks["t1"].finish
     assert elaborate(s) == s
 
 
@@ -472,16 +511,16 @@ def _defaults(cls: type) -> dict:
 @pytest.mark.parametrize(
     "copy_of, obj",
     [
-        (_copy_task, Task("t1", "Task1", "B", 40.0, 7.5, 2.5, 1.0, 3.5, True, 2, 0.5, 0.25, 4.0)),
+        (_copy_task, Task("t1", "Task1", "B", 40.0, 7.5, True, 1.0)),
         (
             _copy_resource,
-            Resource("r1", "mixer", {"A": 10.0}, ["t1"], 0.5, [0.5]),
+            Resource("r1", "mixer", {"A": 10.0}, ["t1"], 0.5, [0.5], [4.5], [1.0], [0.5], [4.0]),
         ),
         (
             _copy_state,
             ScheduleState(
                 [Resource("r1")], {"t1": Task("t1", "Task1", "A", 1.0, 2.0)},
-                "t1", 1.0, 2.0, 1.5, 3.0,
+                "t1", 1.0, 2.0, 1.5, 3.0, 0,
             ),
         ),
     ],
@@ -498,37 +537,32 @@ def test_copier_keeps_every_field(copy_of, obj):
     assert type(out) is type(obj)
 
 
-# Fields ``_retime`` computes; every other Task field is an input it must carry.
-DERIVED_TASK_FIELDS = {
-    "duration", "start", "finish", "resource_index",
-    "run_tardiness", "run_max_tardiness", "run_wip",
-}
-
-
 def test_retime_keeps_every_input_field():
-    # every input field is listed and, where it has a default, set to
-    # something else, so a field the ``Task(...)`` call in ``_retime`` left
-    # out would come back at its default; a field added later fails the
-    # first assert until it is listed here
-    inputs = dict(id="t1", name="Task1", product="B", quantity=40.0, due_date=7.5, executing=True)
-    assert set(inputs) == {f.name for f in dataclasses.fields(Task)} - DERIVED_TASK_FIELDS
+    # a Task holds inputs alone, each listed here and, where it has a
+    # default, set to something else; elaborate copies every task with all
+    # of them, and a splice re-times from the slot it is given, here the
+    # head, onto arrays of its resource, writing no task and sharing them all
+    inputs = dict(
+        id="t1", name="Task1", product="B", quantity=40.0, due_date=7.5, executing=True, start=1.25
+    )
+    assert set(inputs) == {f.name for f in dataclasses.fields(Task)}
     for name, default in _defaults(Task).items():
-        if name in inputs:
-            assert inputs[name] != default, name
+        assert inputs[name] != default, name
     raw = ScheduleState(
         resources=[Resource("r1", rates={"B": 10.0}, task_chain=["t1"])],
-        tasks={"t1": Task(**inputs, start=1.25)},
+        tasks={"t1": Task(**inputs)},
         focal_task="t1",
     )
-    s = elaborate(raw)
-    # a splice re-times from the slot it is given, here the head
-    spliced = _splice(s, {0: (["t1"], 0)})
+    s = elaborate(frozen(raw))
+    spliced = _splice(s, {0: (["t1"], 0)}, 0)
     for out in (s, spliced):
         t = out.tasks["t1"]
         assert type(t) is Task and t is not raw.tasks["t1"]
         assert {name: getattr(t, name) for name in inputs} == inputs
-        assert (t.start, t.finish) == (1.25, 5.25)  # an executing head keeps its start
-    assert spliced.tasks["t1"] is not s.tasks["t1"]
+        r = out.resources[0]
+        assert (r.starts, r.finishes) == ([1.25], [5.25])  # an executing head keeps its start
+    assert spliced.tasks is s.tasks
+    assert spliced.resources[0] is not s.resources[0]
 
 
 def test_copier_turns_a_frozen_task_into_a_plain_one():

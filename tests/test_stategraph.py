@@ -14,7 +14,7 @@ from reskit.stategraph import (
     signature,
 )
 
-from helpers import quantize_oracle, random_state, two_task_state
+from helpers import derived, quantize_oracle, random_state, two_task_state
 
 
 def paper_like_state() -> ScheduleState:
@@ -35,8 +35,9 @@ def paper_like_state() -> ScheduleState:
         )
     )
     # dial in tardiness 15, 15, 10 on the last three tasks
+    timing = derived(s)
     for tid, target in (("t14", 10.0), ("t15", 15.0), ("t16", 15.0)):
-        s.tasks[tid].due_date = s.tasks[tid].finish - target
+        s.tasks[tid].due_date = timing[tid].finish - target
     s = elaborate(s)
     s.init_tardiness = 28.5
     s.focal_task = "t5"
