@@ -22,10 +22,12 @@ equal chains are the only revisit and the floats only pick the bucket (a
 NaN total misses). Its keys and chain lists hold no ``ScheduleState``;
 ``succ`` is the one field that does.
 
-``_pick`` alone chooses a step's operator. A greedy pick on an empty frozen
-store takes the first proposal, as every key reads 0 and ``select`` keeps
-the first of equal values: it signs no state and builds no key. Any other
-pick signs the state once, into the entry's ``signature``, and calls ``select``.
+``_pick`` alone chooses a step's operator. A greedy pick on a frozen store
+that is empty, or whose ``known_totals`` lacks the state's quantized total
+tardiness, takes the first proposal, as no key can match the state, every
+key reads 0 and ``select`` keeps the first of equal values: it signs no
+state and builds no key. Any other pick signs the state once, into the
+entry's ``signature``, and calls ``select``.
 
 ``succ`` is a transition memo: None until a learning run re-enters the
 state, then a dict from operator to the successor state that ``apply``
@@ -54,7 +56,7 @@ from .errors import InvalidConfig
 from .operators import RepairOperator, apply, propose
 from .rl import QKey, QStore, goal_reached, reward, select
 from .schedule import ScheduleState
-from .stategraph import signature
+from .stategraph import quantize, signature
 
 
 class Outcome(str, Enum):
@@ -114,9 +116,10 @@ def run_episode(
     already in ``steps``: whole periods of them are appended up to
     ``cfg.max_steps``. Greedy picks are exact functions of the state
     under a frozen store, so the records, the outcome and the final chains
-    are those of a step-by-step run. An empty frozen store reads 0
-    everywhere, so there each pick is the first proposal and no state is
-    signed.
+    are those of a step-by-step run. A frozen store reads 0 for every key
+    of a state whose quantized total none of its keys holds, an empty one
+    everywhere, so there each pick is the first proposal and the state is
+    not signed.
     """
     if not learning:
         rng = None  # a greedy pick draws nothing
@@ -211,9 +214,12 @@ def _pick(
     store: QStore, state: ScheduleState, entry: _Entry, rng: Random | None
 ) -> tuple[RepairOperator, QKey | None]:
     """The step's operator and key: the first proposal and None if the pick is greedy
-    and the store empty, else ``select``'s, with ``state`` signed once into ``entry``."""
-    if rng is None and not store.entries:
-        return entry[1][0], None
+    and the store is empty or lacks ``state``'s quantized total, else ``select``'s,
+    with ``state`` signed once into ``entry``."""
+    if rng is None:
+        totals = store.known_totals
+        if not totals or quantize(state.total_tardiness) not in totals:
+            return entry[1][0], None
     if entry[2] is None:
         entry[2] = signature(state)
     return select(store, state, entry[1], rng, entry[2])

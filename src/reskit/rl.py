@@ -4,11 +4,13 @@ Preferences live in a lazily grown table keyed by the quantized state
 signature plus the operator's name and its auxiliary task's name (its focal
 is the one the signature names), the in-memory analogue of per-situation
 preference rules. The table interns each key once into an integer slot and
-keeps the values in a list by slot. The eligibility traces are one dict
-that maps a slot to its trace, in the order traced, so an update walks them
-without hashing a key; they are replacing (bumped to 1 on visit), decay by
-gamma*lambda per step, and are cleared between episodes. Neither the table
-nor the trace dict can be rebound.
+keeps the values in a list by slot and the set of its keys' quantized
+total tardiness, so a greedy pick can pass over a state that no key can
+match. The eligibility traces are one dict that maps a slot to its trace,
+in the order traced, so an update walks them without hashing a key; they
+are replacing (bumped to 1 on visit), decay by gamma*lambda per step, and
+are cleared between episodes. Neither the table, its set of totals nor the
+trace dict can be rebound.
 
 A Q-store file holds one ``_record`` line per entry, and the loader takes a
 line only if ``_record`` writes it back unchanged.
@@ -106,9 +108,13 @@ class QStore:
 
     ``entries`` is a ``QKey``-keyed mapping over the slots, in
     first-insertion order as a dict gives it: ``in`` and ``len`` cost O(1)
-    and copy nothing, and an assignment interns its key. ``traces`` is a
+    and copy nothing, and an assignment interns its key. ``known_totals``
+    is the set of ``sig.total_tardiness`` over the keys of ``entries``,
+    kept by ``entries`` as it gives a key its slot: a key can match a
+    state only if its total is the state's quantized total, so where that
+    is not in the set every key of the state reads 0. ``traces`` is a
     plain dict that maps a slot to its trace, in the order traced, so an
-    update walks it without hashing a key. Neither attribute can be
+    update walks it without hashing a key. None of the three can be
     rebound, so ``q`` always reads ``entries``. Single writer during
     training; reads are safe to share.
     """
@@ -121,6 +127,7 @@ class QStore:
 
     # C-level getters: perfbench reads ``entries`` on every ``q`` and ``traces`` on every update.
     entries = property(attrgetter("_entries"))
+    known_totals = property(attrgetter("_entries._totals"))
     traces = property(attrgetter("_traces"))
 
     def q(self, key: QKey | None) -> float:
@@ -160,18 +167,25 @@ class QStore:
 
 
 class _Entries(Mapping):
-    """``QStore.entries``: each interned key's value, in slot order."""
+    """``QStore.entries``: each interned key's value, in slot order.
+
+    ``slot`` is the one place a key enters, so it alone keeps ``_totals``,
+    the set of the keys' ``sig.total_tardiness``.
+    """
 
     def __init__(self) -> None:
         self._slots: dict[QKey, int] = {}
         self._values: list[float] = [0.0]
+        self._totals: set[float] = set()
 
     def slot(self, key: QKey) -> int:
-        """``key``'s slot, appended with the value 0.0 if it has none."""
+        """``key``'s slot, appended with the value 0.0, and its total entered,
+        if it has none."""
         values = self._values
         i = self._slots.setdefault(key, len(values))
         if i == len(values):
             values.append(0.0)
+            self._totals.add(key.sig.total_tardiness)
         return i
 
     def __getitem__(self, key: QKey) -> float:
@@ -217,18 +231,23 @@ def select(
     Greedy ties resolve to the earliest proposal in the list's
     deterministic order; unseen keys read as 0.
 
-    The greedy pick makes one ``QStore.q`` lookup per proposal, with a
-    plain tuple that hashes and compares equal to its ``QKey``; it builds
-    one ``QKey``, the winner's. Either pick keys its operator with
-    ``qkey(state, op, sig)``; ``sig`` must be ``signature(state)``.
-    ``episode._pick`` bypasses it only where the pick is greedy and the store
-    empty, so that every key reads 0 and the pick is the first proposal.
+    A greedy pick whose ``sig.total_tardiness`` is not in
+    ``store.known_totals`` reads 0 for every key, so it is the first
+    proposal, taken with no lookup. Any other greedy pick makes one
+    ``QStore.q`` lookup per proposal, with a plain tuple that hashes and
+    compares equal to its ``QKey``; it builds one ``QKey``, the winner's.
+    Either pick keys its operator with ``qkey(state, op, sig)``; ``sig``
+    must be ``signature(state)``. ``episode._pick`` bypasses it only for a
+    pick with no ``rng`` on a store that does not hold the state's
+    quantized total, and takes the first proposal unsigned.
     """
     if not proposals:
         raise EmptyProposalSet("no proposals to select from")
     if rng is not None and rng.random() < store.hyper.epsilon:
         op = proposals[rng.randrange(len(proposals))]
         return op, qkey(state, op, sig)
+    if sig.total_tardiness not in store.known_totals:
+        return proposals[0], qkey(state, proposals[0], sig)
     tasks = state.tasks
     q = store.q
     best = proposals[0]

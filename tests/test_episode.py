@@ -17,13 +17,13 @@ from reskit.episode import (
 )
 from reskit.errors import InvalidConfig
 from reskit.instances import InstanceSpec, generate_instance, inject_disruption, sample_disruption
-from reskit.operators import propose
-from reskit.rl import GOAL_BONUS, Hyperparams, QStore, qkey
+from reskit.operators import apply, propose
+from reskit.rl import GOAL_BONUS, Hyperparams, QStore, goal_reached, qkey
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
-from reskit.stategraph import signature
+from reskit.stategraph import quantize, signature
 
 import helpers
-from helpers import assert_fully_elaborated, greedy_oracle, training_oracle
+from helpers import assert_fully_elaborated, greedy_oracle, random_state, training_oracle
 
 TOL = 1e-9
 
@@ -316,8 +316,10 @@ def plants_40x5():
 
 def greedy_cases():
     """(start, store, seed) of greedy repairs: 15x3 plants after twenty
-    training episodes, 40x5 plants with an empty store, and fresh orders on
-    a trained 200x10 plant whose chain heads have started."""
+    training episodes, 40x5 plants with an empty store, fresh orders on a
+    trained 200x10 plant whose chain heads have started, and ``random_state``
+    plants after ten training episodes, each from the state training started
+    at and from one a random step away."""
     for seed in range(30):
         disrupted = disrupted_instance(seed)
         store = QStore()
@@ -330,6 +332,22 @@ def greedy_cases():
     train(inject_disruption(plant), store, 20, EpisodeConfig(seed=1))
     for order in range(12):
         yield inject_disruption(sample_disruption(plant, Random(order))), store, order
+    rng = Random(331)
+    made = 0
+    while made < 40:
+        raw = random_state(rng, max_resources=4, max_tasks=12)
+        if not raw.tasks:
+            continue
+        raw.focal_task = rng.choice(sorted(raw.tasks))
+        start = elaborate(raw)
+        proposals = propose(start)
+        if not proposals or goal_reached(start):
+            continue
+        store, seed = QStore(), rng.randrange(1000)
+        train(start, store, 10, EpisodeConfig(max_steps=20, seed=seed))
+        made += 1
+        yield start, store, seed
+        yield apply(start, rng.choice(proposals)), store, seed
 
 
 def first_repeat(visited):
@@ -440,25 +458,57 @@ def test_greedy_repairs_on_an_empty_store_take_the_first_proposal(monkeypatch):
     assert stepped > 20
 
 
-def test_a_store_with_an_unrelated_entry_still_selects(monkeypatch):
-    # one entry under a signature no state here has: every key still reads
-    # 0, but the store is not empty, so each decided step calls select, and
-    # the steps are those of the plain loop and of an empty store's run
+class ReadingStore(QStore):
+    """A store that records each value its ``q`` reads."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = []
+
+    def q(self, key):
+        value = super().q(key)
+        self.read.append(value)
+        return value
+
+
+def test_a_greedy_pick_selects_only_where_a_key_holds_the_state_s_total(monkeypatch):
+    # a key can match a state only at the state's quantized total. One entry
+    # under seed 0's signature, at a total no state here reaches: the store
+    # is not empty, yet no step calls select. Strangers at each state's own
+    # quantized total but with another task count: every decided step calls
+    # select and every key it looks up reads 0. Both runs take the steps of
+    # the plain loop and of an empty store's run
     other = disrupted_instance(seed=0)
     unrelated = qkey(other, propose(other)[0], signature(other))
     calls = counting_calls(monkeypatch, (episode, "select"), (episode, "reward"))
     selected = 0
     for start, seed in empty_store_cases():
         cfg = EpisodeConfig(seed=seed)
+        empty = run_episode(start, QStore(), cfg, learning=False)
+        totals = {quantize(step.tardiness_before) for step in empty.steps}
+        assert unrelated.sig.total_tardiness not in totals
         store = QStore()
         store.entries[unrelated] = 1.0
         calls.clear()
         res = run_episode(start, store, cfg, learning=False)
-        assert calls["select"] == calls["reward"]
-        selected += calls["select"]
+        assert calls["select"] == 0
         assert trace_dict(res) == trace_dict(greedy_oracle(start, store, cfg)[0])
-        assert trace_dict(res) == trace_dict(run_episode(start, QStore(), cfg, learning=False))
+        assert trace_dict(res) == trace_dict(empty)
         assert store.entries == {unrelated: 1.0}
+
+        strangers = ReadingStore()
+        for total in totals:
+            sig = unrelated.sig._replace(total_tardiness=total, task_number=start.task_number + 1)
+            strangers.entries[unrelated._replace(sig=sig)] = 1.0
+        snapshot = dict(strangers.entries)
+        calls.clear()
+        res = run_episode(start, strangers, cfg, learning=False)
+        assert calls["select"] == calls["reward"]
+        assert len(strangers.read) >= calls["select"] and not any(strangers.read)
+        selected += calls["select"]
+        assert trace_dict(res) == trace_dict(greedy_oracle(start, strangers, cfg)[0])
+        assert trace_dict(res) == trace_dict(empty)
+        assert strangers.entries == snapshot
     assert selected > 30
 
 
@@ -562,13 +612,14 @@ def test_train_proposes_once_per_distinct_state(monkeypatch):
     # greedy run alike propose runs once for each distinct chain list, and
     # for every chain list the plain loop proposes for; signature runs once
     # for each distinct chain list a pick reaches, and for every chain list
-    # the plain loop signs, except that a greedy run on an empty store signs
-    # none
-    proposed, signed = [], []
+    # the plain loop signs, except that a greedy run signs only the states
+    # whose quantized total the store holds, so none on an empty store
+    proposed, signed, totals = [], [], {}
 
     def recording(calls, fn):
         def wrapper(state, *args):
             calls.append(repr(chains(state)))
+            totals[calls[-1]] = state.total_tardiness
             return fn(state, *args)
 
         return wrapper
@@ -602,7 +653,7 @@ def test_train_proposes_once_per_distinct_state(monkeypatch):
         saved += len(proposed) - len(once)
         saved_signing += len(signed) - len(signed_once)
     assert saved > 1000 and saved_signing > 1000
-    stepped_back = unsigned = 0
+    stepped_back = unsigned = some_held = some_unheld = 0
     for start, store, seed in greedy_cases():
         cfg = EpisodeConfig(seed=seed)
         once, signed_once, (_, visited) = distinct_calls(
@@ -610,13 +661,15 @@ def test_train_proposes_once_per_distinct_state(monkeypatch):
             lambda: greedy_oracle(start, store, cfg),
         )
         assert set(once) == set(proposed)
+        held = {c for c in signed if quantize(totals[c]) in store.known_totals}
+        assert set(signed_once) == held
         if store.entries:
-            assert set(signed_once) == set(signed)
+            some_held += bool(held)
+            some_unheld += len(held) < len(set(signed))
         else:
-            assert signed_once == []
             unsigned += bool(signed)
         stepped_back += any(visited[k] == visited[k + 2] for k in range(len(visited) - 2))
-    assert stepped_back > 10 and unsigned > 5
+    assert stepped_back > 10 and unsigned > 5 and some_held > 80 and some_unheld > 15
 
 
 def test_every_pick_goes_through_the_seam_with_its_state_s_entry(monkeypatch):
@@ -624,8 +677,9 @@ def test_every_pick_goes_through_the_seam_with_its_state_s_entry(monkeypatch):
     # each call and delegates to it must see the table entry of the state
     # being decided, one call a step in a learning run and at most one a
     # step in a greedy run, and leave the steps as an unpatched run takes
-    # them; a pick signs its state into the entry unless it is greedy on
-    # an empty store
+    # them; a pick signs its state into the entry unless it is greedy on a
+    # store that does not hold the state's quantized total (an empty store
+    # holds none)
     cases = [*islice(training_cases(), 10), *islice(plants_40x5(), 3)]
     table, picks = {}, []
 
@@ -649,7 +703,8 @@ def test_every_pick_goes_through_the_seam_with_its_state_s_entry(monkeypatch):
         picks.append(rng is None)
         chosen = pick(store, state, known, rng)
         assert chosen[0] in known[1]
-        assert (known[2] is None) == (rng is None and not store.entries)
+        unheld = quantize(state.total_tardiness) not in store.known_totals
+        assert (known[2] is None) == (rng is None and unheld)
         return chosen
 
     monkeypatch.setattr(episode, "_pick", recording)

@@ -279,15 +279,46 @@ def test_a_dropped_store_is_freed_at_once():
 def test_the_table_and_the_traces_cannot_be_rebound():
     # ``q`` reads the table's value list and ``sarsa_update`` walks the trace
     # dict in place, so a rebound attribute would split the store in two.
+    # So would a rebound index of totals: ``select`` reads it for every pick.
     store = QStore()
     store.bump_trace(QKey(sig(), "up-right-jump", "Task10"))
     assert store.entries is store.entries and store.traces is store.traces
+    assert store.known_totals is store.known_totals
     assert type(store.traces) is dict
-    for name in ("entries", "traces"):
+    for name in ("entries", "traces", "known_totals"):
         with pytest.raises(AttributeError):
             setattr(store, name, {})
     assert dict(store.entries) == {QKey(sig(), "up-right-jump", "Task10"): 0.0}
     assert store.traces == {1: 1.0}
+    assert store.known_totals == {40.0}
+
+
+def test_known_totals_index_every_key_s_total(tmp_path):
+    # the index is the set of its keys' totals after each way a key enters:
+    # training, an assignment, a trace bump and a load
+    def assert_indexed(store):
+        assert store.known_totals == {k.sig.total_tardiness for k in store.entries}
+
+    empty = QStore()
+    assert_indexed(empty)
+    assert empty.known_totals == set()
+    for seed in (3, 7, 8):
+        spec = InstanceSpec(seed=seed, task_count=15, resource_count=3)
+        store = QStore()
+        train(inject_disruption(generate_instance(spec)), store, 20, EpisodeConfig(seed=seed))
+        assert_indexed(store)
+        assert store.entries
+        before = set(store.known_totals)
+        store.entries[QKey(sig(total=-1.25), "up-right-jump", "Task10")] = 1.0
+        assert_indexed(store)
+        store.bump_trace(QKey(sig(total=1e6), "same-left-jump", "Task3"))
+        assert_indexed(store)
+        assert store.known_totals == before | {-1.25, 1e6}
+        path = tmp_path / f"store{seed}.txt"
+        save_qstore(store, path)
+        loaded = load_qstore(path)
+        assert_indexed(loaded)
+        assert loaded.known_totals == store.known_totals
 
 
 def selection_state():
@@ -428,7 +459,10 @@ def test_greedy_select_matches_first_maximum_oracle():
             tied += values.count(max(values)) > 1 and best > 0
             store.lookups = 0
             op, key = select(store, state, proposals, None, sig)
-            assert store.lookups == len(proposals)
+            # a key can match only at the state's total: where the store holds
+            # none there, select takes the first proposal with no lookup
+            held = sig.total_tardiness in store.known_totals
+            assert store.lookups == (len(proposals) if held else 0)
             assert op is proposals[best]
             assert key == keys[best] and type(key) is QKey
             cases += 1
@@ -474,6 +508,37 @@ def test_select_draws_the_same_random_numbers():
             assert op is expected
             assert key == qkey(state, expected, sig) and type(key) is QKey
             assert rng.getstate() == replay.getstate()
+
+
+def test_a_learning_pick_draws_the_same_whether_or_not_the_store_holds_the_total():
+    # the greedy shortcut comes after the epsilon draw: a store that lacks
+    # the state's total and the same store with a stranger at that total
+    # leave the generator in the same state and give the same pick and key;
+    # only an exploiting pick on the second store looks its keys up
+    explored = exploited = 0
+    for state, proposals in islice(selection_cases(), 20):
+        sig = signature(state)
+        aux = state.tasks[proposals[0].aux].name
+        for seed in range(10):
+            greedy = Random(seed).random() >= 0.3
+            store = CountingStore(Hyperparams(epsilon=0.3))
+            store.entries[QKey(sig._replace(total_tardiness=-1.0), "up-right-jump", aux)] = 1.0
+            assert sig.total_tardiness not in store.known_totals
+            rng = Random(seed)
+            unheld = select(store, state, proposals, rng, sig)
+            after = rng.getstate()
+            assert store.lookups == 0
+            stranger = sig._replace(task_number=sig.task_number + 1)
+            store.entries[QKey(stranger, "up-right-jump", aux)] = 1.0
+            assert sig.total_tardiness in store.known_totals
+            rng = Random(seed)
+            held = select(store, state, proposals, rng, sig)
+            assert rng.getstate() == after
+            assert held[0] is unheld[0] and held[1] == unheld[1]
+            assert store.lookups == (len(proposals) if greedy else 0)
+            exploited += greedy
+            explored += not greedy
+    assert explored > 20 and exploited > 100
 
 
 def test_hyperparams_range_check():
