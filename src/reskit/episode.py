@@ -130,7 +130,6 @@ def run_episode(
 
 # A state's (total_tardiness, total_wip, max_tardiness) -> its entries, each
 # [chains, proposals, signature or None, first visit's step, successor map or None].
-_Succ = dict[RepairOperator, ScheduleState]
 _Entry = list
 _Table = dict[tuple[float, float, float], list[_Entry]]
 

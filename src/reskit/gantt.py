@@ -36,7 +36,7 @@ MAX_TEXT_CELLS = 10_000
 
 
 def _horizon(state: ScheduleState) -> float:
-    h = max((f for r in state.resources for f in r.finishes), default=0.0)
+    h = max((r.end for r in state.resources), default=0.0)
     h = max(h, max((r.release_time for r in state.resources), default=0.0))
     return h if h > 0 else 1.0
 
@@ -108,10 +108,11 @@ def render_svg(state: ScheduleState, caption: str = "") -> str:
             f'<text x="{_LEFT - 8}" y="{y + _ROW_H / 2 + 4:.2f}" font-size="12" '
             f'fill="#111111" text-anchor="end">{escape(r.id)}</text>'
         )
-        for tid, start in zip(r.task_chain, r.starts):
+        # A slot finishes where the next one starts, the last one at the chain's end.
+        for tid, start, finish in zip(r.task_chain, r.starts, [*r.starts[1:], r.end]):
             t = state.tasks[tid]
             bx = x(start)
-            bw = max(t.quantity / r.rates[t.product] / horizon * span, 1.0)
+            bw = max((finish - start) / horizon * span, 1.0)
             by = y + (_ROW_H - _BAR_H) / 2
             css, fill = _bar_style(state, t, colors)
             name = escape(t.name)
@@ -146,11 +147,12 @@ def render_text(state: ScheduleState, quantum: float = 0.5) -> str:
 
     lines = []
     for r in state.resources:
+        slots = list(zip(r.task_chain, r.starts, [*r.starts[1:], r.end]))
         chars = []
         for i in range(cells):
             mid = (i + 0.5) * quantum
             ch = "."
-            for tid, start, finish in zip(r.task_chain, r.starts, r.finishes):
+            for tid, start, finish in slots:
                 t = state.tasks[tid]
                 if start <= mid < finish:
                     if tid == state.focal_task:

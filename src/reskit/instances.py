@@ -144,23 +144,25 @@ def inject_disruption(instance: Instance) -> ScheduleState:
     """Snapshot pre-disruption tardiness, freeze running work, append the order.
 
     Chain heads already started at the arrival time are flagged executing.
-    The order goes at the end of the capable resource whose chain finishes
-    earliest (ties to the earlier resource, as ``min`` keeps the first of
-    equal keys) and becomes the focal task. With no capable resource it
-    raises ``UnprocessableProduct``, and an order id already in the plant
-    raises ``ValueError``. A pre-disruption or post-insertion tardiness that
-    is not finite raises ``InstanceFormatError``: every state would reach
-    the one, and no reward is defined from the other.
+    The order goes at the end of the capable resource whose chain ends
+    earliest by ``Resource.end`` (an empty chain ends at its anchor; ties go
+    to the earlier resource, as ``min`` keeps the first of equal keys) and
+    becomes the focal task. With no capable resource it raises
+    ``UnprocessableProduct``, and an order id already in the plant raises
+    ``ValueError``. A pre-disruption or post-insertion tardiness that is not
+    finite raises ``InstanceFormatError``: every state would reach the one,
+    and no reward is defined from the other.
 
     ``instance.state`` must be elaborated, and is left untouched. The result
     has a task dict of its own, the one copy per order: it holds a copy of
     the order, and a copy of each flagged head that records the head's
     start. The state is one ``schedule._splice`` of the target chain from
     the slot the order is appended at, as ``operators.apply`` builds a step
-    from the slots it edits, so only the order's resource is new, and every
-    other ``Resource`` and ``Task`` is shared with the instance. So, besides
-    the shallow task-dict copy, a fresh order costs O(resources), not a
-    plant copy.
+    from the slots it edits: the order starts at the chain's old end, and
+    the chain's starts, running partials and end are extended from there.
+    So only the order's resource is new, and every other ``Resource`` and
+    ``Task`` is shared with the instance: besides the shallow task-dict
+    copy, a fresh order costs O(resources), not a plant copy.
     """
     base, order = instance.state, instance.order
     if not math.isfinite(base.total_tardiness):
@@ -180,12 +182,7 @@ def inject_disruption(instance: Instance) -> ScheduleState:
             head.executing, head.start = True, r.starts[0]
             tasks[head.id] = head
     tasks[order.id] = _copy_task(order)
-
-    def chain_end(i: int) -> float:
-        r = base.resources[i]
-        return r.finishes[-1] if r.task_chain else r.release_time
-
-    target = min(capable, key=chain_end)
+    target = min(capable, key=lambda i: base.resources[i].end)
     shallow = _copy_state(base)
     shallow.tasks, shallow.focal_task = tasks, order.id
     shallow.init_tardiness = base.total_tardiness

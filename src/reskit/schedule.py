@@ -2,21 +2,22 @@
 
 A schedule is a set of unary-capacity resources (extruders), each holding an
 ordered chain of tasks. Products are plain string codes. A ``Task`` holds
-only inputs. Every figure derived from a slot lives on the resource, in
-arrays that run slot for slot with ``Resource.task_chain``: the starts, the
-finishes, and the chain's running partials (total tardiness, max tardiness
-and WIP over the slots up to and including this one, summed left to right).
-A task's duration is its quantity over the rate of its resource for its
-product. It is not stored: a reader divides again, as ``_retime`` does.
-Starts follow from chain order. The state's totals are the sums of each
-chain's last partials in resource order, and its max tardiness is their
-max. The average tardiness and the task count are read off the total and
-the task dict. The state also keeps ``focal_index``, the index of the
-resource whose chain holds the focal task. So a repair step re-times and
-re-sums only the spliced chains from their first changed slot on, resuming
-from the partials of the slot before it, plus one pass over the chain
-ends. ``elaborate`` recomputes every derived field the same way and is
-idempotent.
+only inputs. Every figure derived from a slot lives on the resource: the
+starts and the running partials (total tardiness, max tardiness and WIP
+over the slots up to and including this one, summed left to right), in
+arrays that run slot for slot with ``Resource.task_chain``, and the
+chain's end. A slot finishes where the next one starts, or at the end, so
+each start is stored once. A duration, quantity over rate, is not stored:
+``_retime`` alone divides, and a reader takes a slot's finish less its
+start. The state's totals are the sums of each chain's last partials in
+resource order, and its max tardiness is their max. The average tardiness
+and the task count are read off the total and the task dict. The state
+also keeps ``focal_index``, the index of the resource whose chain holds
+the focal task. So a repair step re-times and re-sums only the spliced
+chains from their first changed slot on, resuming from the old chain's
+start there (or its end) and the partials before it, plus one pass over
+the chain ends. ``elaborate`` recomputes every derived field the same way
+and is idempotent.
 
 States are values: every operation returns a new state and leaves its input
 untouched, so states can be archived for episode rollback and compared after
@@ -78,12 +79,14 @@ class Resource:
 
     ``rates`` maps product code to kg/h; a missing key means the resource
     cannot process that product. ``release_time`` is the earliest start for
-    movable (non-executing) work. The rest is derived, slot for slot with
-    ``task_chain``, and only meaningful after :func:`elaborate`: each
-    task's start and finish, and the chain's running total tardiness, max
-    tardiness and WIP over the slots up to and including it. A chain's last
-    partials are its figures. The arrays are replaced, never written in
-    place, so a state may share them with the state it was spliced from.
+    movable (non-executing) work. The rest is derived, and only meaningful
+    after :func:`elaborate`: slot for slot with ``task_chain``, each task's
+    start and the chain's running total tardiness, max tardiness and WIP
+    over the slots up to and including it, and ``end``, the last slot's
+    finish or, for an empty chain, its anchor. A slot's finish is the next
+    slot's start, or ``end``. A chain's last partials are its figures. The
+    arrays are replaced, never written in place, so a state may share them
+    with the state it was spliced from.
     """
 
     id: str
@@ -92,7 +95,7 @@ class Resource:
     task_chain: list[str] = field(default_factory=list)
     release_time: float = 0.0
     starts: list[float] = field(default_factory=list)
-    finishes: list[float] = field(default_factory=list)
+    end: float = 0.0
     run_tardiness: list[float] = field(default_factory=list)
     run_max_tardiness: list[float] = field(default_factory=list)
     run_wip: list[float] = field(default_factory=list)
@@ -129,7 +132,7 @@ class ScheduleState:
         s.resources = [_copy_resource(r) for r in self.resources]
         for r in s.resources:
             r.rates, r.task_chain = dict(r.rates), list(r.task_chain)
-            r.starts, r.finishes = list(r.starts), list(r.finishes)
+            r.starts = list(r.starts)
             r.run_tardiness, r.run_max_tardiness, r.run_wip = (
                 list(r.run_tardiness), list(r.run_max_tardiness), list(r.run_wip)
             )
@@ -190,10 +193,11 @@ def _structure_defects(state: ScheduleState) -> Iterator[Violation]:
 def elaborate(state: ScheduleState) -> ScheduleState:
     """Recompute every derived field and return the elaborated state.
 
-    Chain timing: the head task starts at max(release_time, 0) unless it is
-    executing, in which case its recorded start is kept (a frozen task
-    anchors its chain); each later task starts when its predecessor
-    finishes. Durations are quantity / rate on the current resource.
+    Chain timing: the head task starts at its chain's anchor, which is
+    max(release_time, 0) unless the head is executing and keeps its
+    recorded start (a frozen task anchors its chain); each later task
+    starts when its predecessor finishes, and the last finish is the
+    chain's end. Durations are quantity / rate on the current resource.
     Each chain's running partials are summed in chain order, then the
     aggregates over the chains' last partials in resource order, exactly
     as ``_retime`` does after a splice, so a state re-timed in part equals
@@ -223,30 +227,31 @@ def _retime(s: ScheduleState, chains: dict[int, int]) -> None:
 
     ``chains`` maps a resource index to the first slot to re-time; the
     slots before it must already carry their final timing and partials.
-    The re-timed resources must be ``s``'s own copies. Each of their arrays
-    is replaced by its slice before the slot, extended from there: one loop
-    appends each later slot's finish and running partials, summed on from
-    the slot before, and each slot's start is the finish before it (the
-    head's is its anchor). No task is built or written. The aggregates are
-    then summed over each non-empty chain's last partials in resource
-    order, so a step costs the re-timed slots plus O(resources), and a
-    state re-timed in part carries the same floats as one elaborated in
-    full.
+    The re-timed resources must be ``s``'s own copies, still holding the
+    old chain's arrays and end. Each array is replaced by its slice before
+    the slot, extended from there: the clock resumes at the old chain's
+    start of that slot, or its old end past its last slot (the anchor at
+    slot 0), and one loop appends each later slot's start and running
+    partials, summed on from the slot before; the last finish is the new
+    end. No task is built or written. The aggregates are then summed over
+    each non-empty chain's last partials in resource order, so a step costs
+    the re-timed slots plus O(resources), and a state re-timed in part
+    carries the same floats as one elaborated in full.
     """
     tasks = s.tasks
     for i, first in chains.items():
         r = s.resources[i]
         chain, rates = r.task_chain, r.rates
-        finishes, totals = r.finishes[:first], r.run_tardiness[:first]
+        starts, totals = r.starts[:first], r.run_tardiness[:first]
         maxes, wips = r.run_max_tardiness[:first], r.run_wip[:first]
         if first:
-            finish, total, max_t, wip = finishes[-1], totals[-1], maxes[-1], wips[-1]
+            finish = r.starts[first] if first < len(r.starts) else r.end
+            total, max_t, wip = totals[-1], maxes[-1], wips[-1]
         else:
             # The head's start, which the loop takes as the finish before it.
-            anchor = max(r.release_time, 0.0)
+            finish = max(r.release_time, 0.0)
             if chain and tasks[chain[0]].executing:  # a frozen head anchors its chain
-                anchor = tasks[chain[0]].start
-            finish = anchor
+                finish = tasks[chain[0]].start
             total = max_t = wip = 0.0
         for tid in chain[first:]:
             t = tasks[tid]
@@ -256,6 +261,7 @@ def _retime(s: ScheduleState, chains: dict[int, int]) -> None:
                     f"resource {r.id} has no rate for product {t.product} (task {tid})"
                 )
             duration = t.quantity / rate
+            starts.append(finish)
             finish += duration
             # max(0, finish - due), inlined; adding a zero lateness would change nothing.
             lateness = finish - t.due_date
@@ -264,17 +270,10 @@ def _retime(s: ScheduleState, chains: dict[int, int]) -> None:
                 if lateness > max_t:
                     max_t = lateness
             wip += duration
-            finishes.append(finish)
             totals.append(total)
             maxes.append(max_t)
             wips.append(wip)
-        # Each slot starts where the one before it finishes.
-        if first:
-            starts = r.starts[:first]
-            starts += finishes[first - 1 : -1]
-        else:
-            starts = [anchor, *finishes[:-1]] if chain else []
-        r.starts, r.finishes = starts, finishes
+        r.starts, r.end = starts, finish
         r.run_tardiness, r.run_max_tardiness, r.run_wip = totals, maxes, wips
 
     total = max_t = wip = 0.0
@@ -323,7 +322,6 @@ def _splice(
 # elaboration's; the running partials are sums, like the aggregates.
 _TIMING_TOLERANCES = (
     ("starts", 0.0),
-    ("finishes", AGG_TOL),
     ("run_tardiness", AGG_TOL),
     ("run_max_tardiness", AGG_TOL),
     ("run_wip", AGG_TOL),
@@ -383,6 +381,8 @@ def validate(state: ScheduleState) -> list[Violation]:
                 a != b and not abs(a - b) <= tol for a, b in zip(stored, derived)
             ):
                 out.append(Violation("StaleTiming", r.id, f"{attr} {stored} != {derived}"))
+        if r.end != f.end and not abs(r.end - f.end) <= AGG_TOL:
+            out.append(Violation("StaleTiming", r.id, f"end {r.end} != {f.end}"))
     for subject, attr in [
         ("totTard", "total_tardiness"), ("maxTard", "max_tardiness"), ("totalWIP", "total_wip")
     ]:

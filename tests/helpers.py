@@ -6,7 +6,8 @@ independent of the package's elaboration path; property tests compare the
 two.
 ``naive_elaborate`` fills every derived field by the same plain sweeps, and
 ``derived`` and ``holder`` read a task's figures and resource off the
-arrays and chains. ``assert_fully_elaborated`` instead checks a state
+arrays and chains, and ``finishes`` reads each slot's finish off the starts
+and the chain's end. ``assert_fully_elaborated`` instead checks a state
 re-timed in part against the package's own full elaboration, and
 ``assert_prefixes_shared`` checks what a splice shares with its input.
 ``disruption_oracle`` builds the disrupted state from a raw copy with
@@ -85,13 +86,15 @@ def naive_elaborate(state: ScheduleState) -> ScheduleState:
     filled by a plain forward sweep of each chain (``naive_timing``), its
     running partials summed left to right, the aggregates summed over the
     chains' last partials in resource order, and the focal's resource
-    index found by a chain scan. The sums run in the package's order, so
-    its floats must match bit for bit."""
+    index found by a chain scan. A chain's end is its last finish, or its
+    anchor when it is empty. The sums run in the package's order, so its
+    floats must match bit for bit."""
     s = state.clone()
     timing = naive_timing(s)
     for r in s.resources:
-        r.starts, r.finishes = [], []
+        r.starts = []
         r.run_tardiness, r.run_max_tardiness, r.run_wip = [], [], []
+        r.end = max(r.release_time, 0.0)
         total = max_t = wip = 0.0
         for tid in r.task_chain:
             v = timing[tid]
@@ -100,7 +103,7 @@ def naive_elaborate(state: ScheduleState) -> ScheduleState:
                 max_t = max(max_t, v["tardiness"])
             wip += v["duration"]
             r.starts.append(v["start"])
-            r.finishes.append(v["finish"])
+            r.end = v["finish"]
             r.run_tardiness.append(total)
             r.run_max_tardiness.append(max_t)
             r.run_wip.append(wip)
@@ -114,6 +117,12 @@ def naive_elaborate(state: ScheduleState) -> ScheduleState:
     return s
 
 
+def finishes(r: Resource) -> list[float]:
+    """Each slot's finish: the next slot's start, and the chain's end for the
+    last slot."""
+    return [*r.starts[1:], r.end] if r.starts else []
+
+
 def derived(state: ScheduleState) -> dict[str, SimpleNamespace]:
     """Each chained task's derived figures, read off its resource's arrays:
     ``start``, ``finish``, ``duration`` (quantity over the resource's rate,
@@ -121,11 +130,12 @@ def derived(state: ScheduleState) -> dict[str, SimpleNamespace]:
     partials ``run_tardiness``, ``run_max_tardiness`` and ``run_wip``."""
     out = {}
     for i, r in enumerate(state.resources):
+        ends = finishes(r)
         for slot, tid in enumerate(r.task_chain):
             t = state.tasks[tid]
             out[tid] = SimpleNamespace(
                 start=r.starts[slot],
-                finish=r.finishes[slot],
+                finish=ends[slot],
                 duration=t.quantity / r.rates[t.product],
                 resource_index=i,
                 run_tardiness=r.run_tardiness[slot],
@@ -166,7 +176,7 @@ def assert_matches_oracles(state: ScheduleState) -> None:
     for r in state.resources:
         chain = [timing[tid] for tid in r.task_chain]
         assert r.starts == [v["start"] for v in chain], r.id
-        assert r.finishes == [v["finish"] for v in chain], r.id
+        assert finishes(r) == [v["finish"] for v in chain], r.id
         for slot in range(len(chain)):
             running = SimpleNamespace(
                 total_tardiness=r.run_tardiness[slot],
@@ -178,17 +188,19 @@ def assert_matches_oracles(state: ScheduleState) -> None:
 
 
 AGGREGATES = ("total_tardiness", "max_tardiness", "avg_tardiness", "total_wip", "task_number")
-ARRAYS = ("starts", "finishes", "run_tardiness", "run_max_tardiness", "run_wip")
+ARRAYS = ("starts", "run_tardiness", "run_max_tardiness", "run_wip")
 
 
 def assert_fully_elaborated(state: ScheduleState) -> None:
     """Every derived field equals a full re-elaboration's, floats bit for
-    bit: each resource's arrays, the focal index and the aggregates."""
+    bit: each resource's arrays and end, the focal index and the
+    aggregates."""
     fresh = elaborate(state)
     assert list(state.tasks) == list(fresh.tasks)
     for r, f in zip(state.resources, fresh.resources, strict=True):
         for attr in ARRAYS:
             assert getattr(r, attr) == getattr(f, attr), (r.id, attr)
+        assert r.end == f.end, (r.id, "end")
     assert state.focal_index == fresh.focal_index
     for attr in AGGREGATES:
         assert getattr(state, attr) == getattr(fresh, attr), attr

@@ -36,6 +36,7 @@ from helpers import (
     assert_disrupted,
     assert_prefixes_shared,
     derived,
+    finishes,
     first_changed_slot,
     frozen,
     naive_aggregates,
@@ -51,7 +52,7 @@ def test_two_task_chain_timing():
     s = elaborate(two_task_state())
     r = s.resources[0]
     oracle = naive_timing(two_task_state())
-    assert (r.starts, r.finishes) == ([0.0, 2.0], [2.0, 5.0])
+    assert (r.starts, r.end) == ([0.0, 2.0], 5.0)
     assert (r.run_tardiness, r.run_max_tardiness, r.run_wip) == ([1.0, 1.0], [1.0, 1.0], [2.0, 5.0])
     assert s.total_tardiness == 1.0
     timing = derived(s)
@@ -106,7 +107,7 @@ def test_slot_tardiness_formula():
         r = Resource(id="r1", rates={"A": 1.0}, task_chain=["t"])
         s = elaborate(ScheduleState(resources=[r], tasks={"t": t}))
         r = s.resources[0]
-        assert r.finishes == [quantity]
+        assert r.end == quantity
         assert r.run_tardiness == r.run_max_tardiness == [late]
         assert s.total_tardiness == s.max_tardiness == late
 
@@ -199,8 +200,9 @@ def test_elaborate_shares_nothing_with_its_input():
     for r in out.resources:
         r.rates["Z"] = 1.0
         r.task_chain.reverse()
-        for values in (r.starts, r.finishes, r.run_tardiness, r.run_max_tardiness, r.run_wip):
+        for values in (r.starts, r.run_tardiness, r.run_max_tardiness, r.run_wip):
             values.append(-1.0)
+        r.end = -1.0
     assert base == snapshot
 
 
@@ -340,13 +342,13 @@ def test_validate_flags_a_stale_running_partial():
     s = split_state()
     # t1 finishes at 2 h, due 1 h; t2 on r2 finishes at 3 h, due 10 h
     assert [
-        (r.finishes, r.run_tardiness, r.run_max_tardiness, r.run_wip) for r in s.resources
-    ] == [([2.0], [1.0], [1.0], [2.0]), ([3.0], [0.0], [0.0], [3.0])]
+        (r.end, r.run_tardiness, r.run_max_tardiness, r.run_wip) for r in s.resources
+    ] == [(2.0, [1.0], [1.0], [2.0]), (3.0, [0.0], [0.0], [3.0])]
     for i, attr, value in [
         (0, "run_tardiness", [0.0]),
         (1, "run_max_tardiness", [1.0]),
         (1, "run_wip", [3.0 + 1e-6]),
-        (0, "finishes", [2.0, 2.0]),
+        (0, "end", 2.0 + 1e-6),
     ]:
         stale = s.clone()
         setattr(stale.resources[i], attr, value)
@@ -404,10 +406,13 @@ def test_validate_flags_each_stale_derived_field():
         assert validate(s) == []
         if s.tasks:
             i = rng.choice([i for i, r in enumerate(s.resources) if r.task_chain])
-            attr = rng.choice(["starts", "finishes", "run_tardiness", "run_wip"])
+            attr = rng.choice(["starts", "end", "run_tardiness", "run_wip"])
             stale = s.clone()
-            values = getattr(stale.resources[i], attr)
-            values[rng.randrange(len(values))] += 0.5
+            if attr == "end":
+                stale.resources[i].end += 0.5
+            else:
+                values = getattr(stale.resources[i], attr)
+                values[rng.randrange(len(values))] += 0.5
             assert any(v.subject == s.resources[i].id and attr in v.detail for v in validate(stale))
             stale = s.clone()
             stale.focal_index = rng.choice([None, len(s.resources)])
@@ -458,7 +463,7 @@ def test_three_way_tardiness_agreement():
     for _ in range(200):
         s = elaborate(random_state(rng))
         by_resource = sum(
-            sum(max(0.0, f - s.tasks[tid].due_date) for tid, f in zip(r.task_chain, r.finishes))
+            sum(max(0.0, f - s.tasks[tid].due_date) for tid, f in zip(r.task_chain, finishes(r)))
             for r in s.resources
         )
         timing = derived(s)
@@ -471,9 +476,10 @@ def test_chain_timing_exact():
     rng = Random(17)
     for _ in range(200):
         s = elaborate(random_state(rng))
+        timing = naive_timing(s)
         for r in s.resources:
-            assert len(r.starts) == len(r.finishes) == len(r.task_chain)
-            assert r.starts[1:] == r.finishes[:-1]
+            assert len(r.starts) == len(r.task_chain)
+            assert finishes(r) == [timing[tid]["finish"] for tid in r.task_chain]
 
 
 def test_quantity_monotonicity():
@@ -495,7 +501,7 @@ def test_executing_head_keeps_start():
     raw.tasks["t1"].executing = True
     raw.tasks["t1"].start = 0.75
     s = elaborate(raw)
-    assert s.resources[0].starts == [0.75, s.resources[0].finishes[0]]
+    assert (s.resources[0].starts, s.resources[0].end) == ([0.75, 2.75], 5.75)
     assert s.tasks["t1"].start == 0.75
     assert elaborate(s) == s
 
@@ -514,7 +520,7 @@ def _defaults(cls: type) -> dict:
         (_copy_task, Task("t1", "Task1", "B", 40.0, 7.5, True, 1.0)),
         (
             _copy_resource,
-            Resource("r1", "mixer", {"A": 10.0}, ["t1"], 0.5, [0.5], [4.5], [1.0], [0.5], [4.0]),
+            Resource("r1", "mixer", {"A": 10.0}, ["t1"], 0.5, [0.5], 4.5, [1.0], [0.5], [4.0]),
         ),
         (
             _copy_state,
@@ -560,7 +566,7 @@ def test_retime_keeps_every_input_field():
         assert type(t) is Task and t is not raw.tasks["t1"]
         assert {name: getattr(t, name) for name in inputs} == inputs
         r = out.resources[0]
-        assert (r.starts, r.finishes) == ([1.25], [5.25])  # an executing head keeps its start
+        assert (r.starts, r.end) == ([1.25], 5.25)  # an executing head keeps its start
     assert spliced.tasks is s.tasks
     assert spliced.resources[0] is not s.resources[0]
 

@@ -123,6 +123,37 @@ def test_bench_pair_summary_counts_incorrect_runs_and_failures(capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_bench_pair_summary_gives_per_pair_ratio_quartiles():
+    # pair i runs one seed on both sides, so seed-to-seed variation widens
+    # the base side's spread but not the pairs' head/base ratios; a pair
+    # whose base is 0 has no ratio
+    bench_pair = load_tool("bench_pair")
+
+    def run(side, pair, value):
+        return {
+            "workload": "transfer-200x10", "trace": 0, "pair": pair, "side": side,
+            "info": {"digest": "d"},
+            "result": {
+                "correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"repair_s_p50": {"value": value, "unit": "s"}},
+            },
+        }
+
+    bases = [100.0, 200.0, 300.0, 400.0]
+    runs = [run(side, i, v) for i, b in enumerate(bases)
+            for side, v in (("base", b), ("head", b * 0.8))]
+    row = bench_pair.summarize(runs, {"repair_s_p50": "lower"})["transfer-200x10/trace0"]
+    assert row["repair_s_p50"]["base_quartile_spread"] == 150.0
+    assert row["repair_s_p50"]["pair_ratio_quartiles"] == [0.8, 0.8, 0.8]
+    assert row["repair_s_p50"]["head_better_pairs"] == 4
+    one = bench_pair.summarize(runs[:2] + [run("base", 9, 0.0), run("head", 9, 5.0)],
+                               {"repair_s_p50": "lower"})["transfer-200x10/trace0"]
+    assert one["repair_s_p50"]["pair_ratio_quartiles"] == [0.8, 0.8, 0.8]
+    none = bench_pair.summarize([run("base", 0, 0.0), run("head", 0, 1.0)],
+                                {"repair_s_p50": "lower"})["transfer-200x10/trace0"]
+    assert none["repair_s_p50"]["pair_ratio_quartiles"] is None
+
+
 def test_bench_pair_summary_gives_the_training_and_repair_step_rates():
     # an untraced group reports both sides' median training and repair step
     # rates and their ratio, so a steps_per_s claim shows which half moved;

@@ -19,9 +19,13 @@ The file holds every run's info line and result line as ``perfbench``
 printed them, and a summary per workload and trace mode: each metric's
 median on both sides, their ratio, and for every metric ``BENCHMARK.json``
 gives a ``better`` direction (the end-to-end ones and the per-layer ones
-of a traced run alike) the number of pairs the head side won and the
-spread of the base side's runs. One traced pair cannot show a layer saving
-of a few per cent; several pairs and these columns can.
+of a traced run alike) the number of pairs the head side won, the
+spread of the base side's runs, and ``pair_ratio_quartiles``, the inclusive
+quartiles of each pair's head/base ratio over the pairs whose base is not 0.
+Pair i runs seed ``--seed + i`` on both sides, so the base side's spread
+holds seed-to-seed variation as well as run noise, and the ratios do not.
+One traced pair cannot show a layer saving of a few per cent; several
+pairs and these columns can.
 Beside the metrics, an untraced group has ``passes``, each side's median
 number of passes (a faster side fits more into a run, and each pass adds to
 the peak RSS), and ``train_steps_per_s`` and ``repair_steps_per_s``, each
@@ -104,11 +108,16 @@ def run_once(root: Path, workload: str, trace: int, seed: int, seconds: int) -> 
     return {"info": json.loads(info_line)["info"], "result": json.loads(result_line)}
 
 
-def quartile_spread(values: list[float]) -> float:
+def quartiles(values: list[float]) -> list[float] | None:
+    """The inclusive quartiles of ``values``: one value is all three, none gives None."""
     if len(values) < 2:
-        return 0.0
-    q = statistics.quantiles(values, n=4, method="inclusive")
-    return q[2] - q[0]
+        return values * 3 or None
+    return statistics.quantiles(values, n=4, method="inclusive")
+
+
+def quartile_spread(values: list[float]) -> float:
+    q = quartiles(values)
+    return q[2] - q[0] if q else 0.0
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
@@ -146,6 +155,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 row["head_better_pairs"] = sum(sign * (head[i] - base[i]) > 0 for i in pairs)
                 row["pairs"] = len(pairs)
                 row["base_quartile_spread"] = quartile_spread([base[i] for i in pairs])
+                row["pair_ratio_quartiles"] = quartiles(
+                    [head[i] / base[i] for i in pairs if base[i]]
+                )
             rows[name] = row
         base, head = infos[group]["base"], infos[group]["head"]
         pairs = sorted(set(base) & set(head))
