@@ -764,6 +764,8 @@ GOLDEN_SHA256 = {
     "report.json": "5dfe8157687e47fecba63f980b8beac56585f16e8911365af22e1309cca12e36",
     "trace.json": "b0f9a2717d7d8572e556c6f7fb11238bab2591a2d65954d7d310ac24a92b69ec",
     "eval.json": "bd29f506d20555e2ae2aaa8ee7770d581076fc5607ad8809f34da2412448c16e",
+    "before.svg": "8ad5bcf609e3c0fc7372684997e58b2fff798ba35f99d9f160b769c3c53771a6",
+    "after.svg": "5cc901debbca8873ca168c95cbf7e02afce0aea413c4bfe2215479db0bb2a506",
 }
 
 
@@ -774,7 +776,8 @@ def test_seed7_artifacts_match_golden_bytes(tmp_path, capsys):
     report = str(tmp_path / "report.json")
     assert main(["train", "--instance", inst, "--qstore", q, "--report", report, *seed]) == 0
     trace = str(tmp_path / "trace.json")
-    assert main(["repair", "--instance", inst, "--qstore", q, "--trace", trace, *seed]) == 0
+    svgs = [f"--svg-{when}={tmp_path / when}.svg" for when in ("before", "after")]
+    assert main(["repair", "--instance", inst, "--qstore", q, "--trace", trace, *svgs, *seed]) == 0
     evaluation = str(tmp_path / "eval.json")
     evaluate = ["evaluate", "--instance", inst, "--qstore", q, "--runs", "30"]
     assert main([*evaluate, "--report", evaluation, *seed]) == 0
