@@ -50,7 +50,8 @@ from operator import attrgetter
 
 from .errors import BrokenChain, UnprocessableProduct
 
-# Absolute tolerance for aggregate float comparisons.
+# Absolute tolerance for aggregate float comparisons, read by perfbench's
+# check_episode; ``validate`` compares every derived field exactly.
 AGG_TOL = 1e-9
 
 
@@ -318,25 +319,15 @@ def _splice(
     return s
 
 
-# The derived arrays of a resource and how far each may stray from a fresh
-# elaboration's; the running partials are sums, like the aggregates.
-_TIMING_TOLERANCES = (
-    ("starts", 0.0),
-    ("run_tardiness", AGG_TOL),
-    ("run_max_tardiness", AGG_TOL),
-    ("run_wip", AGG_TOL),
-)
-
-
 def validate(state: ScheduleState) -> list[Violation]:
     """Check every state/task/resource invariant; return violations as data.
 
     Never raises: a broken state yields violations describing what is wrong.
     Structure and domain rules come first; a state that passes both must
-    equal its own elaboration. An empty list means the state is well-formed
-    and its derived fields are fresh. So an executing task off its chain's
-    head is flagged as such, and a head whose start differs from its
-    recorded ``Task.start`` as stale timing.
+    equal its own elaboration bit for bit. An empty list means the state is
+    well-formed and its derived fields are fresh. So an executing task off
+    its chain's head is flagged as such, and a head whose start differs
+    from its recorded ``Task.start`` as stale timing.
     """
     out = list(_structure_defects(state))
 
@@ -358,7 +349,9 @@ def validate(state: ScheduleState) -> list[Violation]:
                 )
             if t.executing and i > 0:
                 out.append(Violation("ExecutingNotHead", tid, f"position {i} on {r.id}"))
-    for t in state.tasks.values():
+    for tid, t in state.tasks.items():
+        if t.id != tid:  # operators name a task by its id, chains by its key
+            out.append(Violation("MismatchedTaskId", tid, f"key holds task {t.id}"))
         if not t.quantity > 0:
             out.append(Violation("NonPositiveQuantity", t.id, f"quantity {t.quantity}"))
         if not t.due_date >= 0:
@@ -366,27 +359,24 @@ def validate(state: ScheduleState) -> list[Violation]:
     if out:
         return out
 
-    # Starts are compared exactly: elaborate assigns start(k+1) = finish(k)
-    # rather than recomputing it. ``not <=`` counts a NaN as a difference;
-    # equal values, an infinite sum of finite inputs included, are fresh.
+    # Every derived field must equal its elaboration's by ``!=``, element by
+    # element, so a NaN counts as a difference and equal infinities are fresh.
     fresh = elaborate(state)
     if state.focal_index != fresh.focal_index:
         out.append(Violation(
             "StaleFocalIndex", str(state.focal_task), f"{state.focal_index} != {fresh.focal_index}"
         ))
     for r, f in zip(state.resources, fresh.resources):
-        for attr, tol in _TIMING_TOLERANCES:
+        for attr in ("starts", "run_tardiness", "run_max_tardiness", "run_wip"):
             stored, derived = getattr(r, attr), getattr(f, attr)
-            if len(stored) != len(derived) or any(
-                a != b and not abs(a - b) <= tol for a, b in zip(stored, derived)
-            ):
+            if len(stored) != len(derived) or any(a != b for a, b in zip(stored, derived)):
                 out.append(Violation("StaleTiming", r.id, f"{attr} {stored} != {derived}"))
-        if r.end != f.end and not abs(r.end - f.end) <= AGG_TOL:
+        if r.end != f.end:
             out.append(Violation("StaleTiming", r.id, f"end {r.end} != {f.end}"))
     for subject, attr in [
         ("totTard", "total_tardiness"), ("maxTard", "max_tardiness"), ("totalWIP", "total_wip")
     ]:
         stored, derived = getattr(state, attr), getattr(fresh, attr)
-        if stored != derived and not abs(stored - derived) <= AGG_TOL:
+        if stored != derived:
             out.append(Violation("StaleAggregate", subject, f"{stored} != {derived}"))
     return out

@@ -307,6 +307,14 @@ def test_validate_unassigned_task():
     s = elaborate(two_task_state())
     s.tasks["t9"] = order()
     assert any(v.code == "UnassignedTask" and v.subject == "t9" for v in validate(s))
+    # a task filed under a key that is not its id: the chain and the dict
+    # agree on the key, but operators name the task by its id
+    raw = two_task_state()
+    raw.tasks["a"] = dataclasses.replace(raw.tasks.pop("t2"), id="x")
+    raw.resources[0].task_chain = ["t1", "a"]
+    raw.resources.append(Resource(id="r2", rates={"A": 10.0}))
+    raw.focal_task = "a"
+    assert [(v.code, v.subject) for v in validate(elaborate(raw))] == [("MismatchedTaskId", "a")]
 
 
 def split_state() -> ScheduleState:
@@ -336,6 +344,12 @@ def test_validate_flags_stale_starts():
         stale.resources[0].starts = starts
         hits = [(v.code, v.subject, v.detail.split()[0]) for v in validate(stale)]
         assert hits == [("StaleTiming", "r1", "starts")]
+    # a NaN recorded start reaches both sides as the same object, which a
+    # list comparison would take as equal; element by element it differs
+    raw = s.clone()
+    raw.tasks["t1"].executing, raw.tasks["t1"].start = True, math.nan
+    hits = [(v.code, v.subject, v.detail.split()[0]) for v in validate(elaborate(raw))]
+    assert hits == [("StaleTiming", "r1", "starts"), ("StaleTiming", "r1", "end")]
 
 
 def test_validate_flags_a_stale_running_partial():
@@ -354,9 +368,11 @@ def test_validate_flags_a_stale_running_partial():
         setattr(stale.resources[i], attr, value)
         hits = [(v.code, v.subject, v.detail.split()[0]) for v in validate(stale)]
         assert hits == [("StaleTiming", s.resources[i].id, attr)]
-    within = s.clone()
-    within.resources[0].run_wip = [2.0 + 1e-12]  # inside AGG_TOL, as for the other sums
-    assert validate(within) == []
+    # validate holds the partials to their elaboration bit for bit
+    drifted = s.clone()
+    drifted.resources[0].run_wip = [2.0 + 1e-12]
+    hits = [(v.code, v.subject, v.detail.split()[0]) for v in validate(drifted)]
+    assert hits == [("StaleTiming", "r1", "run_wip")]
 
 
 def test_focal_index_is_derived_by_elaboration():
@@ -423,6 +439,32 @@ def test_validate_flags_each_stale_derived_field():
         stale = s.clone()
         setattr(stale, attr, getattr(stale, attr) + 1)
         assert [(v.code, v.subject) for v in validate(stale)] == [("StaleAggregate", subject)]
+
+
+def test_validate_flags_one_ulp_on_any_derived_float():
+    arrays = ["starts", "run_tardiness", "run_max_tardiness", "run_wip"]
+    aggregates = {"total_tardiness": "totTard", "max_tardiness": "maxTard", "total_wip": "totalWIP"}
+    rng = Random(47)
+    for _ in range(300):
+        s = elaborate(random_state(rng))
+        picks = [(i, "end") for i in range(len(s.resources))] + [(None, a) for a in aggregates]
+        picks += [(i, a) for i, r in enumerate(s.resources) if r.task_chain for a in arrays]
+        i, attr = rng.choice(picks)
+        stale = s.clone()
+        owner = stale if i is None else stale.resources[i]
+        values = getattr(owner, attr)
+        k = rng.randrange(len(values)) if attr in arrays else None
+        old = values[k] if attr in arrays else values
+        moved = math.nextafter(old, rng.choice([-math.inf, math.inf]))
+        if attr in arrays:
+            values[k] = moved
+        else:
+            setattr(owner, attr, moved)
+        hits = [(v.code, v.subject, v.detail.split()[0]) for v in validate(stale)]
+        if i is None:
+            assert hits == [("StaleAggregate", aggregates[attr], repr(moved))]
+        else:
+            assert hits == [("StaleTiming", owner.id, attr)]
 
 
 def test_validate_accepts_an_overflowed_total():
