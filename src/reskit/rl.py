@@ -231,23 +231,19 @@ def select(
     Greedy ties resolve to the earliest proposal in the list's
     deterministic order; unseen keys read as 0.
 
-    A greedy pick whose ``sig.total_tardiness`` is not in
-    ``store.known_totals`` reads 0 for every key, so it is the first
-    proposal, taken with no lookup. Any other greedy pick makes one
-    ``QStore.q`` lookup per proposal, with a plain tuple that hashes and
-    compares equal to its ``QKey``; it builds one ``QKey``, the winner's.
-    Either pick keys its operator with ``qkey(state, op, sig)``; ``sig``
-    must be ``signature(state)``. ``episode._pick`` bypasses it only for a
-    pick with no ``rng`` on a store that does not hold the state's
-    quantized total, and takes the first proposal unsigned.
+    A greedy pick makes one ``QStore.q`` lookup per proposal, with a plain
+    tuple that hashes and compares equal to its ``QKey``; it builds one
+    ``QKey``, the winner's. Either pick keys its operator with
+    ``qkey(state, op, sig)``; ``sig`` must be ``signature(state)``.
+    ``episode._pick`` bypasses it only for a pick with no ``rng`` on a
+    store that does not hold the state's quantized total, and takes the
+    first proposal unsigned.
     """
     if not proposals:
         raise EmptyProposalSet("no proposals to select from")
     if rng is not None and rng.random() < store.hyper.epsilon:
         op = proposals[rng.randrange(len(proposals))]
         return op, qkey(state, op, sig)
-    if sig.total_tardiness not in store.known_totals:
-        return proposals[0], qkey(state, proposals[0], sig)
     tasks = state.tasks
     q = store.q
     best = proposals[0]

@@ -459,10 +459,7 @@ def test_greedy_select_matches_first_maximum_oracle():
             tied += values.count(max(values)) > 1 and best > 0
             store.lookups = 0
             op, key = select(store, state, proposals, None, sig)
-            # a key can match only at the state's total: where the store holds
-            # none there, select takes the first proposal with no lookup
-            held = sig.total_tardiness in store.known_totals
-            assert store.lookups == (len(proposals) if held else 0)
+            assert store.lookups == len(proposals)
             assert op is proposals[best]
             assert key == keys[best] and type(key) is QKey
             cases += 1
@@ -511,10 +508,10 @@ def test_select_draws_the_same_random_numbers():
 
 
 def test_a_learning_pick_draws_the_same_whether_or_not_the_store_holds_the_total():
-    # the greedy shortcut comes after the epsilon draw: a store that lacks
-    # the state's total and the same store with a stranger at that total
-    # leave the generator in the same state and give the same pick and key;
-    # only an exploiting pick on the second store looks its keys up
+    # a store that lacks the state's total and the same store with a
+    # stranger at that total leave the generator in the same state and give
+    # the same pick and key; an exploiting pick looks up every proposal on
+    # both, an exploring one none
     explored = exploited = 0
     for state, proposals in islice(selection_cases(), 20):
         sig = signature(state)
@@ -527,7 +524,8 @@ def test_a_learning_pick_draws_the_same_whether_or_not_the_store_holds_the_total
             rng = Random(seed)
             unheld = select(store, state, proposals, rng, sig)
             after = rng.getstate()
-            assert store.lookups == 0
+            assert store.lookups == (len(proposals) if greedy else 0)
+            store.lookups = 0
             stranger = sig._replace(task_number=sig.task_number + 1)
             store.entries[QKey(stranger, "up-right-jump", aux)] = 1.0
             assert sig.total_tardiness in store.known_totals
