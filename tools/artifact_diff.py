@@ -7,10 +7,11 @@ directory, once git resolves both; an unknown one exits 2. For each one,
 the CLI of its own ``src/`` generates an instance for each case (seeds 0
 and 7, and seed 3 with ``--arrival 6``), trains a store on it, repairs it
 with a trace and SVGs, evaluates the store on fresh orders, dumps the store
-with ``inspect-q`` and renders the disrupted instance. It also repairs and
-evaluates without ``--qstore``, where an empty store makes every greedy step
-take the first proposal. Every file a command writes and every command's
-standard output are kept: 16 files for each case.
+with ``inspect-q``, renders the disrupted instance and validates it. It also
+repairs and evaluates without ``--qstore``, where an empty store makes every
+greedy step take the first proposal. Every file a command writes and every
+command's standard output are kept, and ``validate``'s standard error, where
+it prints its verdict: 17 files for each case.
 
 Each file is reported as one of:
 
@@ -38,7 +39,8 @@ from bench_pair import WORKTREE, check_revisions, export
 REL_TOL = 1e-12
 # Case -> its seed and its extra generate arguments.
 CASES = {"seed0": (0, []), "seed7": (7, []), "seed3-arrival6": (3, ["--arrival", "6"])}
-# Command, its arguments, and the file its standard output goes to.
+# Command, its arguments, and the file its standard output goes to (its
+# standard error for a command in STDERR_KEPT).
 COMMANDS = [
     ("train", ["--instance", "inst.json", "--qstore", "q.txt", "--report", "report.json"],
      None),
@@ -52,7 +54,10 @@ COMMANDS = [
     ("inspect-q", ["--qstore", "q.txt"], "inspect-q.out"),
     ("render", ["--instance", "inst.json", "--disrupted", "--svg", "render.svg", "--text"],
      "render.out"),
+    ("validate", ["--instance", "inst.json"], "validate.err"),
 ]
+UNSEEDED = ("inspect-q", "render", "validate")
+STDERR_KEPT = ("validate",)
 NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
@@ -63,9 +68,9 @@ def write_artifacts(root: Path, out: Path) -> None:
     for case, (seed, extra) in CASES.items():
         where = out / case
         where.mkdir(parents=True)
-        for command, args, stdout in [("generate", ["--out", "inst.json", *extra], None),
+        for command, args, outfile in [("generate", ["--out", "inst.json", *extra], None),
                                       *COMMANDS]:
-            seeded = [] if command in ("inspect-q", "render") else ["--seed", str(seed)]
+            seeded = [] if command in UNSEEDED else ["--seed", str(seed)]
             done = subprocess.run(
                 [sys.executable, "-m", "reskit.cli", command, *args, *seeded],
                 cwd=where, env=env, capture_output=True, text=True,
@@ -73,8 +78,9 @@ def write_artifacts(root: Path, out: Path) -> None:
             if done.returncode != 0:
                 raise SystemExit(f"{root}: {case} {command} exited {done.returncode}: "
                                  f"{done.stderr.strip()}")
-            if stdout:
-                (where / stdout).write_text(done.stdout, encoding="utf-8")
+            if outfile:
+                kept = done.stderr if command in STDERR_KEPT else done.stdout
+                (where / outfile).write_text(kept, encoding="utf-8")
 
 
 def compare(a: str, b: str) -> tuple[str, str]:
