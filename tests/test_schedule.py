@@ -312,8 +312,6 @@ def test_validate_unassigned_task():
     raw = two_task_state()
     raw.tasks["a"] = dataclasses.replace(raw.tasks.pop("t2"), id="x")
     raw.resources[0].task_chain = ["t1", "a"]
-    raw.resources.append(Resource(id="r2", rates={"A": 10.0}))
-    raw.focal_task = "a"
     assert [(v.code, v.subject) for v in validate(elaborate(raw))] == [("MismatchedTaskId", "a")]
 
 
