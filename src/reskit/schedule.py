@@ -44,6 +44,7 @@ too: it costs several constructor calls.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
@@ -356,6 +357,8 @@ def validate(state: ScheduleState) -> list[Violation]:
             out.append(Violation("NonPositiveQuantity", t.id, f"quantity {t.quantity}"))
         if not t.due_date >= 0:
             out.append(Violation("NegativeDueDate", t.id, f"due {t.due_date}"))
+        if t.executing and not math.isfinite(t.start):
+            out.append(Violation("NonFiniteStart", t.id, f"start {t.start}"))
     if out:
         return out
 

@@ -750,14 +750,9 @@ def test_train_that_cannot_build_its_report_writes_no_file(
             assert (q.read_bytes(), report.read_bytes()) == (old, old + b"report\n")
 
 
-# sha256 of the seed-7 artifacts. Any byte drift in generation, training,
-# repair or evaluation shows here. inst.json and trace.json are as the
-# engine wrote them before the triples graph and the unread state fields
-# were deleted. q.txt, report.json and eval.json were re-pinned when the
-# aggregates became sums of per-chain partials (chain order, then resource
-# order) instead of one sum in task order: their tardiness floats moved in
-# the last digits, every number within 1e-12 relative by
-# tools/artifact_diff.py, and every operator choice stayed the same.
+# sha256 of the seed-7 artifacts, written by main() in-process. The table
+# in tests/artifacts.sha256 pins the same files from subprocesses, except
+# eval.json: this one comes from a 30-run evaluate, the table's from 100.
 GOLDEN_SHA256 = {
     "inst.json": "160299399c900695b1d5304bd550e1e898e81f5516f568a62b0deca8605b5d7c",
     "q.txt": "c5ecfa7a6d5931906ab536fad0b60e23c03150fcdd677d0b5ddab936e40bf9c0",

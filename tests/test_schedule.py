@@ -342,12 +342,13 @@ def test_validate_flags_stale_starts():
         stale.resources[0].starts = starts
         hits = [(v.code, v.subject, v.detail.split()[0]) for v in validate(stale)]
         assert hits == [("StaleTiming", "r1", "starts")]
-    # a NaN recorded start reaches both sides as the same object, which a
-    # list comparison would take as equal; element by element it differs
-    raw = s.clone()
-    raw.tasks["t1"].executing, raw.tasks["t1"].start = True, math.nan
-    hits = [(v.code, v.subject, v.detail.split()[0]) for v in validate(elaborate(raw))]
-    assert hits == [("StaleTiming", "r1", "starts"), ("StaleTiming", "r1", "end")]
+    # an executing head's recorded start must be finite: re-elaborating
+    # cannot clear a NaN, and an infinite one makes every figure infinite
+    for start in (math.nan, math.inf, -math.inf):
+        raw = s.clone()
+        raw.tasks["t1"].executing, raw.tasks["t1"].start = True, start
+        hits = [(v.code, v.subject, v.detail) for v in validate(elaborate(raw))]
+        assert hits == [("NonFiniteStart", "t1", f"start {start}")]
 
 
 def test_validate_flags_a_stale_running_partial():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -192,3 +193,38 @@ def test_bench_pair_summary_gives_the_training_and_repair_step_rates():
     assert repair["repair_steps_per_s"]["ratio"] == 1.2
     traced = summary["campaign/trace1"]
     assert not {"passes", "train_steps_per_s", "repair_steps_per_s"} & set(traced)
+
+
+def test_seeded_artifacts_match_the_committed_table(monkeypatch, tmp_path):
+    # every file artifact_diff writes for its cases, pinned by sha256; a change
+    # that alters bytes on purpose pastes the printed table into the file, and
+    # the table's diff then names each changed file
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))  # artifact_diff imports bench_pair
+    load_tool("artifact_diff").write_artifacts(ROOT, tmp_path)
+    digests = {
+        f.relative_to(tmp_path).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
+        for f in tmp_path.rglob("*") if f.is_file()
+    }
+    table = "".join(f"{digests[name]}  {name}\n" for name in sorted(digests))
+    pinned = (ROOT / "tests" / "artifacts.sha256").read_text(encoding="utf-8")
+    assert table == pinned, f"the seeded artifacts changed; their new table:\n{table}"
+
+
+@pytest.mark.parametrize(
+    "base, head, verdict",
+    [
+        (b"x 1.0\ny 2\n", b"x 1.0\ny 2\n", ("identical", "")),
+        (b"x 0.3\n", b"x 0.30000000000000004\n",
+         ("differs", "line 1: 'x 0.3\\n' against 'x 0.30000000000000004\\n'")),
+        (b"x 1.0\ny 2\n", b"x 1.0\r\ny 2\r\n",
+         ("differs", "line 1: 'x 1.0\\n' against 'x 1.0\\r\\n'")),
+        (b"x 1.0\ny 2\n", b"x 1.0\ny 2", ("differs", "line 2: 'y 2\\n' against 'y 2'")),
+        (b"x 1.0\n", b"x 1.0\ny 2\n", ("differs", "line 2: '' against 'y 2\\n'")),
+    ],
+    ids=["equal", "one-ulp", "crlf", "no-final-newline", "extra-line"],
+)
+def test_artifact_diff_compares_bytes(monkeypatch, base, head, verdict):
+    # a file is identical only byte for byte: a float one ulp away, a CRLF
+    # line end and a missing final newline each differ, at their first line
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    assert load_tool("artifact_diff").compare(base, head) == verdict
