@@ -27,7 +27,10 @@ that is empty, or whose ``known_totals`` lacks the state's quantized total
 tardiness, takes the first proposal, as no key can match the state, every
 key reads 0 and ``select`` keeps the first of equal values: it signs no
 state and builds no key. Any other pick signs the state once, into the
-entry's ``signature``, and calls ``select``.
+entry's ``signature``, and calls ``select``. Unless it explores, ``select``
+makes the same verdict on the signature itself: it reads the store's row
+for it once, and where there is none it takes the first proposal with no
+lookup, so a learning pick pays for no lookup at a state no key matches.
 
 ``succ`` is a transition memo: None until a learning run re-enters the
 state, then a dict from operator to the successor state that ``apply``

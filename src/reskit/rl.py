@@ -3,14 +3,17 @@
 Preferences live in a lazily grown table keyed by the quantized state
 signature plus the operator's name and its auxiliary task's name (its focal
 is the one the signature names), the in-memory analogue of per-situation
-preference rules. The table interns each key once into an integer slot and
-keeps the values in a list by slot and the set of its keys' quantized
-total tardiness, so a greedy pick can pass over a state that no key can
-match. The eligibility traces are one dict that maps a slot to its trace,
-in the order traced, so an update walks them without hashing a key; they
-are replacing (bumped to 1 on visit), decay by gamma*lambda per step, and
-are cleared between episodes. Neither the table, its set of totals nor the
-trace dict can be rebound.
+preference rules: the table holds one row per signature, which maps each
+of its keys' operator and aux names to the integer slot the key is interned
+into. The values live in a list by slot, beside the set of the rows'
+quantized total tardiness, so a greedy pick can pass over a state that no
+key can match; any other pick that does not explore reads its state's row
+once and finds each proposal there by its two names. The eligibility
+traces are one dict that maps a slot to its trace, in the order traced, so
+an update walks them without hashing a key; they are replacing (bumped to 1
+on visit), decay by gamma*lambda per step, and are cleared between
+episodes. Neither the table, its set of totals nor the trace dict can be
+rebound.
 
 A Q-store file holds one ``_record`` line per entry, and the loader takes a
 line only if ``_record`` writes it back unchanged.
@@ -91,38 +94,46 @@ class QKey(NamedTuple):
     op_aux: str
 
 
+# ``qkey`` builds each key as ``_new(QKey, fields)``: the same tuple, without
+# the Python-level ``__new__`` that ``NamedTuple`` writes, as ``operators``
+# builds its operators. It runs for every step.
+_new = tuple.__new__
+
+
 def qkey(state: ScheduleState, op: RepairOperator, sig: StateSignature) -> QKey:
     """``op``'s key in ``state``, whose ``signature(state)`` is ``sig``."""
-    return QKey(sig, op.kind.label, state.tasks[op.aux].name)
+    return _new(QKey, (sig, op.kind.label, state.tasks[op.aux].name))
 
 
 class QStore:
     """Preference table plus eligibility traces and hyperparameters.
 
-    Each key is interned once into an integer slot: ``entries`` maps it to
-    its slot and keeps the Q values in a list by slot. Slot 0 is no key's;
-    it holds the 0.0 that a key with no entry reads. A key gets its slot,
-    and so an entry worth 0.0, the first time it is bumped, assigned or
-    loaded. Keys are never removed, so slots are only appended: slot i is
-    the i-th key entered.
+    Each key is interned once into an integer slot, and the Q values are
+    kept in a list by slot. Slot 0 is no key's; it holds the 0.0 that a key
+    with no entry reads. A key gets its slot, and so an entry worth 0.0, the
+    first time it is bumped, assigned or loaded. Keys are never removed, so
+    slots are only appended: slot i is the i-th key entered. The slots are
+    filed by signature: ``row(sig)`` is the dict that maps each
+    ``(op_name, op_aux)`` of a key with that ``sig`` to the key's slot, or
+    None if no key has it. A row is made with its first key, so no row is
+    empty.
 
-    ``entries`` is a ``QKey``-keyed mapping over the slots, in
-    first-insertion order as a dict gives it: ``in`` and ``len`` cost O(1)
-    and copy nothing, and an assignment interns its key. ``known_totals``
-    is the set of ``sig.total_tardiness`` over the keys of ``entries``,
-    kept by ``entries`` as it gives a key its slot: a key can match a
+    ``entries`` is a ``QKey``-keyed mapping over the slots, in slot order:
+    ``in`` and ``len`` cost O(1) and copy nothing, and an assignment
+    interns its key. ``known_totals`` is the set of ``sig.total_tardiness``
+    over the rows, kept by ``entries`` as it makes a row: a key can match a
     state only if its total is the state's quantized total, so where that
     is not in the set every key of the state reads 0. ``traces`` is a
     plain dict that maps a slot to its trace, in the order traced, so an
     update walks it without hashing a key. None of the three can be
-    rebound, so ``q`` always reads ``entries``. Single writer during
-    training; reads are safe to share.
+    rebound, so ``q`` and ``row`` always read ``entries``. Single writer
+    during training; reads are safe to share.
     """
 
     def __init__(self, hyper: Hyperparams | None = None):
         self.hyper = hyper or Hyperparams()
         self._entries = _Entries()
-        self._slots, self._values = self._entries._slots, self._entries._values
+        self._rows, self._values = self._entries._rows, self._entries._values
         self._traces: dict[int, float] = {}
 
     # C-level getters: perfbench reads ``entries`` on every ``q`` and ``traces`` on every update.
@@ -132,7 +143,12 @@ class QStore:
 
     def q(self, key: QKey | None) -> float:
         """``key``'s value: 0.0 for a key with no entry, ``None`` (past an episode's end) too."""
-        return self._values[self._slots.get(key, 0)]
+        row = self._rows.get(key[0]) if key is not None else None
+        return self._values[row.get(key[1:], 0)] if row is not None else 0.0
+
+    def row(self, sig: StateSignature) -> dict[tuple[str, str], int] | None:
+        """The slots of ``sig``'s keys by ``(op_name, op_aux)``; None if it has no key."""
+        return self._rows.get(sig)
 
     def bump_trace(self, key: QKey) -> None:
         """Replacing traces: the visited key's trace becomes exactly 1."""
@@ -169,39 +185,57 @@ class QStore:
 class _Entries(Mapping):
     """``QStore.entries``: each interned key's value, in slot order.
 
-    ``slot`` is the one place a key enters, so it alone keeps ``_totals``,
-    the set of the keys' ``sig.total_tardiness``.
+    ``_rows`` files each slot under its key's signature and operator part,
+    and ``_keys`` holds the keys by slot (slot i is ``_keys[i - 1]``).
+    ``slot`` is the one place a key enters, so it alone makes a row and
+    keeps ``_totals``, the set of the rows' ``total_tardiness``. A key that
+    is not a three-field tuple has no slot.
     """
 
     def __init__(self) -> None:
-        self._slots: dict[QKey, int] = {}
+        self._rows: dict[StateSignature, dict[tuple[str, str], int]] = {}
+        self._keys: list[QKey] = []
         self._values: list[float] = [0.0]
         self._totals: set[float] = set()
 
     def slot(self, key: QKey) -> int:
-        """``key``'s slot, appended with the value 0.0, and its total entered,
-        if it has none."""
-        values = self._values
-        i = self._slots.setdefault(key, len(values))
+        """``key``'s slot, appended with the value 0.0, and its row and total
+        made, if it has none."""
+        sig, values = key[0], self._values
+        row = self._rows.get(sig)
+        if row is None:
+            row = self._rows[sig] = {}
+            self._totals.add(sig.total_tardiness)
+        i = row.setdefault(key[1:], len(values))
         if i == len(values):
             values.append(0.0)
-            self._totals.add(key.sig.total_tardiness)
+            self._keys.append(key)
         return i
 
+    def _find(self, key: object) -> int:
+        """``key``'s slot, or 0 if it has none."""
+        if not (isinstance(key, tuple) and len(key) == 3):
+            return 0
+        row = self._rows.get(key[0])
+        return row.get(key[1:], 0) if row is not None else 0
+
     def __getitem__(self, key: QKey) -> float:
-        return self._values[self._slots[key]]
+        i = self._find(key)
+        if not i:
+            raise KeyError(key)
+        return self._values[i]
 
     def __setitem__(self, key: QKey, value: float) -> None:
         self._values[self.slot(key)] = value
 
     def __contains__(self, key: object) -> bool:
-        return key in self._slots
+        return self._find(key) != 0
 
     def __iter__(self) -> Iterator[QKey]:
-        return iter(self._slots)
+        return iter(self._keys)
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._keys)
 
     def items(self) -> ItemsView[QKey, float]:
         return _EntryItems(self)
@@ -213,7 +247,7 @@ class _Entries(Mapping):
 class _EntryItems(ItemsView):
     def __iter__(self) -> Iterator[tuple[QKey, float]]:
         entries = self._mapping
-        return zip(entries._slots, islice(entries._values, 1, None))
+        return zip(entries._keys, islice(entries._values, 1, None))
 
 
 def select(
@@ -231,27 +265,29 @@ def select(
     Greedy ties resolve to the earliest proposal in the list's
     deterministic order; unseen keys read as 0.
 
-    A greedy pick makes one ``QStore.q`` lookup per proposal, with a plain
-    tuple that hashes and compares equal to its ``QKey``; it builds one
-    ``QKey``, the winner's. Either pick keys its operator with
-    ``qkey(state, op, sig)``; ``sig`` must be ``signature(state)``.
-    ``episode._pick`` bypasses it only for a pick with no ``rng`` on a
-    store that does not hold the state's quantized total, and takes the
-    first proposal unsigned.
+    A pick that does not explore reads ``store.row(sig)`` once and makes no
+    ``QStore.q`` call. With no row every key reads 0, so it takes the first
+    proposal with no lookup; with a row, each proposal costs one get of its
+    ``(op_name, op_aux)`` there. Either pick builds one ``QKey``, its
+    operator's, with ``qkey(state, op, sig)``; ``sig`` must be
+    ``signature(state)``. ``episode._pick`` bypasses it only for a pick
+    with no ``rng`` on a store that does not hold the state's quantized
+    total, and takes the first proposal unsigned.
     """
     if not proposals:
         raise EmptyProposalSet("no proposals to select from")
     if rng is not None and rng.random() < store.hyper.epsilon:
         op = proposals[rng.randrange(len(proposals))]
         return op, qkey(state, op, sig)
-    tasks = state.tasks
-    q = store.q
     best = proposals[0]
-    best_q = q((sig, best.kind.label, tasks[best.aux].name))
-    for op in proposals[1:]:
-        value = q((sig, op.kind.label, tasks[op.aux].name))
-        if value > best_q:
-            best, best_q = op, value
+    row = store.row(sig)
+    if row is not None:
+        tasks, values = state.tasks, store._values
+        best_q = values[row.get((best.kind.label, tasks[best.aux].name), 0)]
+        for op in proposals[1:]:
+            value = values[row.get((op.kind.label, tasks[op.aux].name), 0)]
+            if value > best_q:
+                best, best_q = op, value
     return best, qkey(state, best, sig)
 
 
@@ -378,14 +414,12 @@ def load_qstore(path: str | Path) -> QStore:
 
 
 def top_preferences(store: QStore, per_signature: int = 5) -> list[tuple[QKey, float]]:
-    """Best-valued entries grouped per signature, for inspection output."""
+    """Best-valued entries of each signature's row, for inspection output."""
     if per_signature < 1:
         raise InvalidConfig(f"per_signature must be positive, got {per_signature}")
-    by_sig: dict[StateSignature, list[tuple[QKey, float]]] = {}
-    for key, value in store.entries.items():
-        by_sig.setdefault(key.sig, []).append((key, value))
+    rows, values = store._rows, store._values
     out: list[tuple[QKey, float]] = []
-    for sig in sorted(by_sig, key=lambda s: _sig_to_fields(s)):
-        ranked = sorted(by_sig[sig], key=lambda kv: (-kv[1], kv[0].op_name, kv[0].op_aux))
-        out.extend(ranked[:per_signature])
+    for sig in sorted(rows, key=_sig_to_fields):
+        ranked = sorted(rows[sig].items(), key=lambda kv: (-values[kv[1]], kv[0]))
+        out.extend((QKey(sig, *part), values[i]) for part, i in ranked[:per_signature])
     return out

@@ -459,16 +459,16 @@ def test_greedy_repairs_on_an_empty_store_take_the_first_proposal(monkeypatch):
 
 
 class ReadingStore(QStore):
-    """A store that records each value its ``q`` reads."""
+    """A store that records each row its ``row`` reads."""
 
     def __init__(self):
         super().__init__()
         self.read = []
 
-    def q(self, key):
-        value = super().q(key)
-        self.read.append(value)
-        return value
+    def row(self, sig):
+        found = super().row(sig)
+        self.read.append(found)
+        return found
 
 
 def test_a_greedy_pick_selects_only_where_a_key_holds_the_state_s_total(monkeypatch):
@@ -476,8 +476,8 @@ def test_a_greedy_pick_selects_only_where_a_key_holds_the_state_s_total(monkeypa
     # under seed 0's signature, at a total no state here reaches: the store
     # is not empty, yet no step calls select. Strangers at each state's own
     # quantized total but with another task count: every decided step calls
-    # select and every key it looks up reads 0. Both runs take the steps of
-    # the plain loop and of an empty store's run
+    # select, which reads its state's row once and finds none. Both runs
+    # take the steps of the plain loop and of an empty store's run
     other = disrupted_instance(seed=0)
     unrelated = qkey(other, propose(other)[0], signature(other))
     calls = counting_calls(monkeypatch, (episode, "select"), (episode, "reward"))
@@ -504,12 +504,56 @@ def test_a_greedy_pick_selects_only_where_a_key_holds_the_state_s_total(monkeypa
         calls.clear()
         res = run_episode(start, strangers, cfg, learning=False)
         assert calls["select"] == calls["reward"]
-        assert len(strangers.read) >= calls["select"] and not any(strangers.read)
+        assert len(strangers.read) == calls["select"] and not any(strangers.read)
         selected += calls["select"]
         assert trace_dict(res) == trace_dict(greedy_oracle(start, strangers, cfg)[0])
         assert trace_dict(res) == trace_dict(empty)
         assert strangers.entries == snapshot
     assert selected > 30
+
+
+class CountingStore(QStore):
+    """A store that counts its ``q`` lookups and its row reads."""
+
+    lookups = rows_read = 0
+
+    def q(self, key):
+        self.lookups += 1
+        return super().q(key)
+
+    def row(self, sig):
+        self.rows_read += 1
+        return super().row(sig)
+
+
+def test_a_training_step_makes_two_q_calls_and_a_pick_reads_one_row(monkeypatch):
+    # the 30 criterion-4 trainings: a step's SARSA update makes its only two
+    # ``q`` calls, and a pick reads its state's row once unless it explores,
+    # when it reads none. The generator's next ``random()``, replayed on a
+    # copy, tells which picks explore
+    select, explored = episode.select, []
+
+    def checking(store, state, proposals, rng, sig):
+        replay = Random()
+        replay.setstate(rng.getstate())
+        explores = replay.random() < store.hyper.epsilon
+        before = store.rows_read, store.lookups
+        picked = select(store, state, proposals, rng, sig)
+        assert (store.rows_read, store.lookups) == (before[0] + (not explores), before[1])
+        explored.append(explores)
+        return picked
+
+    monkeypatch.setattr(episode, "select", checking)
+    lookups = rows_read = steps = 0
+    for seed in range(30):
+        store = CountingStore()
+        results = train(disrupted_instance(seed), store, 20, EpisodeConfig(seed=seed))
+        steps += sum(len(r.steps) for r in results)
+        lookups += store.lookups
+        rows_read += store.rows_read
+    assert (lookups, steps) == (13_542, 6_771)
+    assert len(explored) == steps and rows_read == explored.count(False)
+    assert explored.count(True) > 300
 
 
 def poisoned_table(start):

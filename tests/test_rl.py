@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from reskit import rl
 from reskit.episode import EpisodeConfig, train
 from reskit.errors import (
     CorruptQStoreError,
@@ -321,6 +322,93 @@ def test_known_totals_index_every_key_s_total(tmp_path):
         assert loaded.known_totals == store.known_totals
 
 
+def test_keys_sharing_a_signature_share_its_row():
+    # keys of one signature fill one row, and the store stays a mapping in
+    # slot order: ``in`` finds each key, a plain tuple equal to it too, and
+    # answers False, without raising, for what is no three-field key
+    store = QStore()
+    shared, other = sig(), sig(total=41.0)
+    keys = [
+        QKey(shared, "up-right-jump", "Task1"),
+        QKey(other, "up-right-jump", "Task1"),
+        QKey(shared, "down-left-swap", "Task1"),
+        QKey(shared, "up-right-jump", "Task2"),
+    ]
+    store.entries[keys[0]] = 0.5
+    store.bump_trace(keys[1])
+    store.entries[keys[2]] = -1.0
+    store.bump_trace(keys[3])
+    store.entries[keys[0]] = 2.0  # a key entered again keeps its slot
+    assert list(store.entries) == keys
+    assert list(store.entries.items()) == list(zip(keys, [2.0, 0.0, -1.0, 0.0]))
+    assert len(store.entries) == 4 and store.traces == {2: 1.0, 4: 1.0}
+    assert store.row(shared) == {
+        ("up-right-jump", "Task1"): 1,
+        ("down-left-swap", "Task1"): 3,
+        ("up-right-jump", "Task2"): 4,
+    }
+    assert store.row(other) == {("up-right-jump", "Task1"): 2}
+    assert store.row(sig(total=42.0)) is None
+    assert store.known_totals == {s.total_tardiness for s in store._rows} == {40.0, 41.0}
+    for key in keys:
+        assert key in store.entries and tuple(key) in store.entries
+        assert store.entries[key] == store.q(key) == store.entries[tuple(key)]
+    strangers = [
+        None,
+        (),
+        "abc",
+        "up-right-jump",
+        (shared,),
+        (shared, "up-right-jump"),
+        (shared, "up-right-jump", "Task1", "Task1"),
+        QKey(shared, "down-left-swap", "Task2"),
+        QKey(sig(total=42.0), "up-right-jump", "Task1"),
+        (other, "down-left-swap", "Task1"),
+    ]
+    for stranger in strangers:
+        assert stranger not in store.entries
+        assert store.entries.get(stranger) is None
+        with pytest.raises(KeyError):
+            store.entries[stranger]
+    assert store.q(None) == 0.0 and store.q(strangers[-1]) == 0.0
+    assert len(store.entries) == 4 and len(store._rows) == 2
+
+
+def regrouped_top_preferences(store, per_signature):
+    """``top_preferences`` as it regrouped every key by signature, before
+    the store kept rows."""
+    by_sig = {}
+    for key, value in store.entries.items():
+        by_sig.setdefault(key.sig, []).append((key, value))
+    out = []
+    for s in sorted(by_sig, key=lambda s: rl._sig_to_fields(s)):
+        ranked = sorted(by_sig[s], key=lambda kv: (-kv[1], kv[0].op_name, kv[0].op_aux))
+        out.extend(ranked[:per_signature])
+    return out
+
+
+def test_top_preferences_read_the_rows_as_the_regrouping_did(tmp_path):
+    # trained stores, then ties and signatures that differ only in the
+    # field the formatted sort key puts last
+    rng = Random(67)
+    for seed in (3, 7, 8):
+        spec = InstanceSpec(seed=seed, task_count=15, resource_count=3)
+        store = QStore()
+        train(inject_disruption(generate_instance(spec)), store, 20, EpisodeConfig(seed=seed))
+        for i in range(60):
+            s = sig(float(i % 4), focal=f"Task{i % 3}")
+            name = rng.choice(["up-right-jump", "down-left-swap", "same-left-jump"])
+            store.entries[QKey(s, name, f"Task{rng.randrange(6)}")] = rng.choice([-1.0, 0.0, 1.0])
+        for per_signature in (1, 2, 5, 100):
+            top = rl.top_preferences(store, per_signature)
+            assert top == regrouped_top_preferences(store, per_signature)
+            assert all(type(key) is QKey for key, _ in top)
+        path = tmp_path / f"store{seed}.txt"
+        save_qstore(store, path)
+        loaded = load_qstore(path)
+        assert rl.top_preferences(loaded) == regrouped_top_preferences(loaded, 5)
+
+
 def selection_state():
     resources = [
         Resource(id="r1", rates={"A": 10.0}, release_time=4.0, task_chain=["a1", "a2"]),
@@ -408,13 +496,17 @@ def test_uniform_shift_leaves_argmax_unchanged():
 
 
 class CountingStore(QStore):
-    """A store that counts its ``q`` lookups."""
+    """A store that counts its ``q`` lookups and its row reads."""
 
-    lookups = 0
+    lookups = rows_read = 0
 
     def q(self, key):
         self.lookups += 1
         return super().q(key)
+
+    def row(self, sig):
+        self.rows_read += 1
+        return super().row(sig)
 
 
 def selection_cases():
@@ -459,7 +551,7 @@ def test_greedy_select_matches_first_maximum_oracle():
             tied += values.count(max(values)) > 1 and best > 0
             store.lookups = 0
             op, key = select(store, state, proposals, None, sig)
-            assert store.lookups == len(proposals)
+            assert store.rows_read == 1 and store.lookups == 0
             assert op is proposals[best]
             assert key == keys[best] and type(key) is QKey
             cases += 1
@@ -510,8 +602,8 @@ def test_select_draws_the_same_random_numbers():
 def test_a_learning_pick_draws_the_same_whether_or_not_the_store_holds_the_total():
     # a store that lacks the state's total and the same store with a
     # stranger at that total leave the generator in the same state and give
-    # the same pick and key; an exploiting pick looks up every proposal on
-    # both, an exploring one none
+    # the same pick and key; an exploiting pick reads the state's row once
+    # on both, an exploring one reads none, and neither calls ``q``
     explored = exploited = 0
     for state, proposals in islice(selection_cases(), 20):
         sig = signature(state)
@@ -524,8 +616,8 @@ def test_a_learning_pick_draws_the_same_whether_or_not_the_store_holds_the_total
             rng = Random(seed)
             unheld = select(store, state, proposals, rng, sig)
             after = rng.getstate()
-            assert store.lookups == (len(proposals) if greedy else 0)
-            store.lookups = 0
+            assert store.rows_read == greedy and store.lookups == 0
+            store.rows_read = 0
             stranger = sig._replace(task_number=sig.task_number + 1)
             store.entries[QKey(stranger, "up-right-jump", aux)] = 1.0
             assert sig.total_tardiness in store.known_totals
@@ -533,7 +625,7 @@ def test_a_learning_pick_draws_the_same_whether_or_not_the_store_holds_the_total
             held = select(store, state, proposals, rng, sig)
             assert rng.getstate() == after
             assert held[0] is unheld[0] and held[1] == unheld[1]
-            assert store.lookups == (len(proposals) if greedy else 0)
+            assert store.rows_read == greedy and store.lookups == 0
             exploited += greedy
             explored += not greedy
     assert explored > 20 and exploited > 100
