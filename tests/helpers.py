@@ -34,7 +34,7 @@ from reskit.instances import Instance
 from reskit.operators import apply, propose
 from reskit.rl import TRACE_FLOOR, Hyperparams, QKey, QStore, goal_reached, reward, select
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
-from reskit.stategraph import signature
+from reskit.stategraph import StateSignature, signature
 
 PRODUCTS = ["A", "B", "C", "D"]
 
@@ -407,6 +407,20 @@ class DictQStore:
 
     def clear_traces(self) -> None:
         self.traces.clear()
+
+
+class CountingStore(QStore):
+    """A store that counts its ``q`` lookups and its row reads."""
+
+    lookups = rows_read = 0
+
+    def q(self, key: QKey | None) -> float:
+        self.lookups += 1
+        return super().q(key)
+
+    def row(self, sig: StateSignature) -> dict[tuple[str, str], int] | None:
+        self.rows_read += 1
+        return super().row(sig)
 
 
 def plain_episode(

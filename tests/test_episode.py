@@ -23,7 +23,13 @@ from reskit.schedule import Resource, ScheduleState, Task, elaborate
 from reskit.stategraph import quantize, signature
 
 import helpers
-from helpers import assert_fully_elaborated, greedy_oracle, random_state, training_oracle
+from helpers import (
+    CountingStore,
+    assert_fully_elaborated,
+    greedy_oracle,
+    random_state,
+    training_oracle,
+)
 
 TOL = 1e-9
 
@@ -510,20 +516,6 @@ def test_a_greedy_pick_selects_only_where_a_key_holds_the_state_s_total(monkeypa
         assert trace_dict(res) == trace_dict(empty)
         assert strangers.entries == snapshot
     assert selected > 30
-
-
-class CountingStore(QStore):
-    """A store that counts its ``q`` lookups and its row reads."""
-
-    lookups = rows_read = 0
-
-    def q(self, key):
-        self.lookups += 1
-        return super().q(key)
-
-    def row(self, sig):
-        self.rows_read += 1
-        return super().row(sig)
 
 
 def test_a_training_step_makes_two_q_calls_and_a_pick_reads_one_row(monkeypatch):

@@ -33,7 +33,7 @@ from reskit.rl import (
 from reskit.schedule import Resource, ScheduleState, Task, elaborate
 from reskit.stategraph import StateSignature, signature
 
-from helpers import DictQStore, random_state, sarsa_two_pass, traces_by_key
+from helpers import CountingStore, DictQStore, random_state, sarsa_two_pass, traces_by_key
 
 
 def state_with_total(total: float, init: float) -> ScheduleState:
@@ -493,20 +493,6 @@ def test_uniform_shift_leaves_argmax_unchanged():
         for k in store.entries:
             store.entries[k] += shift
         assert select(store, s, proposals, Random(7), sig) == baseline
-
-
-class CountingStore(QStore):
-    """A store that counts its ``q`` lookups and its row reads."""
-
-    lookups = rows_read = 0
-
-    def q(self, key):
-        self.lookups += 1
-        return super().q(key)
-
-    def row(self, sig):
-        self.rows_read += 1
-        return super().row(sig)
 
 
 def selection_cases():
