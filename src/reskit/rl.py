@@ -143,6 +143,7 @@ class QStore:
 
     def q(self, key: QKey | None) -> float:
         """``key``'s value: 0.0 for a key with no entry, ``None`` (past an episode's end) too."""
+        # ``_Entries._find`` inlined: every update calls this twice.
         row = self._rows.get(key[0]) if key is not None else None
         return self._values[row.get(key[1:], 0)] if row is not None else 0.0
 
